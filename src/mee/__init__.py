@@ -53,6 +53,7 @@ from .experiments import (
     reduced_dm_report,
     spin_concentration_probe,
     spin_spectrum,
+    tail_report,
 )
 from .sampling import (
     RngSpec,

@@ -35,6 +35,11 @@ __all__ = [
 _EXP_OVERFLOW = 709.0  # log threshold beyond which math.exp overflows
 
 
+def _exp_or_inf(log_value: float) -> float:
+    """exp(log_value), or ``inf`` where math.exp would overflow."""
+    return math.inf if log_value > _EXP_OVERFLOW else math.exp(log_value)
+
+
 @dataclass(frozen=True)
 class WindowCheck:
     """Result of the low-energy window test E_min < E <= E_A - pi*(E_max-E_min)/sqrt(2(n-1))."""
@@ -171,10 +176,7 @@ def tail_bound(constants: ConcentrationConstants, t: float, lam: float = 1.0) ->
     """
     if lam <= 0.0:
         raise DomainError("Lipschitz constant must be positive")
-    log_value = tail_log_bound(constants, t)
-    if log_value > _EXP_OVERFLOW:
-        return math.inf
-    return math.exp(log_value)
+    return _exp_or_inf(tail_log_bound(constants, t))
 
 
 def optimize_epsilon(
@@ -232,5 +234,4 @@ def ellipsoid_for(frame: EnergyFrame) -> Ellipsoid:
     the axis of the smallest shifted level.
     """
     factor = frame.e_prime * (1.0 + 1.0 / (2.0 * frame.dim))
-    radii = np.sqrt(factor / np.repeat(frame.shifted_levels, frame.base.degeneracies))
-    return Ellipsoid(radii=radii)
+    return Ellipsoid(radii=np.sqrt(factor / frame.expanded_levels))

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import ConcentrationConstants, _order_term, tail_log_bound
+from .bounds import ConcentrationConstants, _exp_or_inf, _order_term, tail_log_bound
 from .errors import DomainError, NumericalError
 from .spectrum import Spectrum, harmonic_shift_solve, epsilon_shift_solve
 
@@ -210,10 +210,7 @@ def reduced_dm_tail(
         raise DomainError("dim_a must be positive")
     if t <= 0.0:
         raise DomainError("t must be positive")
-    log_value = math.log(dim_a * (dim_a + 1.0)) + tail_log_bound(constants, t)
-    if log_value > 709.0:
-        return math.inf
-    return math.exp(log_value)
+    return _exp_or_inf(math.log(dim_a * (dim_a + 1.0)) + tail_log_bound(constants, t))
 
 
 def detmax_state(levels_a: Sequence[float], energy: float, tol: float = 1e-12) -> DensityMatrix:

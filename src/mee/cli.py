@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: means, shift, bounds, canonical, sample, verify, spins.
+Subcommands: means, shift, bounds, canonical, sample, verify, and spins
+(the same run as ``verify --experiment spins``).
 Primary records are printed to stdout as deterministic JSON and optionally
 written under --out-dir; curves and amplitude dumps are CSV.  Exit codes:
 0 success, 1 domain/infeasibility/convergence errors (structured JSON on
@@ -11,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import itertools
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,8 +42,15 @@ DEFAULT_T_VALUES = tuple(0.1 * k for k in range(1, 21))
 SEED_ENV_VAR = "MEE_SEED"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "12345"))
+def _seed(args: argparse.Namespace) -> int:
+    """--seed, else $MEE_SEED, else 12345."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get(SEED_ENV_VAR, "12345")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"{SEED_ENV_VAR}={text!r} is not an integer seed") from exc
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -126,7 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--gamma", type=float, default=None)
     p_verify.add_argument("--out-dir", default=None)
 
-    p_spins = sub.add_parser("spins", help="non-interacting-spins concentration probe")
+    p_spins = sub.add_parser(
+        "spins", help="non-interacting-spins concentration probe (verify --experiment spins)"
+    )
+    p_spins.set_defaults(experiment="spins")
     p_spins.add_argument("--m", type=int, required=True)
     p_spins.add_argument("--alpha", type=float, required=True)
     p_spins.add_argument("--gamma", type=float, required=True)
@@ -148,7 +159,7 @@ def _emit(record: dict, out_dir: str | None, filename: str) -> None:
         (path / filename).write_text(text)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[float]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -275,7 +286,7 @@ def _batch_for_sample(args: argparse.Namespace, spectrum, rng: RngSpec) -> Sampl
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     spectrum = load_spectrum(args.spectrum)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     rng = RngSpec(seed=seed, stream=args.stream)
     batch = _batch_for_sample(args, spectrum, rng)
     record = {
@@ -296,136 +307,79 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     }
     _emit(record, None, "sample.json")
     if args.out is not None:
-        n = batch.dim
-        header = [f"{part}{k}" for k in range(n) for part in ("re", "im")]
+        header = [f"{part}{k}" for k in range(batch.dim) for part in ("re", "im")]
+        # one row per state, its amplitudes already interleaved as re, im
+        rows = batch.states.view(np.float64)
         if batch.weights is not None:
             header.append("weight")
-        rows = []
-        for i in range(batch.count):
-            interleaved = np.empty(2 * n)
-            interleaved[0::2] = batch.states[i].real
-            interleaved[1::2] = batch.states[i].imag
-            row = list(interleaved)
-            if batch.weights is not None:
-                row.append(batch.weights[i])
-            rows.append(row)
+            rows = (itertools.chain(row, (w,)) for row, w in zip(rows, batch.weights))
         _write_csv(Path(args.out), header, rows)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = RngSpec(seed=seed, stream=args.stream)
-    config = {
-        "command": "verify",
-        "experiment": args.experiment,
-        "spectrum": args.spectrum,
-        "bipartite": args.bipartite,
-        "energy": args.energy,
-        "epsilon": args.epsilon,
-        "count": args.count,
-        "seed": seed,
-        "stream": args.stream,
-        "tolerance_sigmas": args.tolerance_sigmas,
-        "eta": args.eta,
-        "t_values": args.t_values,
-    }
-    curve_rows: list[tuple] | None = None
-    curve_header: tuple[str, ...] | None = None
+# Inputs each verify experiment needs, as argparse destinations of its flags.
+_VERIFY_NEEDS = {
+    "moments": ("spectrum", "energy"),
+    "reduced-dm": ("bipartite", "energy"),
+    "tail": ("spectrum", "energy"),
+    "spins": ("m", "alpha", "gamma"),
+}
+_VERIFY_CONFIG = (
+    "experiment",
+    "spectrum",
+    "bipartite",
+    "energy",
+    "epsilon",
+    "count",
+    "stream",
+    "tolerance_sigmas",
+    "eta",
+    "t_values",
+)
 
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    """Handler of ``verify`` and of ``spins``, which fixes the experiment."""
+    seed = _seed(args)
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise ParseError(f"--workers must be at least 1, got {workers}")
+    rng = RngSpec(seed=seed, stream=args.stream)
+    needs = _VERIFY_NEEDS[args.experiment]
+    if any(getattr(args, key) is None for key in needs):
+        flags = [f"--{key}" for key in needs]
+        raise DomainError(f"{args.experiment} needs {', '.join(flags[:-1])} and {flags[-1]}")
+    config = {key: getattr(args, key, None) for key in _VERIFY_CONFIG}
+    config.update(command=args.command, seed=seed)
+
+    curve = None
     if args.experiment == "moments":
-        if args.spectrum is None or args.energy is None:
-            raise DomainError("moments needs --spectrum and --energy")
-        spectrum = load_spectrum(args.spectrum)
-        frame = harmonic_frame(spectrum, args.energy)
+        frame = harmonic_frame(load_spectrum(args.spectrum), args.energy)
         report = exp_mod.moment_report_streamed(
-            frame,
-            args.count,
-            rng,
-            tolerance_sigmas=args.tolerance_sigmas,
-            workers=args.workers,
+            frame, args.count, rng, tolerance_sigmas=args.tolerance_sigmas, workers=workers
         )
     elif args.experiment == "reduced-dm":
-        if args.bipartite is None or args.energy is None:
-            raise DomainError("reduced-dm needs --bipartite and --energy")
-        bs = load_bipartite(args.bipartite)
         report, _ = exp_mod.reduced_dm_report(
-            bs,
+            load_bipartite(args.bipartite),
             args.energy,
             args.epsilon,
             args.count,
             rng,
             tolerance_sigmas=args.tolerance_sigmas,
-            workers=args.workers,
+            workers=workers,
         )
     elif args.experiment == "tail":
-        if args.spectrum is None or args.energy is None:
-            raise DomainError("tail needs --spectrum and --energy")
-        spectrum = load_spectrum(args.spectrum)
-        frame = harmonic_frame(spectrum, args.energy)
-        batch = sample_gaussian_ensemble(frame, args.count, rng)
-        normalized = SampleBatch(
-            states=batch.normalized_states(),
-            weights=None,
-            rng_spec=rng,
-            meta={**batch.meta, "normalized": True},
-        )
-        consts = bounds_mod.constants_for(spectrum, args.energy, args.epsilon)
         ts = _parse_floats(args.t_values) if args.t_values else list(DEFAULT_T_VALUES)
-        curve = exp_mod.empirical_tail(
-            normalized, lambda psi: float(psi[0].real), ts, constants=consts
+        report, curve = exp_mod.tail_report(
+            load_spectrum(args.spectrum), args.energy, args.epsilon, args.count, rng, ts
         )
-        exceed = [
-            exp_mod.Measured(
-                f"excess_over_bound_t_{t:g}",
-                float(curve.frequencies[i] - curve.bounds[i]),
-                None,
-                0.0,
-                "upper",
-            )
-            for i, t in enumerate(ts)
-        ]
-        report = exp_mod.ExperimentReport(
-            name="tail",
-            inputs={**config, "median": curve.median},
-            measured=tuple(exceed),
-        )
-        curve_header = ("t", "frequency", "bound")
-        curve_rows = curve.to_rows()
     else:  # spins
-        if args.m is None or args.alpha is None or args.gamma is None:
-            raise DomainError("spins needs --m, --alpha and --gamma")
         spec = exp_mod.SpinEnsembleSpec(m=args.m, alpha=args.alpha, gamma=args.gamma)
-        report = exp_mod.spin_concentration_probe(
-            spec, args.count, rng, eta=args.eta
-        )
+        report = exp_mod.spin_concentration_probe(spec, args.count, rng, eta=args.eta)
 
-    record = {"config": config, "report": report.to_json()}
-    _emit(record, args.out_dir, "report.json")
-    if curve_rows is not None and args.out_dir is not None:
-        _write_csv(Path(args.out_dir) / "curve.csv", curve_header, curve_rows)
-    return 0
-
-
-def _cmd_spins(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = RngSpec(seed=seed, stream=args.stream)
-    spec = exp_mod.SpinEnsembleSpec(m=args.m, alpha=args.alpha, gamma=args.gamma)
-    report = exp_mod.spin_concentration_probe(spec, args.count, rng, eta=args.eta)
-    record = {
-        "config": {
-            "command": "spins",
-            "m": args.m,
-            "alpha": args.alpha,
-            "gamma": args.gamma,
-            "count": args.count,
-            "seed": seed,
-            "stream": args.stream,
-            "eta": args.eta,
-        },
-        "report": report.to_json(),
-    }
-    _emit(record, args.out_dir, "report.json")
+    _emit({"config": config, "report": report.to_json()}, args.out_dir, "report.json")
+    if curve is not None and args.out_dir is not None:
+        _write_csv(Path(args.out_dir) / "curve.csv", ("t", "frequency", "bound"), curve.to_rows())
     return 0
 
 
@@ -436,7 +390,7 @@ _HANDLERS = {
     "canonical": _cmd_canonical,
     "sample": _cmd_sample,
     "verify": _cmd_verify,
-    "spins": _cmd_spins,
+    "spins": _cmd_verify,
 }
 
 
@@ -467,9 +421,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         sys.stderr.write(_error_record(exc))
         return 2
-    except (DomainError, InfeasibleError, NumericalError) as exc:
-        sys.stderr.write(_error_record(exc))
-        return 1
     except MeeError as exc:
         sys.stderr.write(_error_record(exc))
         return 1

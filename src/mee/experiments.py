@@ -24,6 +24,7 @@ from .sampling import (
     default_shell_width,
     gaussian_chunk,
     oracle_manifold_sample,
+    sample_gaussian_ensemble,
     spectrum_digest,
 )
 from .spectrum import EnergyFrame, Spectrum, harmonic_frame, harmonic_shift_solve
@@ -35,6 +36,7 @@ __all__ = [
     "subbatch_mean_error",
     "estimate_reduced_dm",
     "empirical_tail",
+    "tail_report",
     "moment_report",
     "moment_report_streamed",
     "reduced_dm_report",
@@ -84,6 +86,8 @@ class Measured:
         if self.mode == "sigmas":
             return abs(self.value - self.reference) <= self.tolerance * (self.std_error or 0.0)
         if self.mode == "relative":
+            if self.reference == 0.0:
+                raise DomainError(f"measured {self.name!r} has mode relative but reference 0")
             return abs(self.value / self.reference - 1.0) <= self.tolerance
         if self.mode == "lower":
             return self.value >= self.reference - self.tolerance * (self.std_error or 0.0)
@@ -254,12 +258,8 @@ def reduced_dm_report(
         return rhos.sum(axis=0), devs
 
     results = _map_ordered(one_chunk, list(enumerate(layout)), workers)
-    rho_sum = np.zeros((dim_a, dim_a), dtype=complex)
-    devs = []
-    for part_sum, part_devs in results:
-        rho_sum = rho_sum + part_sum
-        devs.append(part_devs)
-    devs = np.concatenate(devs) if devs else np.zeros(0)
+    rho_sum = sum((r[0] for r in results), np.zeros((dim_a, dim_a), dtype=complex))
+    devs = np.concatenate([r[1] for r in results]) if results else np.zeros(0)
     rho_hat = DensityMatrix(0.5 * (rho_sum + rho_sum.conj().T) / count)
 
     mean_dev, se_dev = subbatch_mean_error(devs)
@@ -309,13 +309,10 @@ class TailCurve:
     bounds: np.ndarray | None = None
 
     def to_rows(self) -> list[tuple]:
-        rows = []
-        for i, t in enumerate(self.ts):
-            row = [float(t), float(self.frequencies[i])]
-            if self.bounds is not None:
-                row.append(float(self.bounds[i]))
-            rows.append(tuple(row))
-        return rows
+        columns = [self.ts, self.frequencies]
+        if self.bounds is not None:
+            columns.append(self.bounds)
+        return [tuple(float(x) for x in row) for row in zip(*columns)]
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray | None) -> float:
@@ -329,21 +326,24 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray | None) -> float:
 
 def empirical_tail(
     batch: SampleBatch,
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     ts: Sequence[float],
     lam: float = 1.0,
     constants: ConcentrationConstants | None = None,
 ) -> TailCurve:
     """Empirical Prob{|f(psi) - median| > lam * t} over a batch.
 
-    Centered at the empirical (weighted) median, matching the bound's
-    median-based statement.  When ``constants`` are given, each t is paired
-    with the analytic bound clamped to [0, 1].
+    ``f`` is vectorised: it maps the (count, n) array of states to one real
+    value per state.  Centered at the empirical (weighted) median, matching
+    the bound's median-based statement.  When ``constants`` are given, each
+    t is paired with the analytic bound clamped to [0, 1].
     """
     ts = np.asarray(list(ts), dtype=float)
     if np.any(np.diff(ts) < 0.0):
         raise DomainError("ts must be sorted ascending")
-    values = np.asarray([float(f(state)) for state in batch.states])
+    values = np.asarray(f(batch.states), dtype=float)
+    if values.shape != (batch.count,):
+        raise DomainError(f"f must return one value per state, got shape {values.shape}")
     med = _weighted_median(values, batch.weights)
     dev = np.abs(values - med)
     if batch.weights is None:
@@ -355,6 +355,50 @@ def empirical_tail(
     if constants is not None:
         bnds = np.array([min(1.0, tail_bound(constants, t, lam)) for t in ts])
     return TailCurve(ts=ts, frequencies=freqs, median=med, lam=lam, bounds=bnds)
+
+
+def _first_coordinate(states: np.ndarray) -> np.ndarray:
+    """Re(psi_1) of each state after normalization, without a normalized copy
+    of the batch."""
+    return (states[:, 0] / np.linalg.norm(states, axis=1)).real
+
+
+def tail_report(
+    spectrum: Spectrum,
+    energy: float,
+    epsilon: float,
+    count: int,
+    rng: RngSpec,
+    ts: Sequence[float],
+) -> tuple[ExperimentReport, TailCurve]:
+    """Gaussian-sampler tail curve of the 1-Lipschitz Re(psi_1) on normalized
+    states against the analytic bound at ``epsilon``.
+
+    Each t is reported as the empirical exceedance frequency minus the
+    clamped bound, which passes when it is not positive.
+    """
+    frame = harmonic_frame(spectrum, energy)
+    batch = sample_gaussian_ensemble(frame, count, rng)
+    consts = constants_for(spectrum, energy, epsilon)
+    curve = empirical_tail(batch, _first_coordinate, ts, constants=consts)
+    measured = tuple(
+        Measured(f"excess_over_bound_t_{t:g}", float(freq - bound), None, 0.0, "upper")
+        for t, freq, bound in zip(curve.ts, curve.frequencies, curve.bounds)
+    )
+    report = ExperimentReport(
+        name="tail",
+        inputs={
+            "spectrum": spectrum.to_json(),
+            "energy": energy,
+            "epsilon": epsilon,
+            "count": count,
+            "rng": rng.to_json(),
+            "t_values": [float(t) for t in curve.ts],
+            "median": curve.median,
+        },
+        measured=measured,
+    )
+    return report, curve
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +414,7 @@ def _moment_measured(
 ) -> list[Measured]:
     n = frame.dim
     e_prime = frame.e_prime
-    ratios = frame.e_prime / np.repeat(frame.shifted_levels, frame.base.degeneracies)
+    ratios = frame.e_prime / frame.expanded_levels
     var_norm_ref = float((ratios ** 2).sum()) / n ** 2
     mean_norm, se_norm = subbatch_mean_error(norm2)
     mean_h, se_h = subbatch_mean_error(hq)
@@ -394,6 +438,12 @@ def _moment_measured(
             var_rtol,
         ),
     ]
+
+
+def _moment_chunk(psi: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state ||psi||^2 and <psi|H'|psi> of a block of states."""
+    p = np.abs(psi) ** 2
+    return p.sum(axis=1), p @ levels
 
 
 def _moment_inputs(frame: EnergyFrame, count: int, rng: RngSpec, **extra) -> dict:
@@ -421,10 +471,7 @@ def moment_report(
         batch.meta.get("shift", math.nan), frame.shift, rel_tol=0, abs_tol=1e-12
     ):
         raise DomainError("batch was not generated from the given frame")
-    levels = np.repeat(frame.shifted_levels, frame.base.degeneracies)
-    p = np.abs(batch.states) ** 2
-    norm2 = p.sum(axis=1)
-    hq = p @ levels
+    norm2, hq = _moment_chunk(batch.states, frame.expanded_levels)
     measured = _moment_measured(norm2, hq, frame, tolerance_sigmas, var_rtol)
     return ExperimentReport(
         name="moments",
@@ -443,14 +490,12 @@ def moment_report_streamed(
 ) -> ExperimentReport:
     """Same report as :func:`moment_report` without materializing the batch;
     identical numbers for identical (frame, count, rng)."""
-    levels = np.repeat(frame.shifted_levels, frame.base.degeneracies)
+    levels = frame.expanded_levels
     layout = chunk_layout(count, frame.dim)
 
     def one_chunk(item: tuple[int, int]):
         i, size = item
-        psi = gaussian_chunk(frame, rng, i, size)
-        p = np.abs(psi) ** 2
-        return p.sum(axis=1), p @ levels
+        return _moment_chunk(gaussian_chunk(frame, rng, i, size), levels)
 
     results = _map_ordered(one_chunk, list(enumerate(layout)), workers)
     norm2 = np.concatenate([r[0] for r in results]) if results else np.zeros(0)

@@ -129,9 +129,7 @@ def default_shell_width(spectrum: Spectrum) -> float:
 
 def _gaussian_sigmas(frame: EnergyFrame) -> np.ndarray:
     """Per-component standard deviation sqrt(E'/(2 n E'_k)) for Re and Im parts."""
-    n = frame.dim
-    levels = np.repeat(frame.shifted_levels, frame.base.degeneracies)
-    return np.sqrt(frame.e_prime / (2.0 * n * levels))
+    return np.sqrt(frame.e_prime / (2.0 * frame.dim * frame.expanded_levels))
 
 
 def _check_gaussian_frame(frame: EnergyFrame) -> None:
@@ -181,7 +179,6 @@ def sample_gaussian_ensemble(frame: EnergyFrame, count: int, rng: RngSpec) -> Sa
     the Gaussian moment identities.  Use ``normalized_states()`` for
     consumers that need exact unit vectors.
     """
-    _check_gaussian_frame(frame)
     chunks = list(iter_gaussian_chunks(frame, count, rng))
     states = np.concatenate(chunks) if chunks else np.zeros((0, frame.dim), dtype=complex)
     meta = {
@@ -258,6 +255,8 @@ def oracle_manifold_sample(
         raise DomainError("shell width eta must be positive")
     if count < 1:
         raise DomainError("count must be positive")
+    if max_draws < 1:
+        raise DomainError("max_draws must be positive")
     if spectrum.all_equal:
         raise DomainError(
             "gradient norm vanishes identically for an all-equal spectrum; "
@@ -275,19 +274,17 @@ def oracle_manifold_sample(
     levels = spectrum.expand()
     frame = harmonic_frame(spectrum, energy) if proposal == "gaussian" else None
 
-    per = max(1, _CHUNK_SCALARS // (2 * n))
     accepted: list[np.ndarray] = []
     logw: list[np.ndarray] = []
     n_accepted = 0
     n_drawn = 0
-    chunk = 0
-    while n_accepted < count and n_drawn < max_draws:
-        size = min(per, max_draws - n_drawn)
+    for chunk, size in enumerate(chunk_layout(max_draws, n)):
+        if n_accepted >= count:
+            break
         if proposal == "uniform":
             raw = _complex_normals(rng, chunk, size, n)
         else:
             raw = gaussian_chunk(frame, rng, chunk, size)
-        chunk += 1
         n_drawn += size
         # normalization deferred: accept on the normalized energy, then
         # rescale only the accepted rows

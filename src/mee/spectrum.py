@@ -191,6 +191,13 @@ class EnergyFrame:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def expanded_levels(self) -> np.ndarray:
+        """Shifted levels E'_k repeated by their degeneracies, one per basis state."""
+        arr = np.repeat(self.shifted_levels, self.base.degeneracies)
+        arr.flags.writeable = False
+        return arr
+
     @property
     def weights(self) -> np.ndarray:
         return self.base._weights_arr

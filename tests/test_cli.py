@@ -377,6 +377,38 @@ class TestDeterminism:
         assert code == 0
         assert record["config"]["seed"] == 4242
 
+    def test_non_integer_seed_env_is_exit_2(self, capsys, small_spectrum_file, monkeypatch):
+        monkeypatch.setenv("MEE_SEED", "abc")
+        code = run(
+            [
+                "verify",
+                "--experiment", "moments",
+                "--spectrum", small_spectrum_file,
+                "--energy", "1.5",
+                "--count", "100",
+            ]
+        )
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ParseError"
+        assert "MEE_SEED" in err["message"]
+
+    def test_zero_workers_is_exit_2(self, capsys, small_spectrum_file):
+        code = run(
+            [
+                "verify",
+                "--experiment", "moments",
+                "--spectrum", small_spectrum_file,
+                "--energy", "1.5",
+                "--count", "100",
+                "--seed", "1",
+                "--workers", "0",
+            ]
+        )
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ParseError"
+
 
 def test_module_entry_point(spectrum_file):
     proc = subprocess.run(

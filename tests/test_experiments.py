@@ -29,6 +29,7 @@ from mee import (
     sample_sphere,
     spin_concentration_probe,
     spin_spectrum,
+    tail_report,
 )
 
 
@@ -40,6 +41,10 @@ class TestMeasured:
     def test_relative_rule(self):
         assert Measured("x", 1.05, None, 1.0, "relative", 0.1).passed
         assert not Measured("x", 1.2, None, 1.0, "relative", 0.1).passed
+
+    def test_relative_to_zero_reference_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            Measured("x", 0.0, None, 0.0, "relative", 1e-9).passed
 
     def test_lower_and_upper_rules(self):
         assert Measured("x", 0.26, 0.01, 0.25, "lower", 5.0).passed
@@ -126,25 +131,25 @@ class TestEstimateReducedDm:
 class TestEmpiricalTail:
     def test_constant_function_never_exceeds(self):
         batch = sample_sphere(4, 200, RngSpec(seed=24))
-        curve = empirical_tail(batch, lambda psi: 1.0, [0.1, 0.5, 1.0])
+        curve = empirical_tail(batch, lambda states: np.ones(len(states)), [0.1, 0.5, 1.0])
         assert np.all(curve.frequencies == 0.0)
 
     def test_coordinate_median_is_near_zero(self):
         batch = sample_sphere(64, 20000, RngSpec(seed=25))
-        curve = empirical_tail(batch, lambda psi: float(psi[0].real), [0.1])
+        curve = empirical_tail(batch, lambda states: states[:, 0].real, [0.1])
         # Re psi_1 has std ~ 1/sqrt(2n) = 0.088; the median sits well inside
         assert abs(curve.median) < 0.01
 
     def test_frequencies_are_nonincreasing(self):
         batch = sample_sphere(16, 5000, RngSpec(seed=26))
         ts = np.linspace(0.0, 0.5, 21)
-        curve = empirical_tail(batch, lambda psi: float(np.abs(psi[0]) ** 2), ts)
+        curve = empirical_tail(batch, lambda states: np.abs(states[:, 0]) ** 2, ts)
         assert np.all(np.diff(curve.frequencies) <= 1e-15)
 
     def test_unsorted_ts_rejected(self):
         batch = sample_sphere(4, 50, RngSpec(seed=27))
         with pytest.raises(DomainError):
-            empirical_tail(batch, lambda psi: 0.0, [0.5, 0.1])
+            empirical_tail(batch, lambda states: np.zeros(len(states)), [0.5, 0.1])
 
     def test_empirical_curve_below_clamped_bound(self):
         # example-style spectrum at moderate dimension; the analytic bound is
@@ -161,7 +166,7 @@ class TestEmpiricalTail:
         consts = constants_for(spec, 1.5, 2.0)
         ts = np.linspace(0.01, 1.0, 12)
         curve = empirical_tail(
-            normalized, lambda psi: float(psi[0].real), ts, constants=consts
+            normalized, lambda states: states[:, 0].real, ts, constants=consts
         )
         assert curve.bounds is not None
         assert np.all(curve.frequencies <= curve.bounds)
@@ -175,10 +180,36 @@ class TestEmpiricalTail:
             rng_spec=RngSpec(seed=0),
             meta={},
         )
-        curve = empirical_tail(batch, lambda psi: float(psi[0].real), [0.25, 0.75])
+        curve = empirical_tail(batch, lambda states: states[:, 0].real, [0.25, 0.75])
         assert curve.median == 0.0
         assert curve.frequencies[0] == pytest.approx(2.0 / 12.0)
         assert curve.frequencies[1] == pytest.approx(1.0 / 12.0)
+
+    def test_one_value_per_state_required(self):
+        batch = sample_sphere(4, 50, RngSpec(seed=27))
+        with pytest.raises(DomainError):
+            empirical_tail(batch, lambda states: 0.0, [0.1])
+
+
+class TestTailReport:
+    def test_matches_per_state_loop(self):
+        # reference: the per-state loop over a separately normalized copy.
+        # An odd count makes the median one sample value, so a 1-ulp drift
+        # in the per-state values (e.g. Re(psi_1) / norm) changes it.
+        spec = Spectrum((1.0, 2.0, 3.0), (300, 300, 300))
+        rng = RngSpec(seed=29)
+        ts = [0.001, 0.01, 0.02, 0.05]
+        report, curve = tail_report(spec, 1.5, 2.0, 3001, rng, ts)
+        batch = sample_gaussian_ensemble(harmonic_frame(spec, 1.5), 3001, rng)
+        values = np.array([float(psi[0].real) for psi in batch.normalized_states()])
+        median = float(np.median(values))
+        freqs = [float(np.mean(np.abs(values - median) > t)) for t in ts]
+        assert curve.median == median
+        assert report.inputs["median"] == median
+        assert curve.frequencies.tolist() == freqs
+        bounds = curve.bounds.tolist()
+        assert [m.value for m in report.measured] == [f - b for f, b in zip(freqs, bounds)]
+        assert [m.name for m in report.measured] == [f"excess_over_bound_t_{t:g}" for t in ts]
 
 
 class TestMomentReport:
