@@ -6,7 +6,8 @@ Primary records are printed to stdout as deterministic JSON and optionally
 written under --out-dir; curves and amplitude dumps are CSV.  Exit codes:
 0 success, 1 domain/infeasibility/convergence errors (structured JSON on
 stderr), 2 I/O or parse errors.  Given the same seed, outputs are
-byte-identical regardless of --workers.
+byte-identical regardless of --workers, which defaults to the CPUs this
+process may run on (also for ``spins`` and ``sample --mode oracle``).
 """
 from __future__ import annotations
 
@@ -53,6 +54,13 @@ def _seed(args: argparse.Namespace) -> int:
         raise ParseError(f"{SEED_ENV_VAR}={text!r} is not an integer seed") from exc
 
 
+def _default_workers() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -66,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Concentration-of-measure toolkit for quantum mean-energy ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    workers = _default_workers()
 
     p_means = sub.add_parser("means", help="power means of a spectrum")
     p_means.add_argument("--spectrum", required=True, help="spectrum JSON file")
@@ -113,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--proposal", choices=("uniform", "gaussian"), default="uniform")
     p_sample.add_argument("--max-draws", type=int, default=None)
     p_sample.add_argument("--out", default=None, help="CSV file for amplitudes")
+    p_sample.set_defaults(workers=workers)
 
     p_verify = sub.add_parser("verify", help="Monte Carlo verification experiments")
     p_verify.add_argument(
@@ -128,7 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance-sigmas", type=float, default=DEFAULT_SIGMAS)
     p_verify.add_argument("--eta", type=float, default=None)
     p_verify.add_argument("--t-values", default=None)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument(
+        "--workers",
+        type=int,
+        default=workers,
+        help=f"threads drawing chunks (default: CPUs available, {workers}); "
+        "the output does not depend on it",
+    )
     p_verify.add_argument("--m", type=int, default=None)
     p_verify.add_argument("--alpha", type=float, default=None)
     p_verify.add_argument("--gamma", type=float, default=None)
@@ -137,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spins = sub.add_parser(
         "spins", help="non-interacting-spins concentration probe (verify --experiment spins)"
     )
-    p_spins.set_defaults(experiment="spins")
+    p_spins.set_defaults(experiment="spins", workers=workers)
     p_spins.add_argument("--m", type=int, required=True)
     p_spins.add_argument("--alpha", type=float, required=True)
     p_spins.add_argument("--gamma", type=float, required=True)
@@ -280,7 +296,14 @@ def _batch_for_sample(args: argparse.Namespace, spectrum, rng: RngSpec) -> Sampl
     eta = args.eta if args.eta is not None else default_shell_width(spectrum)
     max_draws = args.max_draws if args.max_draws is not None else 200 * args.count
     return oracle_manifold_sample(
-        spectrum, args.energy, eta, args.count, max_draws, rng, proposal=args.proposal
+        spectrum,
+        args.energy,
+        eta,
+        args.count,
+        max_draws,
+        rng,
+        proposal=args.proposal,
+        workers=args.workers,
     )
 
 
@@ -341,7 +364,7 @@ _VERIFY_CONFIG = (
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Handler of ``verify`` and of ``spins``, which fixes the experiment."""
     seed = _seed(args)
-    workers = getattr(args, "workers", 1)
+    workers = args.workers
     if workers < 1:
         raise ParseError(f"--workers must be at least 1, got {workers}")
     rng = RngSpec(seed=seed, stream=args.stream)
@@ -371,11 +394,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.experiment == "tail":
         ts = _parse_floats(args.t_values) if args.t_values else list(DEFAULT_T_VALUES)
         report, curve = exp_mod.tail_report(
-            load_spectrum(args.spectrum), args.energy, args.epsilon, args.count, rng, ts
+            load_spectrum(args.spectrum),
+            args.energy,
+            args.epsilon,
+            args.count,
+            rng,
+            ts,
+            workers=workers,
         )
     else:  # spins
         spec = exp_mod.SpinEnsembleSpec(m=args.m, alpha=args.alpha, gamma=args.gamma)
-        report = exp_mod.spin_concentration_probe(spec, args.count, rng, eta=args.eta)
+        report = exp_mod.spin_concentration_probe(
+            spec, args.count, rng, eta=args.eta, workers=workers
+        )
 
     _emit({"config": config, "report": report.to_json()}, args.out_dir, "report.json")
     if curve is not None and args.out_dir is not None:

@@ -8,7 +8,6 @@ the configured tolerance.  Reports serialize to JSON and re-parse losslessly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,11 +19,12 @@ from .errors import DomainError
 from .sampling import (
     RngSpec,
     SampleBatch,
+    _draw_buffers,
+    _map_ordered,
     chunk_layout,
     default_shell_width,
     gaussian_chunk,
     oracle_manifold_sample,
-    sample_gaussian_ensemble,
     spectrum_digest,
 )
 from .spectrum import EnergyFrame, Spectrum, harmonic_frame, harmonic_shift_solve
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _SUB_BATCHES = 32
+# Measured fields that hold floats and may be non-finite.
+_FLOAT_FIELDS = ("value", "std_error", "reference", "tolerance")
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,11 @@ class Measured:
       upper     value <= reference (exact comparison, tolerance unused)
       factor    reference/tolerance <= value <= reference * tolerance
       none      informational, no reference, never fails
+
+    A non-finite value, std_error, reference or tolerance (a one-state
+    sample has no spread) is named in the entry's ``non_finite``, which maps
+    the field to its ``repr``: ``dumps_record`` writes the field itself as
+    null, and ``from_json`` restores it from there.
     """
 
     name: str
@@ -98,7 +105,7 @@ class Measured:
         raise DomainError(f"unknown pass mode {self.mode!r}")
 
     def to_json(self) -> dict:
-        return {
+        obj = {
             "name": self.name,
             "value": self.value,
             "std_error": self.std_error,
@@ -107,17 +114,20 @@ class Measured:
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
+        non_finite = {
+            key: repr(obj[key])
+            for key in _FLOAT_FIELDS
+            if obj[key] is not None and not math.isfinite(obj[key])
+        }
+        if non_finite:
+            obj["non_finite"] = non_finite
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "Measured":
-        return cls(
-            name=obj["name"],
-            value=obj["value"],
-            std_error=obj["std_error"],
-            reference=obj["reference"],
-            mode=obj["mode"],
-            tolerance=obj["tolerance"],
-        )
+        floats = {key: obj[key] for key in _FLOAT_FIELDS}
+        floats.update((key, float(text)) for key, text in obj.get("non_finite", {}).items())
+        return cls(name=obj["name"], mode=obj["mode"], **floats)
 
 
 @dataclass(frozen=True)
@@ -182,16 +192,23 @@ def subbatch_mean_error(
     return mean, float(sub.std(ddof=1) / math.sqrt(sub.size))
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    """Apply ``fn`` over ``items`` and return results in input order.
+def _gaussian_stream(
+    frame: EnergyFrame, count: int, rng: RngSpec, reduce: Callable, workers: int
+) -> list:
+    """``reduce(states)`` of each chunk of the Gaussian batch, in chunk order.
 
-    Worker count changes scheduling only; the reduction order (and therefore
-    every numerical result) is fixed by the item order.
+    The chunks are those of :func:`sample_gaussian_ensemble` with the same
+    ``rng``, drawn on ``workers`` threads into one buffer per thread, so
+    ``reduce`` must not keep a view of its argument.
     """
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    layout = chunk_layout(count, frame.dim)
+    buffer = _draw_buffers(layout, frame.dim)
+
+    def one_chunk(item: tuple[int, int]):
+        i, size = item
+        return reduce(gaussian_chunk(frame, rng, i, size, out=buffer()))
+
+    return list(_map_ordered(one_chunk, enumerate(layout), workers))
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +263,14 @@ def reduced_dm_report(
     consts = constants_for(bs.combined(), energy, epsilon)
     envelope = math.sqrt(8.0) * dim_a * delta_deviation(consts)
 
-    layout = chunk_layout(count, flat.n)
-
-    def one_chunk(item: tuple[int, int]):
-        i, size = item
-        psi = gaussian_chunk(frame, rng, i, size)
+    def one_chunk(psi: np.ndarray):
         psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
-        psi = psi.reshape(size, dim_a, dim_b)
+        psi = psi.reshape(-1, dim_a, dim_b)
         rhos = np.einsum("mak,mbk->mab", psi, psi.conj())
         devs = np.linalg.norm(rhos - rho_ref.matrix, axis=(1, 2))
         return rhos.sum(axis=0), devs
 
-    results = _map_ordered(one_chunk, list(enumerate(layout)), workers)
+    results = _gaussian_stream(frame, count, rng, one_chunk, workers)
     rho_sum = sum((r[0] for r in results), np.zeros((dim_a, dim_a), dtype=complex))
     devs = np.concatenate([r[1] for r in results]) if results else np.zeros(0)
     rho_hat = DensityMatrix(0.5 * (rho_sum + rho_sum.conj().T) / count)
@@ -338,19 +351,29 @@ def empirical_tail(
     the bound's median-based statement.  When ``constants`` are given, each
     t is paired with the analytic bound clamped to [0, 1].
     """
-    ts = np.asarray(list(ts), dtype=float)
-    if np.any(np.diff(ts) < 0.0):
-        raise DomainError("ts must be sorted ascending")
     values = np.asarray(f(batch.states), dtype=float)
     if values.shape != (batch.count,):
         raise DomainError(f"f must return one value per state, got shape {values.shape}")
-    med = _weighted_median(values, batch.weights)
+    return _tail_curve(values, batch.weights, ts, lam, constants)
+
+
+def _tail_curve(
+    values: np.ndarray,
+    weights: np.ndarray | None,
+    ts: Sequence[float],
+    lam: float,
+    constants: ConcentrationConstants | None,
+) -> TailCurve:
+    ts = np.asarray(list(ts), dtype=float)
+    if np.any(np.diff(ts) < 0.0):
+        raise DomainError("ts must be sorted ascending")
+    med = _weighted_median(values, weights)
     dev = np.abs(values - med)
-    if batch.weights is None:
+    if weights is None:
         freqs = np.array([np.mean(dev > lam * t) for t in ts])
     else:
-        wsum = batch.weights.sum()
-        freqs = np.array([np.dot(batch.weights, dev > lam * t) / wsum for t in ts])
+        wsum = weights.sum()
+        freqs = np.array([np.dot(weights, dev > lam * t) / wsum for t in ts])
     bnds = None
     if constants is not None:
         bnds = np.array([min(1.0, tail_bound(constants, t, lam)) for t in ts])
@@ -370,17 +393,20 @@ def tail_report(
     count: int,
     rng: RngSpec,
     ts: Sequence[float],
+    workers: int = 1,
 ) -> tuple[ExperimentReport, TailCurve]:
     """Gaussian-sampler tail curve of the 1-Lipschitz Re(psi_1) on normalized
     states against the analytic bound at ``epsilon``.
 
     Each t is reported as the empirical exceedance frequency minus the
-    clamped bound, which passes when it is not positive.
+    clamped bound, which passes when it is not positive.  Streams the batch:
+    only one value per state is kept.
     """
     frame = harmonic_frame(spectrum, energy)
-    batch = sample_gaussian_ensemble(frame, count, rng)
+    chunks = _gaussian_stream(frame, count, rng, _first_coordinate, workers)
+    values = np.concatenate(chunks) if chunks else np.zeros(0)
     consts = constants_for(spectrum, energy, epsilon)
-    curve = empirical_tail(batch, _first_coordinate, ts, constants=consts)
+    curve = _tail_curve(values, None, ts, 1.0, consts)
     measured = tuple(
         Measured(f"excess_over_bound_t_{t:g}", float(freq - bound), None, 0.0, "upper")
         for t, freq, bound in zip(curve.ts, curve.frequencies, curve.bounds)
@@ -418,12 +444,17 @@ def _moment_measured(
     var_norm_ref = float((ratios ** 2).sum()) / n ** 2
     mean_norm, se_norm = subbatch_mean_error(norm2)
     mean_h, se_h = subbatch_mean_error(hq)
+
+    def sample_var(x: np.ndarray) -> float:
+        # undefined below two states; NaN without numpy's warnings
+        return float(x.var(ddof=1)) if x.size > 1 else math.nan
+
     return [
         Measured("mean_norm_sq", mean_norm, se_norm, 1.0, "sigmas", tolerance_sigmas),
         Measured("mean_shifted_energy", mean_h, se_h, e_prime, "sigmas", tolerance_sigmas),
         Measured(
             "var_shifted_energy",
-            float(hq.var(ddof=1)),
+            sample_var(hq),
             None,
             e_prime ** 2 / n,
             "relative",
@@ -431,7 +462,7 @@ def _moment_measured(
         ),
         Measured(
             "var_norm_sq",
-            float(norm2.var(ddof=1)),
+            sample_var(norm2),
             None,
             var_norm_ref,
             "relative",
@@ -491,13 +522,9 @@ def moment_report_streamed(
     """Same report as :func:`moment_report` without materializing the batch;
     identical numbers for identical (frame, count, rng)."""
     levels = frame.expanded_levels
-    layout = chunk_layout(count, frame.dim)
-
-    def one_chunk(item: tuple[int, int]):
-        i, size = item
-        return _moment_chunk(gaussian_chunk(frame, rng, i, size), levels)
-
-    results = _map_ordered(one_chunk, list(enumerate(layout)), workers)
+    results = _gaussian_stream(
+        frame, count, rng, lambda psi: _moment_chunk(psi, levels), workers
+    )
     norm2 = np.concatenate([r[0] for r in results]) if results else np.zeros(0)
     hq = np.concatenate([r[1] for r in results]) if results else np.zeros(0)
     measured = _moment_measured(norm2, hq, frame, tolerance_sigmas, var_rtol)
@@ -555,6 +582,7 @@ def spin_concentration_probe(
     rng: RngSpec,
     eta: float | None = None,
     max_draws: int | None = None,
+    workers: int = 1,
 ) -> ExperimentReport:
     """Evidence that the spin ensemble admits no exponential concentration.
 
@@ -580,6 +608,9 @@ def spin_concentration_probe(
       18.3x at m = 10, alpha = 0.45).  There a false verdict says that the
       leading-order scale does not describe c, not that the solve is wrong.
     * the largest per-coordinate variance of Re(psi_i), informational.
+
+    ``workers`` threads draw the oracle's proposals; the report does not
+    depend on it.
     """
     spectrum = spin_spectrum(spec.m)
     n = 2 ** spec.m
@@ -592,7 +623,7 @@ def spin_concentration_probe(
         max_draws = 400 * count
 
     batch = oracle_manifold_sample(
-        spectrum, energy, eta, count, max_draws, rng, proposal="gaussian"
+        spectrum, energy, eta, count, max_draws, rng, proposal="gaussian", workers=workers
     )
     levels = spectrum.expand()
     low = levels < cut

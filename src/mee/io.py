@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .canonical import BipartiteSpectrum
@@ -46,8 +47,19 @@ def load_bipartite(path: str | Path) -> BipartiteSpectrum:
 
 
 def dumps_record(record: dict) -> str:
-    """Deterministic JSON rendering: sorted keys, fixed separators, newline-terminated."""
-    return json.dumps(record, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    """Deterministic strict JSON rendering: sorted keys, fixed separators,
+    newline-terminated, every non-finite float written as null."""
+    return json.dumps(_finite_or_null(record), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
 
 
 def format_float(x: float) -> str:

@@ -11,9 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -121,6 +125,49 @@ def chunk_layout(count: int, n: int) -> list[int]:
     return sizes
 
 
+def _map_ordered(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """Yield ``fn(item)`` for each item, in item order.
+
+    At most ``workers`` items are in flight, on min(workers, len(items))
+    threads (none for one).  Worker count changes scheduling only: results
+    arrive in item order, so every reduction over them is fixed.  The
+    consumer may stop early: an item starts only once the consumer has taken
+    the result before it, so at most ``workers - 1`` items past the last one
+    taken are computed, and closing the generator waits for them.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        running = deque(pool.submit(fn, it) for it in items[:workers])
+        try:
+            for it in items[workers:]:
+                yield running.popleft().result()
+                running.append(pool.submit(fn, it))
+            while running:
+                yield running.popleft().result()
+        finally:
+            for future in running:
+                future.cancel()
+
+
+def _draw_buffers(layout: Sequence[int], n: int) -> Callable[[], np.ndarray]:
+    """Getter of the calling thread's float64 draw buffer, sized for the
+    first (largest) chunk of ``layout``; the buffers live as long as the
+    getter, so one streaming call owns them."""
+    local = threading.local()
+
+    def get() -> np.ndarray:
+        buf = getattr(local, "buf", None)
+        if buf is None:
+            buf = local.buf = np.empty((layout[0], n, 2))
+        return buf
+
+    return get
+
+
 def default_shell_width(spectrum: Spectrum) -> float:
     """Shell half-width 0.02 (E_max - E_min)/sqrt(n); the on-sphere energy
     spread scales like 1/sqrt(n), keeping the acceptance rate workable."""
@@ -142,17 +189,30 @@ def _check_gaussian_frame(frame: EnergyFrame) -> None:
         )
 
 
-def _complex_normals(rng: RngSpec, chunk: int, size: int, n: int) -> np.ndarray:
-    # interleaved (re, im) draw reinterpreted as complex; single allocation
-    z = rng.generator(chunk).standard_normal((size, n, 2))
+def _complex_normals(
+    rng: RngSpec, chunk: int, size: int, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    # interleaved (re, im) draw reinterpreted as complex; filling the first
+    # ``size`` rows of a float64 (rows >= size, n, 2) ``out`` draws the same
+    # values in the same order as a fresh array
+    gen = rng.generator(chunk)
+    z = gen.standard_normal((size, n, 2)) if out is None else gen.standard_normal(out=out[:size])
     return z.view(np.complex128)[..., 0]
 
 
-def gaussian_chunk(frame: EnergyFrame, rng: RngSpec, chunk: int, size: int) -> np.ndarray:
+def gaussian_chunk(
+    frame: EnergyFrame, rng: RngSpec, chunk: int, size: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """States of one chunk: Re and Im of each component drawn independently
-    with density proportional to exp(-n E'_k x^2 / E')."""
+    with density proportional to exp(-n E'_k x^2 / E').
+
+    With ``out`` (see :func:`_complex_normals`) the states are a view into it,
+    valid until the buffer is filled again; the values are bit-identical.
+    """
     sig = _gaussian_sigmas(frame)
-    return _complex_normals(rng, chunk, size, sig.size) * sig
+    psi = _complex_normals(rng, chunk, size, sig.size, out)
+    psi *= sig
+    return psi
 
 
 def sphere_chunk(n: int, rng: RngSpec, chunk: int, size: int) -> np.ndarray:
@@ -235,6 +295,7 @@ def oracle_manifold_sample(
     max_draws: int,
     rng: RngSpec,
     proposal: str = "uniform",
+    workers: int = 1,
 ) -> SampleBatch:
     """Exact small-n sampler of the constant-energy manifold via shell rejection.
 
@@ -250,6 +311,11 @@ def oracle_manifold_sample(
     on-sphere form is <psi|H'|psi>^n; this keeps dimensions like 2^m
     reachable where uniform acceptance would be astronomically small.
     Gaussian-proposal weights are reported relative to their maximum.
+
+    Proposal chunks of ``chunk_layout(max_draws, n)`` are drawn and screened
+    on ``workers`` threads and taken in layout order until ``count`` states
+    are accepted; chunks drawn ahead of that point are discarded, so the
+    batch does not depend on ``workers``.
     """
     if eta <= 0.0:
         raise DomainError("shell width eta must be positive")
@@ -273,27 +339,22 @@ def oracle_manifold_sample(
     n = spectrum.n
     levels = spectrum.expand()
     frame = harmonic_frame(spectrum, energy) if proposal == "gaussian" else None
+    layout = chunk_layout(max_draws, n)
+    buffer = _draw_buffers(layout, n)
 
-    accepted: list[np.ndarray] = []
-    logw: list[np.ndarray] = []
-    n_accepted = 0
-    n_drawn = 0
-    for chunk, size in enumerate(chunk_layout(max_draws, n)):
-        if n_accepted >= count:
-            break
+    def screen(item: tuple[int, int]) -> tuple[int, np.ndarray, np.ndarray]:
+        """(size, accepted unit states, their log-weights) of one chunk."""
+        chunk, size = item
         if proposal == "uniform":
-            raw = _complex_normals(rng, chunk, size, n)
+            raw = _complex_normals(rng, chunk, size, n, buffer())
         else:
-            raw = gaussian_chunk(frame, rng, chunk, size)
-        n_drawn += size
+            raw = gaussian_chunk(frame, rng, chunk, size, out=buffer())
         # normalization deferred: accept on the normalized energy, then
         # rescale only the accepted rows
         p = np.abs(raw) ** 2
         nrm2 = p.sum(axis=1)
         e1 = (p @ levels) / nrm2
         mask = np.abs(e1 - energy) < eta
-        if not np.any(mask):
-            continue
         e1 = e1[mask]
         nrm2 = nrm2[mask]
         p_acc = p[mask] / nrm2[:, None]
@@ -301,13 +362,23 @@ def oracle_manifold_sample(
         grad = 2.0 * np.sqrt(np.maximum(e2 - e1 ** 2, 0.0))
         keep = grad > 0.0
         psi_acc = raw[mask][keep] / np.sqrt(nrm2[keep, None])
-        grad = grad[keep]
-        lw = np.log(grad)
+        lw = np.log(grad[keep])
         if proposal == "gaussian":
             lw = lw + n * np.log(e1[keep] + frame.shift)
-        accepted.append(psi_acc)
-        logw.append(lw)
-        n_accepted += psi_acc.shape[0]
+        return size, psi_acc, lw
+
+    accepted: list[np.ndarray] = []
+    logw: list[np.ndarray] = []
+    n_accepted = 0
+    n_drawn = 0
+    with closing(_map_ordered(screen, enumerate(layout), workers)) as stream:
+        for size, psi_acc, lw in stream:
+            n_drawn += size
+            accepted.append(psi_acc)
+            logw.append(lw)
+            n_accepted += psi_acc.shape[0]
+            if n_accepted >= count:
+                break
 
     if n_accepted == 0:
         raise DomainError(

@@ -360,6 +360,46 @@ class TestDeterminism:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("experiment", ["spins", "tail"])
+    def test_report_bytes_at_any_worker_count(self, capsys, tmp_path, experiment):
+        if experiment == "spins":  # the count is filled in the fourth of 15 chunks
+            argv = ["--m", "8", "--alpha", "0.3", "--gamma", "0.4", "--count", "300"]
+        else:  # two chunks of proposals
+            spectrum = tmp_path / "n300.json"
+            spectrum.write_text(json.dumps({"levels": [1.0, 2.0, 3.0], "degeneracies": [100] * 3}))
+            argv = ["--spectrum", str(spectrum), "--energy", "1.5", "--count", "8000"]
+        outs = []
+        for name, workers in (("w1", ["--workers", "1"]), ("w2", ["--workers", "2"]), ("wd", [])):
+            out = tmp_path / name
+            code = run(
+                ["verify", "--experiment", experiment, *argv, "--seed", "79", *workers,
+                 "--out-dir", str(out)]
+            )
+            capsys.readouterr()
+            assert code == 0
+            outs.append((out / "report.json").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_more_workers_than_chunks(self, capsys, small_spectrum_file, tmp_path):
+        outs = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"w{workers}"
+            run(
+                [
+                    "verify",
+                    "--experiment", "moments",
+                    "--spectrum", small_spectrum_file,
+                    "--energy", "1.5",
+                    "--count", "500",
+                    "--seed", "80",
+                    "--workers", workers,
+                    "--out-dir", str(out),
+                ]
+            )
+            capsys.readouterr()
+            outs.append((out / "report.json").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_seed_env_override(self, capsys, small_spectrum_file, monkeypatch, tmp_path):
         monkeypatch.setenv("MEE_SEED", "4242")
         out = tmp_path / "env"
@@ -408,6 +448,27 @@ class TestDeterminism:
         err = json.loads(capsys.readouterr().err)
         assert code == 2
         assert err["error"] == "ParseError"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_one_state_report_is_strict_json(small_spectrum_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mee", "verify", "--experiment", "moments",
+         "--spectrum", small_spectrum_file, "--energy", "1.5", "--count", "1", "--seed", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    record = json.loads(proc.stdout, parse_constant=_reject_constant)
+    by_name = {m["name"]: m for m in record["report"]["measured"]}
+    assert by_name["mean_norm_sq"]["std_error"] is None
+    assert by_name["mean_norm_sq"]["non_finite"] == {"std_error": "inf"}
+    assert by_name["var_norm_sq"]["value"] is None
+    assert by_name["var_norm_sq"]["non_finite"] == {"value": "nan"}
 
 
 def test_module_entry_point(spectrum_file):

@@ -31,6 +31,7 @@ from mee import (
     spin_spectrum,
     tail_report,
 )
+from mee.io import dumps_record
 
 
 class TestMeasured:
@@ -59,6 +60,21 @@ class TestMeasured:
 
     def test_informational_has_no_verdict(self):
         assert Measured("x", 1.0).passed is None
+
+    def test_non_finite_fields_round_trip_through_strict_json(self):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        m = Measured("x", math.nan, math.inf, 1.0, "relative", 0.1)
+        obj = json.loads(dumps_record(m.to_json()), parse_constant=reject)
+        assert obj["value"] is None and obj["std_error"] is None
+        assert obj["non_finite"] == {"value": "nan", "std_error": "inf"}
+        back = Measured.from_json(obj)
+        assert math.isnan(back.value) and back.std_error == math.inf
+        assert (back.reference, back.mode, back.tolerance) == (1.0, "relative", 0.1)
+
+    def test_finite_entry_has_no_flag(self):
+        assert "non_finite" not in Measured("x", 1.0, 0.1, 1.0, "sigmas", 5.0).to_json()
 
 
 class TestReportSerialization:
@@ -199,17 +215,20 @@ class TestTailReport:
         spec = Spectrum((1.0, 2.0, 3.0), (300, 300, 300))
         rng = RngSpec(seed=29)
         ts = [0.001, 0.01, 0.02, 0.05]
-        report, curve = tail_report(spec, 1.5, 2.0, 3001, rng, ts)
         batch = sample_gaussian_ensemble(harmonic_frame(spec, 1.5), 3001, rng)
         values = np.array([float(psi[0].real) for psi in batch.normalized_states()])
         median = float(np.median(values))
         freqs = [float(np.mean(np.abs(values - median) > t)) for t in ts]
-        assert curve.median == median
-        assert report.inputs["median"] == median
-        assert curve.frequencies.tolist() == freqs
-        bounds = curve.bounds.tolist()
-        assert [m.value for m in report.measured] == [f - b for f, b in zip(freqs, bounds)]
-        assert [m.name for m in report.measured] == [f"excess_over_bound_t_{t:g}" for t in ts]
+        for workers in (1, 2):  # the report streams two chunks
+            report, curve = tail_report(spec, 1.5, 2.0, 3001, rng, ts, workers=workers)
+            assert curve.median == median
+            assert report.inputs["median"] == median
+            assert curve.frequencies.tolist() == freqs
+            bounds = curve.bounds.tolist()
+            assert [m.value for m in report.measured] == [f - b for f, b in zip(freqs, bounds)]
+            assert [m.name for m in report.measured] == [
+                f"excess_over_bound_t_{t:g}" for t in ts
+            ]
 
 
 class TestMomentReport:

@@ -1,8 +1,14 @@
 import math
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 import pytest
+
+import mee.sampling as sampling_mod
 
 from mee import (
     DomainError,
@@ -17,7 +23,14 @@ from mee import (
     sample_gaussian_ensemble,
     sample_sphere,
 )
-from mee.sampling import chunk_layout, gaussian_chunk, iter_gaussian_chunks
+from mee.sampling import (
+    _complex_normals,
+    _draw_buffers,
+    _map_ordered,
+    chunk_layout,
+    gaussian_chunk,
+    iter_gaussian_chunks,
+)
 from conftest import three_level_manifold_moments, weighted_mean_and_error
 
 SPEC123 = Spectrum((1.0, 2.0, 3.0))
@@ -64,6 +77,71 @@ class TestChunking:
         a = sample_gaussian_ensemble(frame, 500, RngSpec(seed=1, stream=2))
         b = sample_gaussian_ensemble(frame, 500, RngSpec(seed=1, stream=2))
         assert np.array_equal(a.states, b.states)
+
+
+class TestDrawBuffers:
+    def test_reused_buffer_is_bit_identical_to_fresh_draws(self):
+        spec = Spectrum((1.0, 2.0, 3.0), (700, 700, 700))
+        frame = harmonic_frame(spec, 1.5)
+        rng = RngSpec(seed=21)
+        layout = chunk_layout(2500, frame.dim)
+        assert len(layout) == 3 and layout[-1] < layout[0]
+        buf = np.empty((layout[0], frame.dim, 2))
+        for i, size in enumerate(layout):
+            fresh = gaussian_chunk(frame, rng, i, size)
+            into = gaussian_chunk(frame, rng, i, size, out=buf)
+            assert np.shares_memory(into, buf)
+            assert into.shape == fresh.shape
+            assert into.tobytes() == fresh.tobytes()
+            raw = _complex_normals(rng, i, size, frame.dim, buf)
+            assert raw.tobytes() == _complex_normals(rng, i, size, frame.dim).tobytes()
+
+    def test_one_buffer_per_thread(self):
+        get = _draw_buffers([5, 5, 2], 3)
+        mine = get()
+        assert mine.shape == (5, 3, 2) and mine.dtype == np.float64
+        assert get() is mine
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(get).result()
+        assert other is not mine and not np.shares_memory(other, mine)
+
+
+class TestOrderedStream:
+    def test_results_arrive_in_item_order(self):
+        def fn(x):
+            time.sleep(0.002 * (3 - x % 3))  # later items tend to finish first
+            return x * x
+
+        assert list(_map_ordered(fn, range(12), 3)) == [x * x for x in range(12)]
+
+    def test_never_more_threads_than_items(self):
+        threads = set()
+
+        def fn(x):
+            threads.add(threading.get_ident())
+            return x
+
+        assert list(_map_ordered(fn, [7], 3)) == [7]
+        assert threads == {threading.get_ident()}  # one item runs inline
+        threads.clear()
+        assert list(_map_ordered(fn, [1, 2], 3)) == [1, 2]
+        assert 1 <= len(threads) <= 2
+
+    def test_early_stop_waits_for_running_items(self):
+        started, finished = [], []
+
+        def fn(x):
+            started.append(x)
+            time.sleep(0.01)
+            finished.append(x)
+            return x
+
+        with closing(_map_ordered(fn, range(50), 2)) as stream:
+            for x in stream:
+                if x == 3:
+                    break
+        assert sorted(started) == sorted(finished)
+        assert max(started) <= 3 + 1  # at most workers - 1 items past the last taken
 
 
 class TestSphere:
@@ -264,6 +342,62 @@ class TestOracle:
             oracle_manifold_sample(SPEC123, 1.5, 0.1, 0, 100, RngSpec(seed=1))
         with pytest.raises(DomainError):
             oracle_manifold_sample(SPEC123, 1.5, 0.1, 10, 100, RngSpec(seed=1), proposal="mcmc")
+
+
+class TestOracleWorkers:
+    """The oracle's batch, weights and meta do not depend on ``workers``."""
+
+    SPEC = Spectrum((1.0, 2.0, 3.0), (20, 20, 20))  # chunks of 34952 proposals
+
+    def _draws(self, monkeypatch, **kwargs):
+        chunks = []
+
+        def spy(*args, **kw):
+            chunks.append(args[1])
+            return _complex_normals(*args, **kw)
+
+        monkeypatch.setattr(sampling_mod, "_complex_normals", spy)
+        return oracle_manifold_sample(self.SPEC, 1.8, rng=RngSpec(seed=31), **kwargs), chunks
+
+    def _assert_same(self, a, b):
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.meta == b.meta
+
+    @pytest.mark.parametrize("proposal,count", [("uniform", 1500), ("gaussian", 8000)])
+    def test_count_filled_mid_layout(self, monkeypatch, proposal, count):
+        per = chunk_layout(10**9, self.SPEC.n)[0]
+        kwargs = dict(eta=0.02, count=count, max_draws=4 * per, proposal=proposal)
+        one, chunks_one = self._draws(monkeypatch, workers=1, **kwargs)
+        two, chunks_two = self._draws(monkeypatch, workers=2, **kwargs)
+        assert chunks_one == [0, 1]  # filled in the second of four chunks
+        assert sorted(chunks_two)[:2] == [0, 1]  # chunks drawn ahead are dropped
+        assert one.count == count
+        self._assert_same(one, two)
+
+    @pytest.mark.parametrize("proposal", ["uniform", "gaussian"])
+    def test_partial_batch_warns_alike(self, monkeypatch, proposal):
+        per = chunk_layout(10**9, self.SPEC.n)[0]
+        kwargs = dict(eta=0.02, count=10**6, max_draws=2 * per + 100, proposal=proposal)
+        batches = []
+        for workers in (1, 2):
+            with pytest.warns(LowAcceptanceWarning):
+                batch, chunks = self._draws(monkeypatch, workers=workers, **kwargs)
+            assert sorted(chunks) == [0, 1, 2]
+            batches.append(batch)
+        assert batches[0].count < 10**6
+        self._assert_same(*batches)
+
+    @pytest.mark.parametrize("proposal", ["uniform", "gaussian"])
+    def test_no_acceptances_raise_alike(self, monkeypatch, proposal):
+        per = chunk_layout(10**9, self.SPEC.n)[0]
+        kwargs = dict(eta=1e-12, count=10, max_draws=2 * per + 100, proposal=proposal)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(DomainError, match="no acceptances") as exc:
+                self._draws(monkeypatch, workers=workers, **kwargs)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
 
 class TestBatchInvariants:
