@@ -29,6 +29,7 @@ from .io import dumps_record, format_float, load_bipartite, load_spectrum
 from .sampling import (
     RngSpec,
     SampleBatch,
+    _default_workers,
     default_shell_width,
     oracle_manifold_sample,
     sample_gaussian_ensemble,
@@ -52,13 +53,6 @@ def _seed(args: argparse.Namespace) -> int:
         return int(text)
     except ValueError as exc:
         raise ParseError(f"{SEED_ENV_VAR}={text!r} is not an integer seed") from exc
-
-
-def _default_workers() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -122,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--proposal", choices=("uniform", "gaussian"), default="uniform")
     p_sample.add_argument("--max-draws", type=int, default=None)
     p_sample.add_argument("--out", default=None, help="CSV file for amplitudes")
-    p_sample.set_defaults(workers=workers)
 
     p_verify = sub.add_parser("verify", help="Monte Carlo verification experiments")
     p_verify.add_argument(
@@ -303,7 +296,6 @@ def _batch_for_sample(args: argparse.Namespace, spectrum, rng: RngSpec) -> Sampl
         max_draws,
         rng,
         proposal=args.proposal,
-        workers=args.workers,
     )
 
 
@@ -367,6 +359,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     workers = args.workers
     if workers < 1:
         raise ParseError(f"--workers must be at least 1, got {workers}")
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
     rng = RngSpec(seed=seed, stream=args.stream)
     needs = _VERIFY_NEEDS[args.experiment]
     if any(getattr(args, key) is None for key in needs):

@@ -19,11 +19,11 @@ from .errors import DomainError
 from .sampling import (
     RngSpec,
     SampleBatch,
-    _draw_buffers,
+    _chunk_task,
+    _gaussian_draw,
     _map_ordered,
     chunk_layout,
     default_shell_width,
-    gaussian_chunk,
     oracle_manifold_sample,
     spectrum_digest,
 )
@@ -193,26 +193,25 @@ def subbatch_mean_error(
 
 
 def _gaussian_stream(
-    frame: EnergyFrame, count: int, rng: RngSpec, reduce: Callable, workers: int
+    frame: EnergyFrame, count: int, rng: RngSpec, reduce: Callable, workers: int | None
 ) -> list:
-    """``reduce(states)`` of each chunk of the Gaussian batch, in chunk order.
-
-    The chunks are those of :func:`sample_gaussian_ensemble` with the same
-    ``rng``, drawn on ``workers`` threads into one buffer per thread, so
-    ``reduce`` must not keep a view of its argument.
-    """
+    """``reduce(states)`` of each chunk of :func:`sample_gaussian_ensemble`'s
+    batch, in chunk order, drawn on ``workers`` threads; ``reduce`` must not
+    keep a view of its argument (see :func:`_chunk_task`)."""
     layout = chunk_layout(count, frame.dim)
-    buffer = _draw_buffers(layout, frame.dim)
-
-    def one_chunk(item: tuple[int, int]):
-        i, size = item
-        return reduce(gaussian_chunk(frame, rng, i, size, out=buffer()))
-
-    return list(_map_ordered(one_chunk, enumerate(layout), workers))
+    task = _chunk_task(_gaussian_draw(frame, rng), reduce, layout, frame.dim)
+    return list(_map_ordered(task, enumerate(layout), workers))
 
 
 # ---------------------------------------------------------------------------
 # Reduced density matrices
+
+
+def _reduced_states(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Reduced state psi^A of each normalized state of a (count, dim_a*dim_b) block."""
+    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    psi = psi.reshape(-1, dim_a, dim_b)
+    return np.einsum("mak,mbk->mab", psi, psi.conj())
 
 
 def estimate_reduced_dm(batch: SampleBatch, dim_a: int, dim_b: int) -> DensityMatrix:
@@ -228,12 +227,12 @@ def estimate_reduced_dm(batch: SampleBatch, dim_a: int, dim_b: int) -> DensityMa
         raise DomainError(
             f"dim_a * dim_b = {dim_a * dim_b} does not match state dimension {batch.dim}"
         )
-    psi = batch.normalized_states().reshape(batch.count, dim_a, dim_b)
+    rhos = _reduced_states(batch.states, dim_a, dim_b)
     if batch.weights is None:
-        rho = np.einsum("mak,mbk->ab", psi, psi.conj()) / batch.count
+        rho = rhos.sum(axis=0) / batch.count
     else:
         w = batch.weights / batch.weights.sum()
-        rho = np.einsum("m,mak,mbk->ab", w, psi, psi.conj())
+        rho = np.einsum("m,mab->ab", w, rhos)
     return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
@@ -244,7 +243,7 @@ def reduced_dm_report(
     count: int,
     rng: RngSpec,
     tolerance_sigmas: float = 5.0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> tuple[ExperimentReport, DensityMatrix]:
     """Gaussian-sampler check of the canonical reduced state.
 
@@ -264,9 +263,7 @@ def reduced_dm_report(
     envelope = math.sqrt(8.0) * dim_a * delta_deviation(consts)
 
     def one_chunk(psi: np.ndarray):
-        psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
-        psi = psi.reshape(-1, dim_a, dim_b)
-        rhos = np.einsum("mak,mbk->mab", psi, psi.conj())
+        rhos = _reduced_states(psi, dim_a, dim_b)
         devs = np.linalg.norm(rhos - rho_ref.matrix, axis=(1, 2))
         return rhos.sum(axis=0), devs
 
@@ -364,6 +361,8 @@ def _tail_curve(
     lam: float,
     constants: ConcentrationConstants | None,
 ) -> TailCurve:
+    if values.size == 0:
+        raise DomainError("cannot estimate from an empty sample")
     ts = np.asarray(list(ts), dtype=float)
     if np.any(np.diff(ts) < 0.0):
         raise DomainError("ts must be sorted ascending")
@@ -393,7 +392,7 @@ def tail_report(
     count: int,
     rng: RngSpec,
     ts: Sequence[float],
-    workers: int = 1,
+    workers: int | None = None,
 ) -> tuple[ExperimentReport, TailCurve]:
     """Gaussian-sampler tail curve of the 1-Lipschitz Re(psi_1) on normalized
     states against the analytic bound at ``epsilon``.
@@ -517,7 +516,7 @@ def moment_report_streamed(
     rng: RngSpec,
     tolerance_sigmas: float = 5.0,
     var_rtol: float = 0.1,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> ExperimentReport:
     """Same report as :func:`moment_report` without materializing the batch;
     identical numbers for identical (frame, count, rng)."""
@@ -582,7 +581,7 @@ def spin_concentration_probe(
     rng: RngSpec,
     eta: float | None = None,
     max_draws: int | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> ExperimentReport:
     """Evidence that the spin ensemble admits no exponential concentration.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import threading
 import warnings
 from collections import deque
@@ -125,17 +126,27 @@ def chunk_layout(count: int, n: int) -> list[int]:
     return sizes
 
 
-def _map_ordered(fn: Callable, items: Iterable, workers: int) -> Iterator:
+def _default_workers() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_ordered(fn: Callable, items: Iterable, workers: int | None = None) -> Iterator:
     """Yield ``fn(item)`` for each item, in item order.
 
     At most ``workers`` items are in flight, on min(workers, len(items))
-    threads (none for one).  Worker count changes scheduling only: results
-    arrive in item order, so every reduction over them is fixed.  The
-    consumer may stop early: an item starts only once the consumer has taken
-    the result before it, so at most ``workers - 1`` items past the last one
-    taken are computed, and closing the generator waits for them.
+    threads (none for one); ``None`` means the CPUs this process may run on.
+    Worker count changes scheduling only: results arrive in item order, so
+    every reduction over them is fixed.  The consumer may stop early: an item
+    starts only once the consumer has taken the result before it, so at most
+    ``workers - 1`` items past the last one taken are computed, and closing
+    the generator waits for them.
     """
     items = list(items)
+    if workers is None:
+        workers = _default_workers()
     workers = min(workers, len(items))
     if workers <= 1:
         yield from map(fn, items)
@@ -153,19 +164,31 @@ def _map_ordered(fn: Callable, items: Iterable, workers: int) -> Iterator:
                 future.cancel()
 
 
-def _draw_buffers(layout: Sequence[int], n: int) -> Callable[[], np.ndarray]:
-    """Getter of the calling thread's float64 draw buffer, sized for the
-    first (largest) chunk of ``layout``; the buffers live as long as the
-    getter, so one streaming call owns them."""
+def _chunk_task(draw: Callable, reduce: Callable, layout: Sequence[int], n: int) -> Callable:
+    """:func:`_map_ordered` task ``(chunk, size) -> reduce(draw(chunk, size, buf))``
+    over ``enumerate(layout)``; ``draw`` fills the first ``size`` rows of ``buf``
+    as :func:`_complex_normals` does.  Each thread keeps its own ``buf`` while the
+    task lives, sized for the first (largest) chunk; ``reduce`` must not keep a view."""
     local = threading.local()
 
-    def get() -> np.ndarray:
+    def task(item: tuple[int, int]):
+        chunk, size = item
         buf = getattr(local, "buf", None)
         if buf is None:
             buf = local.buf = np.empty((layout[0], n, 2))
-        return buf
+        return reduce(draw(chunk, size, buf))
 
-    return get
+    return task
+
+
+def _draw_batch(draw: Callable, count: int, n: int) -> np.ndarray:
+    """The (count, n) batch, each chunk of the layout drawn into its own rows."""
+    states = np.empty((count, n), dtype=complex)
+    rows = states.view(np.float64).reshape(count, n, 2)
+    for chunk, size in enumerate(chunk_layout(count, n)):
+        draw(chunk, size, rows)
+        rows = rows[size:]
+    return states
 
 
 def default_shell_width(spectrum: Spectrum) -> float:
@@ -179,35 +202,21 @@ def _gaussian_sigmas(frame: EnergyFrame) -> np.ndarray:
     return np.sqrt(frame.e_prime / (2.0 * frame.dim * frame.expanded_levels))
 
 
-def _check_gaussian_frame(frame: EnergyFrame) -> None:
-    if frame.dim != frame.base.n:
-        raise DomainError("gaussian sampling needs a frame over the full expanded spectrum")
-    if not frame.is_harmonic():
-        raise DomainError(
-            "gaussian sampling requires the pure harmonic shift "
-            f"(E'_H = {frame.e_prime_harm}, E' = {frame.e_prime})"
-        )
-
-
-def _complex_normals(
-    rng: RngSpec, chunk: int, size: int, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    # interleaved (re, im) draw reinterpreted as complex; filling the first
-    # ``size`` rows of a float64 (rows >= size, n, 2) ``out`` draws the same
-    # values in the same order as a fresh array
-    gen = rng.generator(chunk)
-    z = gen.standard_normal((size, n, 2)) if out is None else gen.standard_normal(out=out[:size])
+def _complex_normals(rng: RngSpec, chunk: int, size: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Draw ``chunk`` into the first ``size`` rows of a float64 (rows, n, 2)
+    ``out``: interleaved (re, im) normals, returned as a complex view."""
+    z = rng.generator(chunk).standard_normal(out=out[:size])
     return z.view(np.complex128)[..., 0]
 
 
 def gaussian_chunk(
-    frame: EnergyFrame, rng: RngSpec, chunk: int, size: int, out: np.ndarray | None = None
+    frame: EnergyFrame, rng: RngSpec, chunk: int, size: int, out: np.ndarray
 ) -> np.ndarray:
     """States of one chunk: Re and Im of each component drawn independently
     with density proportional to exp(-n E'_k x^2 / E').
 
-    With ``out`` (see :func:`_complex_normals`) the states are a view into it,
-    valid until the buffer is filled again; the values are bit-identical.
+    The states are a view into ``out`` (see :func:`_complex_normals`), valid
+    until its rows are filled again.
     """
     sig = _gaussian_sigmas(frame)
     psi = _complex_normals(rng, chunk, size, sig.size, out)
@@ -215,19 +224,16 @@ def gaussian_chunk(
     return psi
 
 
-def sphere_chunk(n: int, rng: RngSpec, chunk: int, size: int) -> np.ndarray:
-    psi = _complex_normals(rng, chunk, size, n)
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
-def iter_gaussian_chunks(
-    frame: EnergyFrame, count: int, rng: RngSpec
-) -> Iterator[np.ndarray]:
-    """Stream the batch chunk by chunk (constant memory); same values as
-    :func:`sample_gaussian_ensemble` with the same RngSpec."""
-    _check_gaussian_frame(frame)
-    for i, size in enumerate(chunk_layout(count, frame.dim)):
-        yield gaussian_chunk(frame, rng, i, size)
+def _gaussian_draw(frame: EnergyFrame, rng: RngSpec) -> Callable:
+    """``draw(chunk, size, out)`` of the Gaussian ensemble over ``frame``."""
+    if frame.dim != frame.base.n:
+        raise DomainError("gaussian sampling needs a frame over the full expanded spectrum")
+    if not frame.is_harmonic():
+        raise DomainError(
+            "gaussian sampling requires the pure harmonic shift "
+            f"(E'_H = {frame.e_prime_harm}, E' = {frame.e_prime})"
+        )
+    return lambda chunk, size, out: gaussian_chunk(frame, rng, chunk, size, out)
 
 
 def sample_gaussian_ensemble(frame: EnergyFrame, count: int, rng: RngSpec) -> SampleBatch:
@@ -239,8 +245,7 @@ def sample_gaussian_ensemble(frame: EnergyFrame, count: int, rng: RngSpec) -> Sa
     the Gaussian moment identities.  Use ``normalized_states()`` for
     consumers that need exact unit vectors.
     """
-    chunks = list(iter_gaussian_chunks(frame, count, rng))
-    states = np.concatenate(chunks) if chunks else np.zeros((0, frame.dim), dtype=complex)
+    states = _draw_batch(_gaussian_draw(frame, rng), count, frame.dim)
     meta = {
         "kind": "gaussian",
         "spectrum": spectrum_digest(frame.base),
@@ -255,12 +260,14 @@ def sample_sphere(n: int, count: int, rng: RngSpec) -> SampleBatch:
     """Uniform unit vectors on the complex sphere in C^n (normalized 2n normals)."""
     if n < 1:
         raise DomainError("dimension must be positive")
-    chunks = [
-        sphere_chunk(n, rng, i, size) for i, size in enumerate(chunk_layout(count, n))
-    ]
-    states = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=complex)
+
+    def draw(chunk: int, size: int, out: np.ndarray) -> np.ndarray:
+        psi = _complex_normals(rng, chunk, size, n, out)
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        return psi
+
     return SampleBatch(
-        states=states,
+        states=_draw_batch(draw, count, n),
         weights=None,
         rng_spec=rng,
         meta={"kind": "sphere", "n": n, "normalized": True},
@@ -295,7 +302,7 @@ def oracle_manifold_sample(
     max_draws: int,
     rng: RngSpec,
     proposal: str = "uniform",
-    workers: int = 1,
+    workers: int | None = None,
 ) -> SampleBatch:
     """Exact small-n sampler of the constant-energy manifold via shell rejection.
 
@@ -313,9 +320,9 @@ def oracle_manifold_sample(
     Gaussian-proposal weights are reported relative to their maximum.
 
     Proposal chunks of ``chunk_layout(max_draws, n)`` are drawn and screened
-    on ``workers`` threads and taken in layout order until ``count`` states
-    are accepted; chunks drawn ahead of that point are discarded, so the
-    batch does not depend on ``workers``.
+    on ``workers`` threads (default: the CPUs available) and taken in layout
+    order until ``count`` states are accepted; chunks drawn ahead of that
+    point are discarded, so the batch does not depend on ``workers``.
     """
     if eta <= 0.0:
         raise DomainError("shell width eta must be positive")
@@ -339,16 +346,14 @@ def oracle_manifold_sample(
     n = spectrum.n
     levels = spectrum.expand()
     frame = harmonic_frame(spectrum, energy) if proposal == "gaussian" else None
+    if frame is None:
+        draw = lambda chunk, size, out: _complex_normals(rng, chunk, size, n, out)
+    else:
+        draw = _gaussian_draw(frame, rng)
     layout = chunk_layout(max_draws, n)
-    buffer = _draw_buffers(layout, n)
 
-    def screen(item: tuple[int, int]) -> tuple[int, np.ndarray, np.ndarray]:
-        """(size, accepted unit states, their log-weights) of one chunk."""
-        chunk, size = item
-        if proposal == "uniform":
-            raw = _complex_normals(rng, chunk, size, n, buffer())
-        else:
-            raw = gaussian_chunk(frame, rng, chunk, size, out=buffer())
+    def screen(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(accepted unit states, their log-weights) of one chunk."""
         # normalization deferred: accept on the normalized energy, then
         # rescale only the accepted rows
         p = np.abs(raw) ** 2
@@ -365,14 +370,15 @@ def oracle_manifold_sample(
         lw = np.log(grad[keep])
         if proposal == "gaussian":
             lw = lw + n * np.log(e1[keep] + frame.shift)
-        return size, psi_acc, lw
+        return psi_acc, lw
 
     accepted: list[np.ndarray] = []
     logw: list[np.ndarray] = []
     n_accepted = 0
     n_drawn = 0
-    with closing(_map_ordered(screen, enumerate(layout), workers)) as stream:
-        for size, psi_acc, lw in stream:
+    task = _chunk_task(draw, screen, layout, n)
+    with closing(_map_ordered(task, enumerate(layout), workers)) as stream:
+        for size, (psi_acc, lw) in zip(layout, stream):
             n_drawn += size
             accepted.append(psi_acc)
             logw.append(lw)

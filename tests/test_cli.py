@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -448,6 +449,23 @@ class TestDeterminism:
         err = json.loads(capsys.readouterr().err)
         assert code == 2
         assert err["error"] == "ParseError"
+
+    @pytest.mark.parametrize("experiment", ["tail", "moments", "spins"])
+    def test_count_below_one_is_exit_2(self, capsys, small_spectrum_file, experiment):
+        if experiment == "spins":
+            argv = ["spins", "--m", "4", "--alpha", "0.3", "--gamma", "0.4"]
+        else:
+            argv = ["verify", "--experiment", experiment, "--spectrum", small_spectrum_file,
+                    "--energy", "1.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*argv, "--count", "0", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ParseError"
+        assert "--count" in err["message"]
 
 
 def _reject_constant(name):

@@ -162,6 +162,11 @@ class TestEmpiricalTail:
         curve = empirical_tail(batch, lambda states: np.abs(states[:, 0]) ** 2, ts)
         assert np.all(np.diff(curve.frequencies) <= 1e-15)
 
+    def test_empty_sample_rejected(self):
+        batch = sample_sphere(4, 0, RngSpec(seed=27))
+        with pytest.raises(DomainError, match="empty sample"):
+            empirical_tail(batch, lambda states: states[:, 0].real, [0.1])
+
     def test_unsorted_ts_rejected(self):
         batch = sample_sphere(4, 50, RngSpec(seed=27))
         with pytest.raises(DomainError):

@@ -23,13 +23,13 @@ from mee import (
     sample_gaussian_ensemble,
     sample_sphere,
 )
+from mee.experiments import _gaussian_stream
 from mee.sampling import (
+    _chunk_task,
     _complex_normals,
-    _draw_buffers,
     _map_ordered,
     chunk_layout,
     gaussian_chunk,
-    iter_gaussian_chunks,
 )
 from conftest import three_level_manifold_moments, weighted_mean_and_error
 
@@ -69,7 +69,7 @@ class TestChunking:
         frame = harmonic_frame(SPEC123, 1.5)
         rng = RngSpec(seed=5)
         batch = sample_gaussian_ensemble(frame, 2000, rng)
-        streamed = np.concatenate(list(iter_gaussian_chunks(frame, 2000, rng)))
+        streamed = np.concatenate(_gaussian_stream(frame, 2000, rng, np.copy, 1))
         assert np.array_equal(batch.states, streamed)
 
     def test_same_spec_same_batch(self):
@@ -77,6 +77,27 @@ class TestChunking:
         a = sample_gaussian_ensemble(frame, 500, RngSpec(seed=1, stream=2))
         b = sample_gaussian_ensemble(frame, 500, RngSpec(seed=1, stream=2))
         assert np.array_equal(a.states, b.states)
+
+    def test_batches_are_the_per_chunk_reference_draws(self):
+        """Batch bytes pinned to one fresh draw per chunk of the layout:
+        sigma-scaled for the Gaussian ensemble, row-normalized for the sphere."""
+        spec = Spectrum((1.0, 2.0, 3.0), (700, 700, 700))
+        frame = harmonic_frame(spec, 1.5)
+        n = frame.dim
+        rng = RngSpec(seed=23, stream=1)
+        count = 2500
+        layout = chunk_layout(count, n)
+        assert len(layout) >= 3 and layout[-1] < layout[0]
+        sig = np.sqrt(frame.e_prime / (2.0 * n * frame.expanded_levels))
+        gauss, sphere = [], []
+        for i, size in enumerate(layout):
+            z = rng.generator(i).standard_normal((size, n, 2)).view(np.complex128)[..., 0]
+            gauss.append(z * sig)
+            sphere.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+        got = sample_gaussian_ensemble(frame, count, rng).states
+        assert got.tobytes() == np.concatenate(gauss).tobytes()
+        got = sample_sphere(n, count, rng).states
+        assert got.tobytes() == np.concatenate(sphere).tobytes()
 
 
 class TestDrawBuffers:
@@ -88,21 +109,22 @@ class TestDrawBuffers:
         assert len(layout) == 3 and layout[-1] < layout[0]
         buf = np.empty((layout[0], frame.dim, 2))
         for i, size in enumerate(layout):
-            fresh = gaussian_chunk(frame, rng, i, size)
-            into = gaussian_chunk(frame, rng, i, size, out=buf)
+            fresh = gaussian_chunk(frame, rng, i, size, np.empty((size, frame.dim, 2)))
+            into = gaussian_chunk(frame, rng, i, size, buf)
             assert np.shares_memory(into, buf)
             assert into.shape == fresh.shape
             assert into.tobytes() == fresh.tobytes()
             raw = _complex_normals(rng, i, size, frame.dim, buf)
-            assert raw.tobytes() == _complex_normals(rng, i, size, frame.dim).tobytes()
+            alone = _complex_normals(rng, i, size, frame.dim, np.empty((size, frame.dim, 2)))
+            assert raw.tobytes() == alone.tobytes()
 
     def test_one_buffer_per_thread(self):
-        get = _draw_buffers([5, 5, 2], 3)
-        mine = get()
+        task = _chunk_task(lambda chunk, size, out: out, lambda buf: buf, [5, 5, 2], 3)
+        mine = task((0, 5))
         assert mine.shape == (5, 3, 2) and mine.dtype == np.float64
-        assert get() is mine
+        assert task((1, 5)) is mine
         with ThreadPoolExecutor(max_workers=1) as pool:
-            other = pool.submit(get).result()
+            other = pool.submit(task, (2, 2)).result()
         assert other is not mine and not np.shares_memory(other, mine)
 
 

@@ -1,0 +1,154 @@
+"""Compare every output of two ``mee`` source trees, byte for byte.
+
+Usage::
+
+    python tools/cmp_outputs.py PARENT_SRC CHANGE_SRC
+
+Each SRC is a directory holding the ``mee`` package (a checkout's ``src``).
+Every command below runs once per tree, each in a subprocess whose working
+directory holds the same input files under the same relative paths, so the
+paths recorded in the outputs agree.  For each command the tool compares the
+exit code, stdout, stderr and every file the command wrote, and prints one
+line per file that differs or exists on one side only, then a summary.  It
+exits 1 when anything differs.
+
+Warning lines on stderr start with the source location of the ``warn`` call
+(``path/cli.py:298: LowAcceptanceWarning: ...``); that prefix is dropped
+before comparing, so moved lines do not count as a difference, while the
+warning class and message still do.
+
+The list covers the ``verify`` reports of every experiment at ``--workers``
+1, 2 and the default (plus the tail ``curve.csv``), the ``spins`` alias, the
+``sample`` CSV and record in every mode (Gaussian and sphere over three
+chunks with a short last one, both oracle proposals, a partial oracle
+batch), ``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json``,
+and ``verify --count 0``.  It takes a minute or two, mostly the CSV writes.
+"""
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+INPUTS = {
+    # n = 900: chunks of 2330 states
+    "in/s900.json": {"levels": [1.0, 2.0, 3.0], "degeneracies": [300, 300, 300]},
+    # n = 60: oracle chunks of 34952 proposals
+    "in/s60.json": {"levels": [1.0, 2.0, 3.0], "degeneracies": [20, 20, 20]},
+    "in/s123.json": {"levels": [1.0, 2.0, 3.0]},
+    # n = 192: chunks of 10922 states
+    "in/bip.json": {"levels_a": [1.0, 2.0, 3.0], "levels_b": [0.0] * 64},
+}
+
+VERIFY = {
+    "moments": ["--spectrum", "in/s900.json", "--energy", "1.5", "--count", "6000"],
+    "tail": ["--spectrum", "in/s900.json", "--energy", "1.5", "--count", "6000"],
+    "reduced-dm": ["--bipartite", "in/bip.json", "--energy", "1.3", "--count", "25000"],
+    "spins": ["--m", "8", "--alpha", "0.3", "--gamma", "0.4", "--count", "300"],
+}
+
+
+def commands() -> dict[str, list[str]]:
+    """Command name -> argv of ``python -m mee``; each writes under out/<name>."""
+    cmds: dict[str, list[str]] = {}
+    for experiment, argv in VERIFY.items():
+        for tag, workers in (("w1", ["--workers", "1"]), ("w2", ["--workers", "2"]),
+                             ("wdefault", [])):
+            name = f"verify-{experiment}-{tag}"
+            cmds[name] = ["verify", "--experiment", experiment, *argv, "--seed", "7",
+                          *workers, "--out-dir", f"out/{name}"]
+    for experiment in ("tail", "moments"):
+        cmds[f"verify-{experiment}-count0"] = [
+            "verify", "--experiment", experiment, "--spectrum", "in/s900.json",
+            "--energy", "1.5", "--count", "0", "--seed", "7",
+            "--out-dir", f"out/verify-{experiment}-count0",
+        ]
+    cmds["spins"] = ["spins", "--m", "6", "--alpha", "0.3", "--gamma", "0.4",
+                     "--count", "200", "--seed", "3", "--out-dir", "out/spins"]
+    samples = {
+        "gaussian": ["--spectrum", "in/s900.json", "--energy", "1.5", "--count", "4661"],
+        "sphere": ["--spectrum", "in/s900.json", "--count", "4661"],
+        "oracle-uniform": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "400",
+                           "--eta", "0.02"],
+        "oracle-gaussian": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "400",
+                            "--eta", "0.02", "--proposal", "gaussian"],
+        "oracle-partial": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "100000",
+                           "--eta", "0.02", "--max-draws", "70000"],
+    }
+    for mode, argv in samples.items():
+        name = f"sample-{mode}"
+        cmds[name] = ["sample", "--mode", mode.split("-")[0], *argv, "--seed", "5",
+                      "--out", f"out/{name}/states.csv"]
+    cmds["bounds-grid"] = ["bounds", "--spectrum", "in/s123.json", "--energy", "1.5",
+                           "--t-values", "0.1,0.2,0.4", "--out-dir", "out/bounds-grid"]
+    cmds["bounds-epsilon"] = ["bounds", "--spectrum", "in/s123.json", "--energy", "1.5",
+                              "--epsilon", "2", "--out-dir", "out/bounds-epsilon"]
+    cmds["canonical"] = ["canonical", "--bipartite", "in/bip.json", "--energy", "1.3",
+                         "--epsilon", "2", "--out-dir", "out/canonical"]
+    return cmds
+
+
+_WARNING_LOCATION = re.compile(r"^.*:\d+: (?=\w+Warning: )", re.MULTILINE)
+
+
+def run_tree(src: Path, work: Path, name: str, argv: list[str]) -> None:
+    """Run one command against ``src`` in ``work``; keep its streams and exit
+    code next to the files it writes, under out/<name>."""
+    env = {k: v for k, v in os.environ.items() if k != "MEE_SEED"}
+    env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "mee", *argv], cwd=work, env=env,
+                          capture_output=True)
+    out = work / "out" / name
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "exit_code").write_text(f"{proc.returncode}\n")
+    (out / "stdout").write_bytes(proc.stdout)
+    stderr = _WARNING_LOCATION.sub("", proc.stderr.decode(errors="replace"))
+    (out / "stderr").write_text(stderr)
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    srcs = [Path(a).resolve() for a in argv]
+    for src in srcs:
+        if not (src / "mee" / "__init__.py").is_file():
+            sys.stderr.write(f"{src} holds no mee package\n")
+            return 2
+    cmds = commands()
+    with tempfile.TemporaryDirectory(prefix="cmp_outputs_") as tmp:
+        works = [Path(tmp) / side for side in ("parent", "change")]
+        for work in works:
+            for rel, obj in INPUTS.items():
+                path = work / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.dumps(obj))
+        for name, cmd in cmds.items():
+            for src, work in zip(srcs, works):
+                run_tree(src, work, name, cmd)
+            print(f"ran {name}", file=sys.stderr)
+        parent, change = (files_under(work / "out") for work in works)
+    differ = []
+    for rel in sorted(parent.keys() | change.keys()):
+        if rel not in parent or rel not in change:
+            differ.append(f"ONLY IN {'change' if rel not in parent else 'parent'}: {rel}")
+        elif parent[rel] != change[rel]:
+            differ.append(f"DIFFERS: {rel}")
+    for line in differ:
+        print(line)
+    total = len(parent.keys() | change.keys())
+    print(f"{len(cmds)} commands, {total} files compared, {total - len(differ)} identical, "
+          f"{len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
