@@ -121,6 +121,11 @@ def _feasibility(frame: EnergyFrame, epsilon: float) -> tuple[float, float]:
     return 1.0 - (ratio / epsilon) ** 2, ratio
 
 
+def _tail_constant(frame: EnergyFrame) -> float:
+    """The tail-rate constant c = 3 E'_min / (32 E') of a solved frame."""
+    return 3.0 * frame.e_prime_min / (32.0 * frame.e_prime)
+
+
 def constants_for(
     spectrum: Spectrum,
     energy: float,
@@ -145,9 +150,8 @@ def constants_for(
             min_feasible_epsilon=min_eps,
             shift=frame.shift,
         )
-    c = 3.0 * frame.e_prime_min / (32.0 * frame.e_prime)
     a = 3040.0 * frame.e_prime_max ** 2 / (frame.e_prime ** 2 * denom)
-    return ConcentrationConstants(frame=frame, epsilon=epsilon, a=a, c=c)
+    return ConcentrationConstants(frame=frame, epsilon=epsilon, a=a, c=_tail_constant(frame))
 
 
 def tail_log_bound(constants: ConcentrationConstants, t: float) -> float:
@@ -214,17 +218,13 @@ def optimize_epsilon(
     return best
 
 
-def _order_term(constants: ConcentrationConstants) -> float:
-    """The O(n^{-1/2}) combination eps/sqrt(n) + ln(2 a n^{3/2})/(2n)."""
-    n = constants.n
-    return constants.epsilon / math.sqrt(n) + math.log(2.0 * constants.a * n ** 1.5) / (2.0 * n)
-
-
 def median_window(constants: ConcentrationConstants, lam_n: float) -> float:
     """Half-width of |median - ellipsoid mean| for a lam_n-Lipschitz function."""
     n = constants.n
     ratio = constants.frame.e_prime / constants.frame.e_prime_min
-    return lam_n * (3.0 / (8.0 * n) + 15.0 * math.sqrt(ratio * _order_term(constants)))
+    # the O(n^{-1/2}) combination eps/sqrt(n) + ln(2 a n^{3/2})/(2n)
+    order = constants.epsilon / math.sqrt(n) + math.log(2.0 * constants.a * n ** 1.5) / (2.0 * n)
+    return lam_n * (3.0 / (8.0 * n) + 15.0 * math.sqrt(ratio * order))
 
 
 def ellipsoid_for(frame: EnergyFrame) -> Ellipsoid:

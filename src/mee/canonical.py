@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import ConcentrationConstants, _exp_or_inf, _order_term, tail_log_bound
+from .bounds import ConcentrationConstants, _exp_or_inf, median_window, tail_log_bound
 from .errors import DomainError, NumericalError
 from .spectrum import Spectrum, harmonic_shift_solve, epsilon_shift_solve
 
@@ -191,11 +191,10 @@ def rho_c_flat_env(
 
 
 def delta_deviation(constants: ConcentrationConstants) -> float:
-    """The additive deviation constant of the typical-reduced-state bound."""
-    n = constants.n
+    """The additive deviation constant of the typical-reduced-state bound:
+    sqrt(E'(1 + 1/n)/E'_min) times the median window of a 1-Lipschitz function."""
     ratio = constants.frame.e_prime / constants.frame.e_prime_min
-    inner = 3.0 / (8.0 * n) + 15.0 * math.sqrt(ratio * _order_term(constants))
-    return math.sqrt(ratio * (1.0 + 1.0 / n)) * inner
+    return math.sqrt(ratio * (1.0 + 1.0 / constants.n)) * median_window(constants, 1.0)
 
 
 def reduced_dm_tail(

@@ -12,8 +12,6 @@ process may run on (also for ``spins`` and ``sample --mode oracle``).
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -25,12 +23,11 @@ from . import bounds as bounds_mod
 from . import canonical as canonical_mod
 from . import experiments as exp_mod
 from .errors import DomainError, InfeasibleError, MeeError, NumericalError, ParseError
-from .io import dumps_record, format_float, load_bipartite, load_spectrum
+from .io import dumps_record, load_bipartite, load_spectrum
 from .sampling import (
     RngSpec,
     SampleBatch,
     _default_workers,
-    default_shell_width,
     oracle_manifold_sample,
     sample_gaussian_ensemble,
     sample_sphere,
@@ -169,12 +166,11 @@ def _emit(record: dict, out_dir: str | None, filename: str) -> None:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[float]]) -> None:
+    """CRLF-terminated lines of shortest round-trip cells; rows hold Python floats."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_float(x) for x in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _cmd_means(args: argparse.Namespace) -> int:
@@ -251,7 +247,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     rows = []
     for t in ts:
         raw = bounds_mod.tail_bound(consts, t, args.lipschitz)
-        rows.append((t, min(1.0, raw), bounds_mod.tail_log10_bound(consts, t)))
+        rows.append((t, min(1.0, raw), float(bounds_mod.tail_log10_bound(consts, t))))
     if args.out_dir is not None:
         _write_csv(Path(args.out_dir) / "tail.csv", ("t", "bound", "log10_bound"), rows)
     return 0
@@ -286,16 +282,8 @@ def _batch_for_sample(args: argparse.Namespace, spectrum, rng: RngSpec) -> Sampl
     if args.mode == "gaussian":
         frame = harmonic_frame(spectrum, args.energy)
         return sample_gaussian_ensemble(frame, args.count, rng)
-    eta = args.eta if args.eta is not None else default_shell_width(spectrum)
-    max_draws = args.max_draws if args.max_draws is not None else 200 * args.count
     return oracle_manifold_sample(
-        spectrum,
-        args.energy,
-        eta,
-        args.count,
-        max_draws,
-        rng,
-        proposal=args.proposal,
+        spectrum, args.energy, args.eta, args.count, args.max_draws, rng, proposal=args.proposal
     )
 
 
@@ -324,10 +312,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.out is not None:
         header = [f"{part}{k}" for k in range(batch.dim) for part in ("re", "im")]
         # one row per state, its amplitudes already interleaved as re, im
-        rows = batch.states.view(np.float64)
+        rows = map(np.ndarray.tolist, batch.states.view(np.float64))
         if batch.weights is not None:
             header.append("weight")
-            rows = (itertools.chain(row, (w,)) for row, w in zip(rows, batch.weights))
+            rows = (row + [w] for row, w in zip(rows, batch.weights.tolist()))
         _write_csv(Path(args.out), header, rows)
     return 0
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import ConcentrationConstants, constants_for, tail_bound
+from .bounds import ConcentrationConstants, _tail_constant, constants_for, tail_bound
 from .canonical import BipartiteSpectrum, DensityMatrix, delta_deviation, rho_c_bipartite
 from .errors import DomainError
 from .sampling import (
@@ -23,11 +23,10 @@ from .sampling import (
     _gaussian_draw,
     _map_ordered,
     chunk_layout,
-    default_shell_width,
     oracle_manifold_sample,
     spectrum_digest,
 )
-from .spectrum import EnergyFrame, Spectrum, harmonic_frame, harmonic_shift_solve
+from .spectrum import EnergyFrame, Spectrum, harmonic_frame
 
 __all__ = [
     "Measured",
@@ -220,6 +219,8 @@ def estimate_reduced_dm(batch: SampleBatch, dim_a: int, dim_b: int) -> DensityMa
     Each sample is normalized before the partial trace, so the estimate has
     unit trace; Hermiticity and positive semidefiniteness hold by
     construction (the estimate is a convex combination of pure projectors).
+    The states are folded in the row blocks of ``chunk_layout``, so the
+    per-state reduced states of one block are held at a time.
     """
     if batch.count == 0:
         raise DomainError("batch is empty")
@@ -227,12 +228,18 @@ def estimate_reduced_dm(batch: SampleBatch, dim_a: int, dim_b: int) -> DensityMa
         raise DomainError(
             f"dim_a * dim_b = {dim_a * dim_b} does not match state dimension {batch.dim}"
         )
-    rhos = _reduced_states(batch.states, dim_a, dim_b)
-    if batch.weights is None:
-        rho = rhos.sum(axis=0) / batch.count
-    else:
-        w = batch.weights / batch.weights.sum()
-        rho = np.einsum("m,mab->ab", w, rhos)
+    w = None if batch.weights is None else batch.weights / batch.weights.sum()
+    rho = np.zeros((dim_a, dim_a), dtype=complex)
+    start = 0
+    for size in chunk_layout(batch.count, batch.dim):
+        rhos = _reduced_states(batch.states[start : start + size], dim_a, dim_b)
+        if w is None:
+            rho += rhos.sum(axis=0)
+        else:
+            rho += np.einsum("m,mab->ab", w[start : start + size], rhos)
+        start += size
+    if w is None:
+        rho /= batch.count
     return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
@@ -615,8 +622,6 @@ def spin_concentration_probe(
     n = 2 ** spec.m
     energy = spec.alpha * spec.m
     cut = spec.gamma * spec.m
-    if eta is None:
-        eta = default_shell_width(spectrum)
     if max_draws is None:
         # gaussian-proposal acceptance sits near 0.5% at m = 10
         max_draws = 400 * count
@@ -636,8 +641,7 @@ def spin_concentration_probe(
     floor = 1.0 - spec.alpha / spec.gamma
     kappa_ceiling = 2.0 / floor * n ** (binary_entropy(spec.gamma) + math.log2(spec.m) / spec.m)
 
-    shift = harmonic_shift_solve(spectrum, energy)
-    c_value = 3.0 * shift / (32.0 * (energy + shift))
+    frame = harmonic_frame(spectrum, energy)
     c_reference = (3.0 / 32.0) * 2.0 ** -spec.m / (1.0 - 2.0 * spec.alpha)
 
     w = batch.weights / batch.weights.sum()
@@ -650,7 +654,7 @@ def spin_concentration_probe(
         Measured("partition_identity", l_mean + r_mean, None, 1.0, "relative", 1e-9),
         Measured("low_level_count", float(low_count), None, count_bound, "upper"),
         Measured("kappa_ceiling_b1", kappa_ceiling, None, None, "none"),
-        Measured("tail_constant_c", c_value, None, c_reference, "factor", 2.0),
+        Measured("tail_constant_c", _tail_constant(frame), None, c_reference, "factor", 2.0),
         Measured("max_coordinate_variance", max_coord_var, None, None, "none"),
     )
     return ExperimentReport(
@@ -662,9 +666,9 @@ def spin_concentration_probe(
             "count": count,
             "accepted": batch.count,
             "rng": rng.to_json(),
-            "eta": eta,
+            "eta": batch.meta["eta"],
             "acceptance_rate": batch.meta["acceptance_rate"],
-            "harmonic_shift": shift,
+            "harmonic_shift": frame.shift,
         },
         measured=measured,
     )

@@ -60,8 +60,3 @@ def _finite_or_null(obj):
     if isinstance(obj, (list, tuple)):
         return [_finite_or_null(value) for value in obj]
     return obj
-
-
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal form, stable across runs."""
-    return repr(float(x))

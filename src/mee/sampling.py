@@ -274,6 +274,12 @@ def sample_sphere(n: int, count: int, rng: RngSpec) -> SampleBatch:
     )
 
 
+def _gradient_norm(e1, e2):
+    """2 sqrt(e2 - e1^2) for the energy moments e1 = <H>, e2 = <H^2> of unit
+    states (floats or arrays): the coarea factor of the shell reweighting."""
+    return 2.0 * np.sqrt(np.maximum(e2 - e1 * e1, 0.0))
+
+
 def gradient_norm(spectrum: Spectrum, state: np.ndarray) -> float:
     """Tangential gradient norm of the energy function at a unit state:
     2 sqrt(sum E_k^2 |psi_k|^2 - (sum E_k |psi_k|^2)^2).
@@ -291,15 +297,15 @@ def gradient_norm(spectrum: Spectrum, state: np.ndarray) -> float:
         raise DomainError(f"state must be normalized to 1e-9 (|psi|^2 = {norm})")
     e1 = float(np.dot(p, levels))
     e2 = float(np.dot(p, levels ** 2))
-    return 2.0 * math.sqrt(max(e2 - e1 * e1, 0.0))
+    return float(_gradient_norm(e1, e2))
 
 
 def oracle_manifold_sample(
     spectrum: Spectrum,
     energy: float,
-    eta: float,
+    eta: float | None,
     count: int,
-    max_draws: int,
+    max_draws: int | None,
     rng: RngSpec,
     proposal: str = "uniform",
     workers: int | None = None,
@@ -319,11 +325,17 @@ def oracle_manifold_sample(
     reachable where uniform acceptance would be astronomically small.
     Gaussian-proposal weights are reported relative to their maximum.
 
-    Proposal chunks of ``chunk_layout(max_draws, n)`` are drawn and screened
-    on ``workers`` threads (default: the CPUs available) and taken in layout
-    order until ``count`` states are accepted; chunks drawn ahead of that
-    point are discarded, so the batch does not depend on ``workers``.
+    ``eta=None`` means :func:`default_shell_width` and ``max_draws=None``
+    means ``200 * count``.  Proposal chunks of ``chunk_layout(max_draws, n)``
+    are drawn and screened on ``workers`` threads (default: the CPUs
+    available) and taken in layout order until ``count`` states are accepted;
+    chunks drawn ahead of that point are discarded, so the batch does not
+    depend on ``workers``.
     """
+    if eta is None:
+        eta = default_shell_width(spectrum)
+    if max_draws is None:
+        max_draws = 200 * count
     if eta <= 0.0:
         raise DomainError("shell width eta must be positive")
     if count < 1:
@@ -364,7 +376,7 @@ def oracle_manifold_sample(
         nrm2 = nrm2[mask]
         p_acc = p[mask] / nrm2[:, None]
         e2 = p_acc @ (levels ** 2)
-        grad = 2.0 * np.sqrt(np.maximum(e2 - e1 ** 2, 0.0))
+        grad = _gradient_norm(e1, e2)
         keep = grad > 0.0
         psi_acc = raw[mask][keep] / np.sqrt(nrm2[keep, None])
         lw = np.log(grad[keep])

@@ -141,6 +141,14 @@ class TestDelta:
         want = math.sqrt(ratio * (1 + 1 / n)) * (3 / (8 * n) + 15 * math.sqrt(ratio * order))
         assert delta_deviation(k) == pytest.approx(want, rel=1e-14)
 
+    def test_equals_the_inline_window_exactly(self):
+        for spec, n in ((Spectrum((1.0, 2.0, 3.0)), 8193), (Spectrum((0.5, 1.2, 4.0)), 300)):
+            k = constants_for(spec, 1.5, 2.0, dim=n)
+            ratio = k.frame.e_prime / k.frame.e_prime_min
+            order = k.epsilon / math.sqrt(n) + math.log(2.0 * k.a * n ** 1.5) / (2.0 * n)
+            inner = 3.0 / (8.0 * n) + 15.0 * math.sqrt(ratio * order)
+            assert delta_deviation(k) == math.sqrt(ratio * (1.0 + 1.0 / n)) * inner
+
     def test_quarter_root_envelope(self):
         for n in (550, 1024, 8193, 100000):
             k = constants_for(Spectrum((1.0, 2.0, 3.0)), 1.5, 2.0, dim=n)

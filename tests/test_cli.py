@@ -3,9 +3,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from mee.cli import run
+from mee.io import load_spectrum
+from mee.sampling import RngSpec, default_shell_width, oracle_manifold_sample
 
 
 @pytest.fixture
@@ -193,6 +196,41 @@ class TestSample:
         header = out.read_text().splitlines()[0]
         assert header.endswith("weight")
         assert record["meta"]["acceptance_rate"] > 0
+
+    @pytest.mark.parametrize("proposal", ["uniform", "gaussian"])
+    def test_oracle_csv_cells_are_the_batch_bits(
+        self, capsys, small_spectrum_file, tmp_path, proposal
+    ):
+        out = tmp_path / "oracle.csv"
+        code, record = run_json(
+            capsys,
+            [
+                "sample",
+                "--spectrum", small_spectrum_file,
+                "--energy", "1.9",
+                "--mode", "oracle",
+                "--proposal", proposal,
+                "--count", "200",
+                "--seed", "8",
+                "--out", str(out),
+            ],
+        )
+        assert code == 0
+        spec = load_spectrum(small_spectrum_file)
+        batch = oracle_manifold_sample(
+            spec, 1.9, default_shell_width(spec), 200, 200 * 200, RngSpec(seed=8),
+            proposal=proposal,
+        )
+        assert record["produced"] == batch.count == 200
+        text = out.read_bytes().decode()
+        assert "np." not in text
+        lines = text.split("\r\n")
+        assert lines.pop() == ""  # every line ends in CRLF
+        assert not any("\n" in line or "\r" in line for line in lines)
+        assert lines[0].endswith("im59,weight")
+        cells = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        want = np.column_stack([batch.states.view(np.float64), batch.weights])
+        assert cells.tobytes() == want.tobytes()
 
     def test_sphere_needs_no_energy(self, capsys, small_spectrum_file):
         code, record = run_json(

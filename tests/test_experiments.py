@@ -32,6 +32,8 @@ from mee import (
     tail_report,
 )
 from mee.io import dumps_record
+from mee.sampling import chunk_layout, default_shell_width
+from mee.spectrum import harmonic_shift_solve
 
 
 class TestMeasured:
@@ -142,6 +144,28 @@ class TestEstimateReducedDm:
         )
         dm = estimate_reduced_dm(batch, 2, 2)
         assert np.allclose(dm.diagonal, [0.75, 0.25])
+
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_row_blocks_match_the_whole_batch_formula(self, weighted):
+        dim_a, dim_b = 4, 1024
+        count = chunk_layout(10**9, dim_a * dim_b)[0] + 88  # two blocks
+        gen = np.random.default_rng(42)
+        states = gen.standard_normal((count, dim_a * dim_b)) + 1j * gen.standard_normal(
+            (count, dim_a * dim_b)
+        )
+        weights = gen.uniform(0.5, 2.0, count) if weighted else None
+        batch = SampleBatch(states=states, weights=weights, rng_spec=RngSpec(seed=0), meta={})
+        psi = states / np.linalg.norm(states, axis=1, keepdims=True)
+        psi = psi.reshape(count, dim_a, dim_b)
+        rhos = np.einsum("mak,mbk->mab", psi, psi.conj())
+        if weighted:
+            rho = np.einsum("m,mab->ab", weights / weights.sum(), rhos)
+        else:
+            rho = rhos.sum(axis=0) / count
+        want = 0.5 * (rho + rho.conj().T)
+        got = estimate_reduced_dm(batch, dim_a, dim_b).matrix
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestEmpiricalTail:
@@ -380,6 +404,16 @@ class TestSpinProbe:
         assert 0.5 <= c.value / c_reference <= 2.0
         assert c.reference == pytest.approx(c_reference, rel=1e-12)
         assert c.passed
+
+    def test_tail_constant_and_shell_width_at_the_harmonic_shift(self):
+        spec = SpinEnsembleSpec(m=6, alpha=0.3, gamma=0.4)
+        report = spin_concentration_probe(spec, 200, RngSpec(seed=40))
+        c = {m.name: m for m in report.measured}["tail_constant_c"]
+        energy = 0.3 * 6  # the probe's alpha * m, 1.7999999999999998
+        s = harmonic_shift_solve(spin_spectrum(6), energy)
+        assert c.value == 3 * s / (32 * (energy + s))
+        assert report.inputs["harmonic_shift"] == s
+        assert report.inputs["eta"] == default_shell_width(spin_spectrum(6))
 
     def test_occupation_floor_identity(self):
         # the weighted occupation numbers resolve the analytic constraint

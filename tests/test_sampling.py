@@ -273,6 +273,18 @@ class TestGradientNorm:
         e2 = p @ np.array([0.0, 0.0, 4.0])
         assert gradient_norm(spec, state) == pytest.approx(2 * math.sqrt(e2 - e1 * e1))
 
+    def test_matches_the_scalar_formula_exactly(self):
+        spec = Spectrum((0.3, 1.1, 2.9), (3, 2, 4))
+        levels = spec.expand()
+        gen = np.random.default_rng(41)
+        for _ in range(50):
+            psi = gen.standard_normal(9) + 1j * gen.standard_normal(9)
+            psi /= np.linalg.norm(psi)
+            p = np.abs(psi) ** 2
+            e1 = float(np.dot(p, levels))
+            e2 = float(np.dot(p, levels ** 2))
+            assert gradient_norm(spec, psi) == 2 * math.sqrt(max(e2 - e1 * e1, 0.0))
+
 
 class TestOracle:
     def test_two_distinct_levels_have_constant_weights(self):
@@ -356,6 +368,21 @@ class TestOracle:
         for k in range(3):
             mean, se = weighted_mean_and_error(p[:, k], batch.weights)
             assert abs(mean - want[k]) <= 5 * se
+
+    @pytest.mark.parametrize("proposal", ["uniform", "gaussian"])
+    def test_none_means_the_default_width_and_budget(self, proposal):
+        spec = Spectrum((1.0, 2.0, 3.0), (20, 20, 20))
+        count = 150
+        defaults = oracle_manifold_sample(
+            spec, 1.9, None, count, None, RngSpec(seed=17), proposal=proposal
+        )
+        explicit = oracle_manifold_sample(
+            spec, 1.9, default_shell_width(spec), count, 200 * count, RngSpec(seed=17),
+            proposal=proposal,
+        )
+        assert defaults.states.tobytes() == explicit.states.tobytes()
+        assert defaults.weights.tobytes() == explicit.weights.tobytes()
+        assert defaults.meta == explicit.meta
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):

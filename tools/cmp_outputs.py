@@ -20,9 +20,12 @@ warning class and message still do.
 The list covers the ``verify`` reports of every experiment at ``--workers``
 1, 2 and the default (plus the tail ``curve.csv``), the ``spins`` alias, the
 ``sample`` CSV and record in every mode (Gaussian and sphere over three
-chunks with a short last one, both oracle proposals, a partial oracle
-batch), ``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json``,
-and ``verify --count 0``.  It takes a minute or two, mostly the CSV writes.
+chunks with a short last one, both oracle proposals with an explicit and
+with the default ``--eta`` and ``--max-draws``, a partial oracle batch),
+``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json`` and the
+error of an infeasible ``canonical --epsilon``, ``means``, ``shift`` (harmonic
+and ``--epsilon``), and ``verify --count 0``.  It takes a minute or two,
+mostly the CSV writes.
 """
 from __future__ import annotations
 
@@ -76,6 +79,10 @@ def commands() -> dict[str, list[str]]:
                            "--eta", "0.02"],
         "oracle-gaussian": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "400",
                             "--eta", "0.02", "--proposal", "gaussian"],
+        "oracle-uniform-defaults": ["--spectrum", "in/s60.json", "--energy", "1.8",
+                                    "--count", "200"],
+        "oracle-gaussian-defaults": ["--spectrum", "in/s60.json", "--energy", "1.8",
+                                     "--count", "200", "--proposal", "gaussian"],
         "oracle-partial": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "100000",
                            "--eta", "0.02", "--max-draws", "70000"],
     }
@@ -89,6 +96,14 @@ def commands() -> dict[str, list[str]]:
                               "--epsilon", "2", "--out-dir", "out/bounds-epsilon"]
     cmds["canonical"] = ["canonical", "--bipartite", "in/bip.json", "--energy", "1.3",
                          "--epsilon", "2", "--out-dir", "out/canonical"]
+    # exits 1 with the InfeasibleError record on stderr
+    cmds["canonical-infeasible"] = ["canonical", "--bipartite", "in/bip.json", "--energy",
+                                    "1.3", "--epsilon", "0.1",
+                                    "--out-dir", "out/canonical-infeasible"]
+    cmds["means"] = ["means", "--spectrum", "in/s900.json"]
+    cmds["shift-harmonic"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5"]
+    cmds["shift-epsilon"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5",
+                             "--epsilon", "2"]
     return cmds
 
 
