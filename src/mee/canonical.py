@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -137,7 +138,14 @@ class BipartiteSpectrum:
         return (a[:, None] + b[None, :]).ravel()
 
     def combined(self) -> Spectrum:
-        """Combined spectrum with equal values grouped into degeneracies."""
+        """Combined spectrum with equal values grouped into degeneracies.
+
+        The grouping is done once per instance; every call returns that spectrum.
+        """
+        return self._combined
+
+    @cached_property
+    def _combined(self) -> Spectrum:
         return Spectrum.grouped(self.flat_levels())
 
     @classmethod

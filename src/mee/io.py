@@ -31,7 +31,7 @@ def load_spectrum(path: str | Path) -> Spectrum:
         raise ParseError(f"{path} is missing the 'levels' key")
     try:
         return Spectrum.from_json(obj)
-    except (DomainError, TypeError, ValueError) as exc:
+    except (DomainError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path} is not a valid spectrum: {exc}") from exc
 
 
@@ -42,7 +42,7 @@ def load_bipartite(path: str | Path) -> BipartiteSpectrum:
         raise ParseError(f"{path} is missing 'levels_a'/'levels_b'")
     try:
         return BipartiteSpectrum.from_json(obj)
-    except (DomainError, TypeError, ValueError) as exc:
+    except (DomainError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path} is not a valid bipartite spectrum: {exc}") from exc
 
 

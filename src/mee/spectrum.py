@@ -9,6 +9,7 @@ O(#distinct levels); expansion happens only on demand (sampling).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -42,33 +43,41 @@ class Spectrum:
     degeneracies: tuple[int, ...] = ()
 
     def __post_init__(self):
-        levels = tuple(float(x) for x in self.levels)
-        if len(levels) == 0:
+        arr = np.array(self.levels, dtype=float)
+        if arr.ndim != 1:
+            raise DomainError("energy levels must be a flat sequence of numbers")
+        if arr.size == 0:
             raise DomainError("spectrum must contain at least one level")
-        if not all(math.isfinite(x) for x in levels):
+        if not np.isfinite(arr).all():
             raise DomainError("all energy levels must be finite")
+        # Python floats, not NumPy scalars: repr and to_json depend on it.
+        levels = tuple(arr.tolist())
         degs = self.degeneracies
         if degs is None or len(degs) == 0:
             degs = (1,) * len(levels)
         else:
-            degs = tuple(int(d) for d in degs)
+            given = tuple(degs)
+            degs = tuple(map(int, given))
+            if degs != given:
+                raise DomainError("degeneracies must be whole numbers")
             if len(degs) != len(levels):
                 raise DomainError("degeneracies must match levels in length")
-            if any(d < 1 for d in degs):
+            if min(degs) < 1:
                 raise DomainError("degeneracies must be positive integers")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "degeneracies", degs)
 
-    @property
+    # The spectrum is frozen, so its size and extrema are worked out once.
+    @cached_property
     def n(self) -> int:
         """Expanded dimension, sum of all degeneracies."""
         return sum(self.degeneracies)
 
-    @property
+    @cached_property
     def e_min(self) -> float:
         return min(self.levels)
 
-    @property
+    @cached_property
     def e_max(self) -> float:
         return max(self.levels)
 
@@ -99,10 +108,7 @@ class Spectrum:
     @classmethod
     def grouped(cls, levels: Sequence[float]) -> "Spectrum":
         """Group repeated values of ``levels`` into degeneracies (first-seen order)."""
-        counts: dict[float, int] = {}
-        for x in levels:
-            x = float(x)
-            counts[x] = counts.get(x, 0) + 1
+        counts = Counter(np.asarray(levels, dtype=float).tolist())
         return cls(tuple(counts.keys()), tuple(counts.values()))
 
     @classmethod

@@ -3,13 +3,17 @@
 Everything here deliberately avoids the library's own solver/sampler code
 paths: plain bisection for shift equations, quadrature over an explicit
 parametrization for three-level manifold moments, and closed forms where
-two-level algebra permits.
+two-level algebra permits.  The ``grouped_calls`` fixture counts how often
+the library groups a level list.
 """
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from scipy import integrate
+
+from mee import Spectrum
 
 # property tests draw the same examples on every run
 settings.register_profile("deterministic", derandomize=True)
@@ -25,6 +29,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def grouped_calls(monkeypatch):
+    """Sizes of the level lists passed to ``Spectrum.grouped``, one per call."""
+    calls: list[int] = []
+    original = Spectrum.grouped.__func__
+
+    def counting(cls, levels):
+        calls.append(len(levels))
+        return original(cls, levels)
+
+    monkeypatch.setattr(Spectrum, "grouped", classmethod(counting))
+    return calls
 
 
 def bisect_shift(levels, weights, energy, multiplier=1.0, iters=200):

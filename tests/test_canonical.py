@@ -73,6 +73,11 @@ class TestBipartiteSpectrum:
         bs = BipartiteSpectrum((1.0, 2.0), (0.5,))
         assert BipartiteSpectrum.from_json(bs.to_json()) == bs
 
+    def test_combined_is_grouped_once(self, grouped_calls):
+        bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0, 1.0))
+        assert bs.combined() is bs.combined()
+        assert grouped_calls == [6]
+
 
 class TestRhoC:
     def test_limit_matrix_from_detmax(self):

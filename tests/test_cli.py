@@ -153,6 +153,12 @@ class TestCanonical:
         assert record["tail_prefactor"] == pytest.approx(12 * record["constants"]["a"])
         assert (out / "canonical.json").exists()
 
+    def test_groups_the_combined_spectrum_once(self, capsys, bipartite_file, grouped_calls):
+        argv = ["canonical", "--bipartite", bipartite_file, "--energy", "1.5", "--epsilon", "2"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert grouped_calls == [192]
+
 
 class TestSample:
     def test_gaussian_csv(self, capsys, small_spectrum_file, tmp_path):
@@ -352,6 +358,27 @@ class TestErrorPaths:
         bad.write_text(json.dumps({"levels": []}))
         assert run(["means", "--spectrum", str(bad)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command,obj",
+        [
+            ("means", {"levels": [1, 2, 10**400]}),
+            ("canonical", {"levels_a": [1.0, 2.0], "levels_b": [1, 2, 10**400]}),
+            ("means", {"levels": [1, 2, 3], "degeneracies": [1.5, 2, 3]}),
+        ],
+        ids=["huge-level", "huge-level-b", "fractional-degeneracy"],
+    )
+    def test_invalid_number_is_exit_2(self, capsys, tmp_path, command, obj):
+        bad = tmp_path / "bad3.json"
+        bad.write_text(json.dumps(obj))
+        if command == "means":
+            argv = ["means", "--spectrum", str(bad)]
+        else:
+            argv = ["canonical", "--bipartite", str(bad), "--energy", "1.5", "--epsilon", "2"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ParseError"
 
     def test_unknown_subcommand_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:

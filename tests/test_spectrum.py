@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mee import (
@@ -48,7 +48,15 @@ class TestSpectrum:
 
     @pytest.mark.parametrize(
         "levels,degs",
-        [((), ()), ((1.0, math.inf), ()), ((1.0, 2.0), (1,)), ((1.0, 2.0), (1, 0)), ((1.0,), (-2,))],
+        [
+            ((), ()),
+            ((1.0, math.inf), ()),
+            ((1.0, 2.0), (1,)),
+            ((1.0, 2.0), (1, 0)),
+            ((1.0,), (-2,)),
+            ((1.0, 2.0, 3.0), (1.5, 2, 3)),
+            (((1.0, 2.0),), ()),
+        ],
     )
     def test_invalid_inputs(self, levels, degs):
         with pytest.raises(DomainError):
@@ -57,6 +65,62 @@ class TestSpectrum:
     def test_json_round_trip(self):
         s = Spectrum((1.0, 2.5), (2, 3))
         assert Spectrum.from_json(s.to_json()) == s
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(min_value=1, max_value=10**20),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example([(0.0, 1), (-0.0, 2)])
+    @example([(-0.0, 3), (0.0, 1), (5.0, 1)])
+    def test_size_and_extrema_are_sum_min_max_of_the_fields(self, pairs):
+        s = Spectrum(tuple(x for x, _ in pairs), tuple(d for _, d in pairs))
+        for _ in range(2):  # the first access computes, the second reads the cache
+            assert s.n == sum(s.degeneracies)
+            for got, want in ((s.e_min, min(s.levels)), (s.e_max, max(s.levels))):
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            list,
+            tuple,
+            lambda v: np.array(v, dtype=np.float64),
+            lambda v: np.array(v, dtype=np.float32),
+            lambda v: np.array(v, dtype=np.int64),
+        ],
+        ids=["list", "tuple", "float64", "float32", "int64"],
+    )
+    def test_fields_hold_python_floats_and_ints(self, make):
+        levels, degs = make([3, 1, 2]), make([2, 1, 3])
+        s = Spectrum(levels, degs)
+        assert s.levels == (3.0, 1.0, 2.0) and s.degeneracies == (2, 1, 3)
+        assert all(type(x) is float for x in s.levels)
+        assert all(type(d) is int for d in s.degeneracies)
+        assert "np." not in repr(s)
+        g = Spectrum.grouped(make([3, 1, 3]))
+        assert all(type(x) is float for x in g.levels)
+        assert all(type(d) is int for d in g.degeneracies)
+
+    def test_grouped_matches_a_first_seen_dict(self):
+        levels = [2.0, -0.0, 1.0, 0.0, 2.0, 1.5, -0.0, 1.0, 0.0, 7]
+        ref: dict[float, int] = {}
+        for x in levels:
+            x = float(x)
+            ref[x] = ref.get(x, 0) + 1
+        for given_levels in (levels, tuple(levels), np.array(levels)):
+            s = Spectrum.grouped(given_levels)
+            assert s.levels == tuple(ref.keys())
+            assert s.degeneracies == tuple(ref.values())
+            signs = [math.copysign(1.0, x) for x in s.levels]
+            assert signs == [math.copysign(1.0, x) for x in ref]
 
 
 class TestMeans:

@@ -24,13 +24,19 @@ chunks with a short last one, both oracle proposals with an explicit and
 with the default ``--eta`` and ``--max-draws``, a partial oracle batch),
 ``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json`` and the
 error of an infeasible ``canonical --epsilon``, ``means``, ``shift`` (harmonic
-and ``--epsilon``), and ``verify --count 0``.  It takes a minute or two,
-mostly the CSV writes.
+and ``--epsilon``), and ``verify --count 0``.  ``means``, ``shift``,
+``bounds`` (grid and ``--epsilon``) and ``canonical`` also run on two larger
+inputs drawn from a fixed seed: 20 000 random levels with degeneracies 1-19,
+and a bipartite spectrum of integer levels whose combined spectrum collapses
+12 000 sums into a few dozen grouped levels.  Three malformed inputs (a
+401-digit integer level in a spectrum and in ``levels_b``, a degeneracy of
+1.5) check the error path.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -45,7 +51,25 @@ INPUTS = {
     "in/s123.json": {"levels": [1.0, 2.0, 3.0]},
     # n = 192: chunks of 10922 states
     "in/bip.json": {"levels_a": [1.0, 2.0, 3.0], "levels_b": [0.0] * 64},
+    "in/huge-level.json": {"levels": [1, 2, 10**400]},
+    "in/huge-level-b.json": {"levels_a": [1.0, 2.0], "levels_b": [1, 2, 10**400]},
+    "in/fractional-degeneracy.json": {"levels": [1, 2, 3], "degeneracies": [1.5, 2, 3]},
 }
+
+
+def large_inputs(seed: int = 8) -> dict[str, dict]:
+    """A 20 000-level spectrum (n = 200 003 at seed 8) and a 4 x 3000 bipartite
+    spectrum of integer levels (43 grouped combined levels at seed 8)."""
+    rng = random.Random(seed)
+    levels = [rng.uniform(0.0, 10.0) for _ in range(20_000)]
+    degeneracies = [rng.randint(1, 19) for _ in range(20_000)]
+    levels_a = [rng.randint(0, 4) for _ in range(4)]
+    levels_b = [rng.randint(0, 40) for _ in range(3000)]
+    return {
+        "in/large.json": {"levels": levels, "degeneracies": degeneracies},
+        "in/bip-int.json": {"levels_a": levels_a, "levels_b": levels_b},
+    }
+
 
 VERIFY = {
     "moments": ["--spectrum", "in/s900.json", "--energy", "1.5", "--count", "6000"],
@@ -104,6 +128,22 @@ def commands() -> dict[str, list[str]]:
     cmds["shift-harmonic"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5"]
     cmds["shift-epsilon"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5",
                              "--epsilon", "2"]
+    large = ["--spectrum", "in/large.json"]
+    cmds["large-means"] = ["means", *large]
+    cmds["large-shift-harmonic"] = ["shift", *large, "--energy", "3.5"]
+    cmds["large-shift-epsilon"] = ["shift", *large, "--energy", "3.5", "--epsilon", "2"]
+    cmds["large-bounds-grid"] = ["bounds", *large, "--energy", "3.5",
+                                 "--out-dir", "out/large-bounds-grid"]
+    cmds["large-bounds-epsilon"] = ["bounds", *large, "--energy", "3.5", "--epsilon", "2",
+                                    "--out-dir", "out/large-bounds-epsilon"]
+    cmds["bip-int-canonical"] = ["canonical", "--bipartite", "in/bip-int.json",
+                                 "--energy", "15", "--epsilon", "2",
+                                 "--out-dir", "out/bip-int-canonical"]
+    # malformed inputs: each exits 2 with the ParseError record on stderr
+    cmds["huge-level"] = ["means", "--spectrum", "in/huge-level.json"]
+    cmds["huge-level-b"] = ["canonical", "--bipartite", "in/huge-level-b.json",
+                            "--energy", "1.5", "--epsilon", "2"]
+    cmds["fractional-degeneracy"] = ["means", "--spectrum", "in/fractional-degeneracy.json"]
     return cmds
 
 
@@ -142,7 +182,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="cmp_outputs_") as tmp:
         works = [Path(tmp) / side for side in ("parent", "change")]
         for work in works:
-            for rel, obj in INPUTS.items():
+            for rel, obj in {**INPUTS, **large_inputs()}.items():
                 path = work / rel
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(json.dumps(obj))
