@@ -130,7 +130,6 @@ def constants_for(
     spectrum: Spectrum,
     energy: float,
     epsilon: float,
-    tol: float = 1e-12,
     dim: int | None = None,
 ) -> ConcentrationConstants:
     """Solve the shift for ``epsilon`` and assemble (a, c).
@@ -141,7 +140,7 @@ def constants_for(
     low-energy window is a caller-side precondition, checked separately via
     :func:`check_energy_window` (the constants themselves do not need it).
     """
-    frame = epsilon_shift_solve(spectrum, energy, epsilon, tol=tol, dim=dim)
+    frame = epsilon_shift_solve(spectrum, energy, epsilon, dim=dim)
     denom, min_eps = _feasibility(frame, epsilon)
     if denom <= 0.0:
         raise InfeasibleError(
@@ -188,7 +187,6 @@ def optimize_epsilon(
     energy: float,
     t: float,
     grid: Sequence[float],
-    tol: float = 1e-12,
     dim: int | None = None,
 ) -> ConcentrationConstants:
     """Grid scan for the feasible epsilon minimizing the tail bound at ``t``.
@@ -204,7 +202,7 @@ def optimize_epsilon(
     failures: dict[float, str] = {}
     for eps in grid:
         try:
-            cand = constants_for(spectrum, energy, float(eps), tol=tol, dim=dim)
+            cand = constants_for(spectrum, energy, float(eps), dim=dim)
         except (InfeasibleError, DomainError) as exc:
             failures[float(eps)] = str(exc)
             continue

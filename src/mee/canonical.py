@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import ConcentrationConstants, _exp_or_inf, median_window, tail_log_bound
 from .errors import DomainError, NumericalError
-from .spectrum import Spectrum, harmonic_shift_solve, epsilon_shift_solve
+from .spectrum import EnergyFrame, Spectrum, harmonic_shift_solve, epsilon_shift_solve
 
 __all__ = [
     "DensityMatrix",
@@ -109,14 +109,9 @@ class BipartiteSpectrum:
     levels_b: tuple[float, ...]
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.levels_a)
-        b = tuple(float(x) for x in self.levels_b)
-        if not a or not b:
-            raise DomainError("both parts need at least one level")
-        if not all(math.isfinite(x) for x in a + b):
-            raise DomainError("all levels must be finite")
-        object.__setattr__(self, "levels_a", a)
-        object.__setattr__(self, "levels_b", b)
+        # each part is checked and stored by the rules of a Spectrum
+        object.__setattr__(self, "levels_a", Spectrum(self.levels_a).levels)
+        object.__setattr__(self, "levels_b", Spectrum(self.levels_b).levels)
 
     @property
     def dim_a(self) -> int:
@@ -156,23 +151,19 @@ class BipartiteSpectrum:
         return {"levels_a": list(self.levels_a), "levels_b": list(self.levels_b)}
 
 
-def rho_c_bipartite(
-    bs: BipartiteSpectrum, energy: float, epsilon: float, tol: float = 1e-12
-) -> DensityMatrix:
-    """Canonical reduced state of part A for H = H_A + H_B at energy E.
+def rho_c_bipartite(bs: BipartiteSpectrum, frame: EnergyFrame) -> DensityMatrix:
+    """Canonical reduced state of part A for H = H_A + H_B at the frame's energy E.
 
-    Diagonal with entries (1 + 1/(2n))/(n + 1) * sum_l E'/E'_kl, where the
-    shift solves the epsilon-condition on the combined spectrum.  The trace
-    is close to but not exactly one; the deviation equals
-    (1 + 1/(2n)) * n/(n+1) * E'/E'_H - 1.
+    Diagonal with entries (1 + 1/(2n))/(n + 1) * sum_l E'/E'_kl, where
+    ``frame`` is the epsilon-solved frame of ``bs.combined()`` (the one
+    :func:`constants_for` returns).  The trace is close to but not exactly
+    one; the deviation equals (1 + 1/(2n)) * n/(n+1) * E'/E'_H - 1.
     """
-    frame = epsilon_shift_solve(bs.combined(), energy, epsilon, tol=tol)
+    if frame.dim != bs.n or frame.base != bs.combined():
+        raise DomainError("frame must be solved on the combined spectrum at its dimension")
     n = frame.dim
-    a = np.asarray(bs.levels_a, dtype=float)
-    b = np.asarray(bs.levels_b, dtype=float)
-    shifted = a[:, None] + b[None, :] + frame.shift
-    if np.any(shifted <= 0.0):
-        raise DomainError("combined shifted levels must be positive")
+    # e_min + s > 0 in the frame, and fl(x + s) is monotone in x, so every E'_kl > 0
+    shifted = bs.flat_levels().reshape(bs.dim_a, bs.dim_b) + frame.shift
     entries = (1.0 + 0.5 / n) / (n + 1.0) * (frame.e_prime / shifted).sum(axis=1)
     return DensityMatrix.from_diagonal(entries)
 
@@ -182,7 +173,6 @@ def rho_c_flat_env(
     energy: float,
     epsilon: float,
     n: int,
-    tol: float = 1e-12,
 ) -> DensityMatrix:
     """Canonical state for H_B = 0 at total dimension ``n``.
 
@@ -192,7 +182,7 @@ def rho_c_flat_env(
     be an integer, which lets a single formula cover dimension sweeps.
     """
     spec_a = Spectrum(tuple(levels_a))
-    frame = epsilon_shift_solve(spec_a, energy, epsilon, tol=tol, dim=n)
+    frame = epsilon_shift_solve(spec_a, energy, epsilon, dim=n)
     shifted = spec_a.expand() + frame.shift
     entries = (1.0 + 0.5 / n) / (n + 1.0) * (n / spec_a.n) * frame.e_prime / shifted
     return DensityMatrix.from_diagonal(entries)
@@ -205,13 +195,12 @@ def delta_deviation(constants: ConcentrationConstants) -> float:
     return math.sqrt(ratio * (1.0 + 1.0 / constants.n)) * median_window(constants, 1.0)
 
 
-def reduced_dm_tail(
-    constants: ConcentrationConstants, dim_a: int, t: float, delta: float = 0.0
-) -> float:
+def reduced_dm_tail(constants: ConcentrationConstants, dim_a: int, t: float) -> float:
     """Probability bound for the event ||psi^A - rho_c||_2 > sqrt(8)*|A|*(t + delta).
 
     Returns |A|(|A|+1) * a * n^(3/2) * exp(-c n (t - 1/(4n))^2 + 2 eps sqrt(n));
-    ``delta`` only shifts the event threshold and does not enter the value.
+    delta (:func:`delta_deviation`) only shifts the event threshold and does
+    not enter the value.
     """
     if dim_a < 1:
         raise DomainError("dim_a must be positive")
@@ -244,37 +233,40 @@ def detmax_state(levels_a: Sequence[float], energy: float, tol: float = 1e-12) -
     return DensityMatrix.from_diagonal(lam)
 
 
+def _check_qubit_energy(e1: float, e2: float, energy: float) -> None:
+    """Require an energy between the ground level and the two-level midpoint."""
+    if not (e2 < energy < 0.5 * (e1 + e2) < e1):
+        raise DomainError(
+            f"need E2 < E < (E1+E2)/2 < E1, got E1={e1}, E2={e2}, E={energy}"
+        )
+
+
 def qubit_canonical(e1: float, e2: float, energy: float) -> DensityMatrix:
     """Exact canonical state of a two-level part: diag((E-E2)/(E1-E2), (E1-E)/(E1-E2)).
 
     Requires E2 < E < (E1+E2)/2 < E1, i.e. an energy strictly between the
     ground level and the infinite-temperature midpoint.
     """
-    if not (e2 < energy < 0.5 * (e1 + e2) < e1):
-        raise DomainError(
-            f"need E2 < E < (E1+E2)/2 < E1, got E1={e1}, E2={e2}, E={energy}"
-        )
+    _check_qubit_energy(e1, e2, energy)
     d1 = (energy - e2) / (e1 - e2)
     return DensityMatrix.from_diagonal([d1, 1.0 - d1])
 
 
-def _bloch_cap_height(e1: float, e2: float, energy: float) -> float:
-    """1 - r_z^2 for the energy plane in the Bloch ball."""
-    if not (e2 < energy < 0.5 * (e1 + e2) < e1):
-        raise DomainError(
-            f"need E2 < E < (E1+E2)/2 < E1, got E1={e1}, E2={e2}, E={energy}"
-        )
+def _bloch_cap_height(e1: float, e2: float, energy: float, dim_b: int, eps: float) -> float:
+    """1 - r_z^2 for the energy plane in the Bloch ball, once the arguments
+    of the qubit tail functions are checked."""
+    if dim_b < 2:
+        raise DomainError("dim_b must be at least 2")
+    if eps < 0.0:
+        raise DomainError("eps must be nonnegative")
+    _check_qubit_energy(e1, e2, energy)
     return 4.0 * (e1 - energy) * (energy - e2) / (e1 - e2) ** 2
 
 
 def qubit_exact_tail(e1: float, e2: float, energy: float, dim_b: int, eps: float) -> float:
     """Exact probability that the reduced qubit state deviates by at least eps
     in trace norm: (1 - eps^2/(1 - r_z^2))^(|B|-1), zero once the annulus is empty."""
-    if dim_b < 2:
-        raise DomainError("dim_b must be at least 2")
-    if eps < 0.0:
-        raise DomainError("eps must be nonnegative")
-    disc = _bloch_cap_height(e1, e2, energy)
+    disc = _bloch_cap_height(e1, e2, energy, dim_b, eps)
     if eps * eps >= disc:
         return 0.0
     return (1.0 - eps * eps / disc) ** (dim_b - 1)
@@ -283,11 +275,7 @@ def qubit_exact_tail(e1: float, e2: float, energy: float, dim_b: int, eps: float
 def qubit_exponential_bound(e1: float, e2: float, energy: float, dim_b: int, eps: float) -> float:
     """Exponential upper bound exp(-eps^2 (|B|-1)(E1-E2)^2 / (4(E1-E)(E-E2)))
     dominating the exact tail for all eps >= 0."""
-    if dim_b < 2:
-        raise DomainError("dim_b must be at least 2")
-    if eps < 0.0:
-        raise DomainError("eps must be nonnegative")
-    disc = _bloch_cap_height(e1, e2, energy)
+    disc = _bloch_cap_height(e1, e2, energy, dim_b, eps)
     return math.exp(-eps * eps * (dim_b - 1) / disc)
 
 

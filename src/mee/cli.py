@@ -255,8 +255,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_canonical(args: argparse.Namespace) -> int:
     bs = load_bipartite(args.bipartite)
-    rho = canonical_mod.rho_c_bipartite(bs, args.energy, args.epsilon)
     consts = bounds_mod.constants_for(bs.combined(), args.energy, args.epsilon)
+    rho = canonical_mod.rho_c_bipartite(bs, consts.frame)
     delta = canonical_mod.delta_deviation(consts)
     record = {
         "config": {

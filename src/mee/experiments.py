@@ -263,10 +263,10 @@ def reduced_dm_report(
     deviation budget, not a failure.
     """
     dim_a, dim_b = bs.dim_a, bs.dim_b
-    flat = Spectrum(tuple(bs.flat_levels()))
+    flat = Spectrum(bs.flat_levels().tolist())
     frame = harmonic_frame(flat, energy)
-    rho_ref = rho_c_bipartite(bs, energy, epsilon)
     consts = constants_for(bs.combined(), energy, epsilon)
+    rho_ref = rho_c_bipartite(bs, consts.frame)
     envelope = math.sqrt(8.0) * dim_a * delta_deviation(consts)
 
     def one_chunk(psi: np.ndarray):
@@ -587,7 +587,6 @@ def spin_concentration_probe(
     count: int,
     rng: RngSpec,
     eta: float | None = None,
-    max_draws: int | None = None,
     workers: int | None = None,
 ) -> ExperimentReport:
     """Evidence that the spin ensemble admits no exponential concentration.
@@ -622,12 +621,9 @@ def spin_concentration_probe(
     n = 2 ** spec.m
     energy = spec.alpha * spec.m
     cut = spec.gamma * spec.m
-    if max_draws is None:
-        # gaussian-proposal acceptance sits near 0.5% at m = 10
-        max_draws = 400 * count
-
+    # gaussian-proposal acceptance sits near 0.5% at m = 10: 400 draws per state
     batch = oracle_manifold_sample(
-        spectrum, energy, eta, count, max_draws, rng, proposal="gaussian", workers=workers
+        spectrum, energy, eta, count, 400 * count, rng, proposal="gaussian", workers=workers
     )
     levels = spectrum.expand()
     low = levels < cut

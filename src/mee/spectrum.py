@@ -51,7 +51,8 @@ class Spectrum:
         if not np.isfinite(arr).all():
             raise DomainError("all energy levels must be finite")
         # Python floats, not NumPy scalars: repr and to_json depend on it.
-        levels = tuple(arr.tolist())
+        # float() returns a Python float as it is, so the caller's are shared.
+        levels = tuple(map(float, self.levels))
         degs = self.degeneracies
         if degs is None or len(degs) == 0:
             degs = (1,) * len(levels)
@@ -225,7 +226,7 @@ class EnergyFrame:
         return float(np.dot(self.weights, self.shifted_levels ** -2.0) ** -0.5)
 
     def shifted_spectrum(self) -> Spectrum:
-        return Spectrum(tuple(self.shifted_levels), self.base.degeneracies)
+        return Spectrum(self.shifted_levels.tolist(), self.base.degeneracies)
 
     def is_harmonic(self, rtol: float = 1e-8) -> bool:
         """True when E' equals the shifted harmonic mean to relative tolerance."""
@@ -371,7 +372,7 @@ def epsilon_shift_solve(
     return EnergyFrame(spectrum, energy, s, n)
 
 
-def harmonic_frame(spectrum: Spectrum, energy: float, tol: float = 1e-12) -> EnergyFrame:
+def harmonic_frame(spectrum: Spectrum, energy: float) -> EnergyFrame:
     """EnergyFrame at the pure harmonic shift (the one the Gaussian sampler needs)."""
-    shift = harmonic_shift_solve(spectrum, energy, tol)
+    shift = harmonic_shift_solve(spectrum, energy)
     return EnergyFrame(spectrum, energy, shift)

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own solver/sampler code
 paths: plain bisection for shift equations, quadrature over an explicit
 parametrization for three-level manifold moments, and closed forms where
 two-level algebra permits.  The ``grouped_calls`` fixture counts how often
-the library groups a level list.
+the library groups a level list, and ``epsilon_solves`` how often it solves
+the epsilon shift.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import settings
 from scipy import integrate
 
+import mee.bounds
+import mee.canonical
 from mee import Spectrum
 
 # property tests draw the same examples on every run
@@ -42,6 +45,22 @@ def grouped_calls(monkeypatch):
         return original(cls, levels)
 
     monkeypatch.setattr(Spectrum, "grouped", classmethod(counting))
+    return calls
+
+
+@pytest.fixture
+def epsilon_solves(monkeypatch):
+    """Spectrum sizes passed to ``epsilon_shift_solve``, one per call, counted
+    at the bindings ``bounds`` and ``canonical`` call it through."""
+    calls: list[int] = []
+    original = mee.bounds.epsilon_shift_solve
+
+    def counting(spectrum, *args, **kwargs):
+        calls.append(spectrum.n)
+        return original(spectrum, *args, **kwargs)
+
+    for module in (mee.bounds, mee.canonical):
+        monkeypatch.setattr(module, "epsilon_shift_solve", counting)
     return calls
 
 

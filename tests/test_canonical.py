@@ -73,6 +73,22 @@ class TestBipartiteSpectrum:
         bs = BipartiteSpectrum((1.0, 2.0), (0.5,))
         assert BipartiteSpectrum.from_json(bs.to_json()) == bs
 
+    @pytest.mark.parametrize(
+        "levels_a,levels_b",
+        [
+            (((1.0, 2.0),), (0.0,)),
+            ((1.0,), ((0.0, 1.0),)),
+            ((1.0, math.nan), (0.0,)),
+            ((1.0,), (0.0, math.inf)),
+            ((), (0.0,)),
+            ((1.0,), ()),
+        ],
+        ids=["nested-a", "nested-b", "nan", "inf", "empty-a", "empty-b"],
+    )
+    def test_invalid_inputs(self, levels_a, levels_b):
+        with pytest.raises(DomainError):
+            BipartiteSpectrum(levels_a, levels_b)
+
     def test_combined_is_grouped_once(self, grouped_calls):
         bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0, 1.0))
         assert bs.combined() is bs.combined()
@@ -87,7 +103,7 @@ class TestRhoC:
     def test_flat_env_equals_bipartite_on_integer_cases(self):
         for dim_b in (4, 64, 2731):
             bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0,) * dim_b)
-            via_pairs = rho_c_bipartite(bs, 1.5, 2.0)
+            via_pairs = rho_c_bipartite(bs, epsilon_shift_solve(bs.combined(), 1.5, 2.0))
             via_formula = rho_c_flat_env((1.0, 2.0, 3.0), 1.5, 2.0, 3 * dim_b)
             assert np.allclose(via_pairs.diagonal, via_formula.diagonal, atol=1e-13)
 
@@ -104,15 +120,23 @@ class TestRhoC:
             assert (-4.0 + SQRT7) / 3.0 - lower_coef / math.sqrt(n) < frame.shift
             assert frame.shift < (-4.0 + SQRT7) / 3.0
 
+    def test_rejects_a_frame_of_another_problem(self):
+        bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0, 0.5))
+        other = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0, 0.25))
+        with pytest.raises(DomainError):
+            rho_c_bipartite(bs, epsilon_shift_solve(other.combined(), 2.0, 2.0))
+        with pytest.raises(DomainError):
+            rho_c_bipartite(bs, epsilon_shift_solve(bs.combined(), 2.0, 2.0, dim=7))
+
     def test_single_level_part_a_traces_to_one(self):
         bs = BipartiteSpectrum((2.0,), tuple(np.linspace(0.1, 1.5, 4096)))
-        dm = rho_c_bipartite(bs, 2.3, 1.0)
+        dm = rho_c_bipartite(bs, epsilon_shift_solve(bs.combined(), 2.3, 1.0))
         assert dm.dim == 1
         assert dm.trace == pytest.approx(1.0, abs=0.05)
 
     def test_trace_deviation_identity(self):
         bs = BipartiteSpectrum((1.0, 2.0, 3.0), tuple(np.linspace(0.0, 1.0, 11)))
-        dm = rho_c_bipartite(bs, 2.0, 2.0)
+        dm = rho_c_bipartite(bs, epsilon_shift_solve(bs.combined(), 2.0, 2.0))
         frame = epsilon_shift_solve(bs.combined(), 2.0, 2.0)
         n = frame.dim
         expected = (1.0 + 0.5 / n) * (n / (n + 1.0)) * frame.e_prime / frame.e_prime_harm
@@ -120,7 +144,7 @@ class TestRhoC:
 
     def test_uniform_environment_diagonal_proportions(self):
         bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.5,) * 32)
-        dm = rho_c_bipartite(bs, 2.0, 2.0)
+        dm = rho_c_bipartite(bs, epsilon_shift_solve(bs.combined(), 2.0, 2.0))
         frame = epsilon_shift_solve(bs.combined(), 2.0, 2.0)
         shifted_a = np.array([1.0, 2.0, 3.0]) + 0.5 + frame.shift
         ratios = dm.diagonal * shifted_a

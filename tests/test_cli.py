@@ -159,6 +159,12 @@ class TestCanonical:
         capsys.readouterr()
         assert grouped_calls == [192]
 
+    def test_solves_the_epsilon_shift_once(self, capsys, bipartite_file, epsilon_solves):
+        argv = ["canonical", "--bipartite", bipartite_file, "--energy", "1.5", "--epsilon", "2"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert epsilon_solves == [192]
+
 
 class TestSample:
     def test_gaussian_csv(self, capsys, small_spectrum_file, tmp_path):

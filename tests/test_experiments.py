@@ -321,6 +321,11 @@ class TestReducedDmReport:
         reduced_dm_report(bs, 1.5, 2.0, 200, RngSpec(seed=38), workers=1)
         assert grouped_calls == [48]
 
+    def test_solves_the_epsilon_shift_once(self, epsilon_solves):
+        bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0,) * 16)
+        reduced_dm_report(bs, 1.5, 2.0, 200, RngSpec(seed=38), workers=1)
+        assert epsilon_solves == [48]
+
     def test_workers_do_not_change_results(self):
         bs = BipartiteSpectrum((1.0, 2.0), (0.0,) * 32)
         a, rho_a = reduced_dm_report(bs, 1.3, 2.0, 2000, RngSpec(seed=37), workers=1)

@@ -109,6 +109,11 @@ class TestSpectrum:
         assert all(type(x) is float for x in g.levels)
         assert all(type(d) is int for d in g.degeneracies)
 
+    def test_python_float_levels_are_shared(self):
+        lv = [0.1 * k for k in range(50)]
+        s = Spectrum(lv)
+        assert all(s.levels[i] is lv[i] for i in range(len(lv)))
+
     def test_grouped_matches_a_first_seen_dict(self):
         levels = [2.0, -0.0, 1.0, 0.0, 2.0, 1.5, -0.0, 1.0, 0.0, 7]
         ref: dict[float, int] = {}

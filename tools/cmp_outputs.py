@@ -23,14 +23,15 @@ The list covers the ``verify`` reports of every experiment at ``--workers``
 chunks with a short last one, both oracle proposals with an explicit and
 with the default ``--eta`` and ``--max-draws``, a partial oracle batch),
 ``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json`` and the
-error of an infeasible ``canonical --epsilon``, ``means``, ``shift`` (harmonic
-and ``--epsilon``), and ``verify --count 0``.  ``means``, ``shift``,
+error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
+``verify``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
+--count 0``.  ``means``, ``shift``,
 ``bounds`` (grid and ``--epsilon``) and ``canonical`` also run on two larger
 inputs drawn from a fixed seed: 20 000 random levels with degeneracies 1-19,
 and a bipartite spectrum of integer levels whose combined spectrum collapses
-12 000 sums into a few dozen grouped levels.  Three malformed inputs (a
+12 000 sums into a few dozen grouped levels.  Four malformed inputs (a
 401-digit integer level in a spectrum and in ``levels_b``, a degeneracy of
-1.5) check the error path.  It takes a minute or two, mostly the CSV writes.
+1.5, an empty ``levels_a``) check the error path.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
 
@@ -54,6 +55,7 @@ INPUTS = {
     "in/huge-level.json": {"levels": [1, 2, 10**400]},
     "in/huge-level-b.json": {"levels_a": [1.0, 2.0], "levels_b": [1, 2, 10**400]},
     "in/fractional-degeneracy.json": {"levels": [1, 2, 3], "degeneracies": [1.5, 2, 3]},
+    "in/empty-part.json": {"levels_a": [], "levels_b": [0.0, 1.0]},
 }
 
 
@@ -124,6 +126,10 @@ def commands() -> dict[str, list[str]]:
     cmds["canonical-infeasible"] = ["canonical", "--bipartite", "in/bip.json", "--energy",
                                     "1.3", "--epsilon", "0.1",
                                     "--out-dir", "out/canonical-infeasible"]
+    cmds["verify-reduced-dm-infeasible"] = [
+        "verify", "--experiment", "reduced-dm", *VERIFY["reduced-dm"], "--epsilon", "0.1",
+        "--seed", "7", "--out-dir", "out/verify-reduced-dm-infeasible",
+    ]
     cmds["means"] = ["means", "--spectrum", "in/s900.json"]
     cmds["shift-harmonic"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5"]
     cmds["shift-epsilon"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5",
@@ -144,6 +150,8 @@ def commands() -> dict[str, list[str]]:
     cmds["huge-level-b"] = ["canonical", "--bipartite", "in/huge-level-b.json",
                             "--energy", "1.5", "--epsilon", "2"]
     cmds["fractional-degeneracy"] = ["means", "--spectrum", "in/fractional-degeneracy.json"]
+    cmds["empty-part"] = ["canonical", "--bipartite", "in/empty-part.json",
+                          "--energy", "1.5", "--epsilon", "2"]
     return cmds
 
 
