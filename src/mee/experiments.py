@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _SUB_BATCHES = 32
+# Real scalars per row block of _row_norms (1 MB of float64).
+_NORM_BLOCK_SCALARS = 1 << 17
 # Measured fields that hold floats and may be non-finite.
 _FLOAT_FIELDS = ("value", "std_error", "reference", "tolerance")
 
@@ -206,9 +208,19 @@ def _gaussian_stream(
 # Reduced density matrices
 
 
+def _row_norms(states: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(states, axis=1)`` bit for bit, over row blocks, so its
+    two complex temporaries are block-sized instead of chunk-sized."""
+    rows = max(1, _NORM_BLOCK_SCALARS // max(2 * states.shape[1], 1))
+    norms = np.empty(states.shape[0])
+    for lo in range(0, states.shape[0], rows):
+        norms[lo : lo + rows] = np.linalg.norm(states[lo : lo + rows], axis=1)
+    return norms
+
+
 def _reduced_states(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Reduced state psi^A of each normalized state of a (count, dim_a*dim_b) block."""
-    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    psi = psi / _row_norms(psi)[:, None]
     psi = psi.reshape(-1, dim_a, dim_b)
     return np.einsum("mak,mbk->mab", psi, psi.conj())
 
@@ -389,7 +401,7 @@ def _tail_curve(
 def _first_coordinate(states: np.ndarray) -> np.ndarray:
     """Re(psi_1) of each state after normalization, without a normalized copy
     of the batch."""
-    return (states[:, 0] / np.linalg.norm(states, axis=1)).real
+    return (states[:, 0] / _row_norms(states)).real
 
 
 def tail_report(

@@ -8,6 +8,7 @@ chunks or whether the batch is materialized or streamed.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -133,6 +134,80 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _find_openblas() -> tuple[Callable, Callable] | None:
+    """``(get, set)`` of the thread count of the OpenBLAS NumPy loaded, or None.
+
+    Looks in the ``numpy.libs`` directory of a NumPy wheel, or else among the
+    libraries this process has mapped; opens only a library already loaded.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
+        paths = [os.path.join(libs, f) for f in names]
+    except OSError:
+        paths = []
+    if not paths:
+        try:
+            with open("/proc/self/maps") as maps:
+                paths = sorted({ln.split(None, 5)[-1].strip() for ln in maps if "openblas" in ln})
+        except OSError:
+            pass
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+class _BlasThreadLimit:
+    """Context manager holding NumPy's OpenBLAS to one thread.
+
+    Inside a threaded stream the worker threads are the parallelism: an
+    OpenBLAS helper thread would busy-wait against them.  The library is
+    looked up on the first entry; without one this is a no-op.  Nested or
+    concurrent entries share one limit, and the last exit restores the count
+    the first entry found, so no BLAS call outside a stream sees the limit
+    (a threaded dot product may round differently from a serial one).
+    """
+
+    _UNRESOLVED = object()
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._api = self._UNRESOLVED
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self._api is self._UNRESOLVED:
+                self._api = _find_openblas()
+            if self._api is not None and self._depth == 0:
+                get, set_ = self._api
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._api is not None and self._depth == 0:
+                self._api[1](self._saved)
+
+
+# One per process, as the OpenBLAS thread count it holds is process-wide.
+_ONE_BLAS_THREAD = _BlasThreadLimit()
+
+
 def _map_ordered(fn: Callable, items: Iterable, workers: int | None = None) -> Iterator:
     """Yield ``fn(item)`` for each item, in item order.
 
@@ -142,7 +217,8 @@ def _map_ordered(fn: Callable, items: Iterable, workers: int | None = None) -> I
     every reduction over them is fixed.  The consumer may stop early: an item
     starts only once the consumer has taken the result before it, so at most
     ``workers - 1`` items past the last one taken are computed, and closing
-    the generator waits for them.
+    the generator waits for them.  While items run on threads, NumPy's
+    OpenBLAS runs on one thread (see :class:`_BlasThreadLimit`).
     """
     items = list(items)
     if workers is None:
@@ -151,7 +227,7 @@ def _map_ordered(fn: Callable, items: Iterable, workers: int | None = None) -> I
     if workers <= 1:
         yield from map(fn, items)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
         running = deque(pool.submit(fn, it) for it in items[:workers])
         try:
             for it in items[workers:]:

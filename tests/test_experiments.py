@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from mee import (
 )
 from mee.io import dumps_record
 from mee.sampling import chunk_layout, default_shell_width
-from mee.spectrum import harmonic_shift_solve
+from mee.spectrum import compute_means, harmonic_shift_solve
 
 
 class TestMeasured:
@@ -305,6 +306,25 @@ class TestMomentReport:
         sphere = sample_sphere(12, 100, RngSpec(seed=35))
         with pytest.raises(DomainError):
             moment_report(sphere, frame)
+
+    def test_stream_leaves_serial_blas_results_unchanged(self):
+        # A threaded dot product over 20 000 levels rounds differently from a
+        # serial one, so a BLAS thread limit that outlived the stream would
+        # change these bytes.
+        rng = random.Random(8)
+        levels = [rng.uniform(0.0, 10.0) for _ in range(20_000)]
+        degeneracies = [rng.randint(1, 19) for _ in range(20_000)]
+
+        def records() -> str:
+            spectrum = Spectrum(levels, degeneracies)
+            return json.dumps(
+                [compute_means(spectrum).to_json(), constants_for(spectrum, 3.5, 2.0).to_json()]
+            )
+
+        before = records()
+        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (300, 300, 300)), 1.5)
+        moment_report_streamed(frame, 5000, RngSpec(seed=48), workers=2)
+        assert records() == before
 
 
 class TestReducedDmReport:

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import warnings
@@ -23,7 +24,7 @@ from mee import (
     sample_gaussian_ensemble,
     sample_sphere,
 )
-from mee.experiments import _gaussian_stream
+from mee.experiments import _gaussian_stream, moment_report_streamed
 from mee.sampling import (
     _chunk_task,
     _complex_normals,
@@ -164,6 +165,104 @@ class TestOrderedStream:
                     break
         assert sorted(started) == sorted(finished)
         assert max(started) <= 3 + 1  # at most workers - 1 items past the last taken
+
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread-count getter, with the count set to 2 for the test
+    so a limit of 1 shows; the count found is restored afterwards."""
+    api = sampling_mod._find_openblas()
+    if api is None:
+        pytest.skip("NumPy links no OpenBLAS whose thread count can be read")
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestBlasThreadLimit:
+    def test_threaded_tasks_see_one_blas_thread(self, blas_threads):
+        assert list(_map_ordered(lambda x: blas_threads(), range(8), 2)) == [1] * 8
+        assert blas_threads() == 2
+
+    def test_one_worker_leaves_the_count(self, blas_threads):
+        assert list(_map_ordered(lambda x: blas_threads(), range(4), 1)) == [2] * 4
+
+    def test_restored_after_early_close(self, blas_threads):
+        with closing(_map_ordered(lambda x: x, range(50), 2)) as stream:
+            for x in stream:
+                assert blas_threads() == 1
+                if x == 3:
+                    break
+        assert blas_threads() == 2
+
+    def test_restored_after_a_task_raises(self, blas_threads):
+        def fn(x):
+            if x == 5:
+                raise ValueError("task failed")
+            return x
+
+        with pytest.raises(ValueError, match="task failed"):
+            list(_map_ordered(fn, range(10), 2))
+        assert blas_threads() == 2
+
+    def test_nested_streams_restore_at_the_last_exit(self, blas_threads):
+        def outer(x):
+            inner = list(_map_ordered(lambda y: blas_threads(), range(3), 2))
+            return inner + [blas_threads()]
+
+        results = list(_map_ordered(outer, range(4), 2))
+        assert results == [[1, 1, 1, 1]] * 4
+        assert blas_threads() == 2
+
+    def test_overlapping_streams_restore_at_the_last_exit(self, blas_threads):
+        a = _map_ordered(lambda x: x, range(4), 2)
+        b = _map_ordered(lambda x: x, range(4), 2)
+        assert next(a) == 0 and next(b) == 0
+        a.close()
+        assert blas_threads() == 1
+        b.close()
+        assert blas_threads() == 2
+
+    def test_concurrent_entries_stress(self, blas_threads):
+        # 4 threads entering and leaving the limit on a short switch interval:
+        # a lost update of the depth count would restore 2 while a thread is
+        # inside, or leave 1 behind.
+        limit = sampling_mod._ONE_BLAS_THREAD
+        seen, errors = [], []
+
+        def enter_and_leave():
+            try:
+                for _ in range(2000):
+                    with limit:
+                        seen.append(blas_threads())
+            except Exception as exc:  # reported below, after the join
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enter_and_leave) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert seen == [1] * 8000
+        assert blas_threads() == 2
+
+    def test_without_openblas_the_stream_runs_unchanged(self, monkeypatch):
+        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (300, 300, 300)), 1.5)
+        rng = RngSpec(seed=47)
+        limited = moment_report_streamed(frame, 5000, rng, workers=2)
+        monkeypatch.setattr(sampling_mod, "_find_openblas", lambda: None)
+        monkeypatch.setattr(sampling_mod, "_ONE_BLAS_THREAD", sampling_mod._BlasThreadLimit())
+        assert moment_report_streamed(frame, 5000, rng, workers=2) == limited
+        assert sampling_mod._ONE_BLAS_THREAD._api is None
 
 
 class TestSphere:
