@@ -46,9 +46,6 @@ from .experiments import (
     SpinEnsembleSpec,
     TailCurve,
     binary_entropy,
-    empirical_tail,
-    estimate_reduced_dm,
-    moment_report,
     moment_report_streamed,
     reduced_dm_report,
     spin_concentration_probe,

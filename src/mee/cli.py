@@ -12,6 +12,7 @@ process may run on (also for ``spins`` and ``sample --mode oracle``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -54,9 +55,17 @@ def _seed(args: argparse.Namespace) -> int:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"cannot parse float list {text!r}: {exc}") from exc
+    if not values or not all(map(math.isfinite, values)):
+        raise ParseError(f"float list {text!r} must hold one or more finite values")
+    return values
+
+
+def _check_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ParseError(f"{flag} must be at least 1, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,6 +297,7 @@ def _batch_for_sample(args: argparse.Namespace, spectrum, rng: RngSpec) -> Sampl
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    _check_positive("--count", args.count)
     spectrum = load_spectrum(args.spectrum)
     seed = _seed(args)
     rng = RngSpec(seed=seed, stream=args.stream)
@@ -345,10 +355,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """Handler of ``verify`` and of ``spins``, which fixes the experiment."""
     seed = _seed(args)
     workers = args.workers
-    if workers < 1:
-        raise ParseError(f"--workers must be at least 1, got {workers}")
-    if args.count < 1:
-        raise ParseError(f"--count must be at least 1, got {args.count}")
+    _check_positive("--workers", workers)
+    _check_positive("--count", args.count)
     rng = RngSpec(seed=seed, stream=args.stream)
     needs = _VERIFY_NEEDS[args.experiment]
     if any(getattr(args, key) is None for key in needs):

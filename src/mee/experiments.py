@@ -18,13 +18,11 @@ from .canonical import BipartiteSpectrum, DensityMatrix, delta_deviation, rho_c_
 from .errors import DomainError
 from .sampling import (
     RngSpec,
-    SampleBatch,
     _chunk_task,
     _gaussian_draw,
     _map_ordered,
     chunk_layout,
     oracle_manifold_sample,
-    spectrum_digest,
 )
 from .spectrum import EnergyFrame, Spectrum, harmonic_frame
 
@@ -33,10 +31,7 @@ __all__ = [
     "ExperimentReport",
     "TailCurve",
     "subbatch_mean_error",
-    "estimate_reduced_dm",
-    "empirical_tail",
     "tail_report",
-    "moment_report",
     "moment_report_streamed",
     "reduced_dm_report",
     "spin_spectrum",
@@ -225,36 +220,6 @@ def _reduced_states(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("mak,mbk->mab", psi, psi.conj())
 
 
-def estimate_reduced_dm(batch: SampleBatch, dim_a: int, dim_b: int) -> DensityMatrix:
-    """Weighted empirical reduced state of part A.
-
-    Each sample is normalized before the partial trace, so the estimate has
-    unit trace; Hermiticity and positive semidefiniteness hold by
-    construction (the estimate is a convex combination of pure projectors).
-    The states are folded in the row blocks of ``chunk_layout``, so the
-    per-state reduced states of one block are held at a time.
-    """
-    if batch.count == 0:
-        raise DomainError("batch is empty")
-    if dim_a * dim_b != batch.dim:
-        raise DomainError(
-            f"dim_a * dim_b = {dim_a * dim_b} does not match state dimension {batch.dim}"
-        )
-    w = None if batch.weights is None else batch.weights / batch.weights.sum()
-    rho = np.zeros((dim_a, dim_a), dtype=complex)
-    start = 0
-    for size in chunk_layout(batch.count, batch.dim):
-        rhos = _reduced_states(batch.states[start : start + size], dim_a, dim_b)
-        if w is None:
-            rho += rhos.sum(axis=0)
-        else:
-            rho += np.einsum("m,mab->ab", w[start : start + size], rhos)
-        start += size
-    if w is None:
-        rho /= batch.count
-    return DensityMatrix(0.5 * (rho + rho.conj().T))
-
-
 def reduced_dm_report(
     bs: BipartiteSpectrum,
     energy: float,
@@ -328,74 +293,34 @@ def reduced_dm_report(
 
 @dataclass(frozen=True)
 class TailCurve:
-    """Empirical exceedance frequencies around the empirical median,
-    optionally paired with the (clamped) analytic bound."""
+    """Empirical exceedance frequencies around the empirical median, paired
+    with the analytic bound clamped to [0, 1]."""
 
     ts: np.ndarray
     frequencies: np.ndarray
     median: float
-    lam: float
-    bounds: np.ndarray | None = None
+    bounds: np.ndarray
 
     def to_rows(self) -> list[tuple]:
-        columns = [self.ts, self.frequencies]
-        if self.bounds is not None:
-            columns.append(self.bounds)
-        return [tuple(float(x) for x in row) for row in zip(*columns)]
-
-
-def _weighted_median(values: np.ndarray, weights: np.ndarray | None) -> float:
-    if weights is None:
-        return float(np.median(values))
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    cw = np.cumsum(weights[order])
-    return float(v[np.searchsorted(cw, 0.5 * cw[-1])])
-
-
-def empirical_tail(
-    batch: SampleBatch,
-    f: Callable[[np.ndarray], np.ndarray],
-    ts: Sequence[float],
-    lam: float = 1.0,
-    constants: ConcentrationConstants | None = None,
-) -> TailCurve:
-    """Empirical Prob{|f(psi) - median| > lam * t} over a batch.
-
-    ``f`` is vectorised: it maps the (count, n) array of states to one real
-    value per state.  Centered at the empirical (weighted) median, matching
-    the bound's median-based statement.  When ``constants`` are given, each
-    t is paired with the analytic bound clamped to [0, 1].
-    """
-    values = np.asarray(f(batch.states), dtype=float)
-    if values.shape != (batch.count,):
-        raise DomainError(f"f must return one value per state, got shape {values.shape}")
-    return _tail_curve(values, batch.weights, ts, lam, constants)
+        rows = zip(self.ts, self.frequencies, self.bounds)
+        return [tuple(float(x) for x in row) for row in rows]
 
 
 def _tail_curve(
-    values: np.ndarray,
-    weights: np.ndarray | None,
-    ts: Sequence[float],
-    lam: float,
-    constants: ConcentrationConstants | None,
+    values: np.ndarray, ts: Sequence[float], constants: ConcentrationConstants
 ) -> TailCurve:
+    """Empirical Prob{|value - median| > t} of a sample, centered at its
+    median as the bound's statement is, beside the clamped bound at each t."""
     if values.size == 0:
         raise DomainError("cannot estimate from an empty sample")
     ts = np.asarray(list(ts), dtype=float)
     if np.any(np.diff(ts) < 0.0):
         raise DomainError("ts must be sorted ascending")
-    med = _weighted_median(values, weights)
+    med = float(np.median(values))
     dev = np.abs(values - med)
-    if weights is None:
-        freqs = np.array([np.mean(dev > lam * t) for t in ts])
-    else:
-        wsum = weights.sum()
-        freqs = np.array([np.dot(weights, dev > lam * t) / wsum for t in ts])
-    bnds = None
-    if constants is not None:
-        bnds = np.array([min(1.0, tail_bound(constants, t, lam)) for t in ts])
-    return TailCurve(ts=ts, frequencies=freqs, median=med, lam=lam, bounds=bnds)
+    freqs = np.array([np.mean(dev > t) for t in ts])
+    bnds = np.array([min(1.0, tail_bound(constants, t)) for t in ts])
+    return TailCurve(ts=ts, frequencies=freqs, median=med, bounds=bnds)
 
 
 def _first_coordinate(states: np.ndarray) -> np.ndarray:
@@ -424,7 +349,7 @@ def tail_report(
     chunks = _gaussian_stream(frame, count, rng, _first_coordinate, workers)
     values = np.concatenate(chunks) if chunks else np.zeros(0)
     consts = constants_for(spectrum, energy, epsilon)
-    curve = _tail_curve(values, None, ts, 1.0, consts)
+    curve = _tail_curve(values, ts, consts)
     measured = tuple(
         Measured(f"excess_over_bound_t_{t:g}", float(freq - bound), None, 0.0, "upper")
         for t, freq, bound in zip(curve.ts, curve.frequencies, curve.bounds)
@@ -449,84 +374,10 @@ def tail_report(
 # Gaussian moment identities
 
 
-def _moment_measured(
-    norm2: np.ndarray,
-    hq: np.ndarray,
-    frame: EnergyFrame,
-    tolerance_sigmas: float,
-    var_rtol: float,
-) -> list[Measured]:
-    n = frame.dim
-    e_prime = frame.e_prime
-    ratios = frame.e_prime / frame.expanded_levels
-    var_norm_ref = float((ratios ** 2).sum()) / n ** 2
-    mean_norm, se_norm = subbatch_mean_error(norm2)
-    mean_h, se_h = subbatch_mean_error(hq)
-
-    def sample_var(x: np.ndarray) -> float:
-        # undefined below two states; NaN without numpy's warnings
-        return float(x.var(ddof=1)) if x.size > 1 else math.nan
-
-    return [
-        Measured("mean_norm_sq", mean_norm, se_norm, 1.0, "sigmas", tolerance_sigmas),
-        Measured("mean_shifted_energy", mean_h, se_h, e_prime, "sigmas", tolerance_sigmas),
-        Measured(
-            "var_shifted_energy",
-            sample_var(hq),
-            None,
-            e_prime ** 2 / n,
-            "relative",
-            var_rtol,
-        ),
-        Measured(
-            "var_norm_sq",
-            sample_var(norm2),
-            None,
-            var_norm_ref,
-            "relative",
-            var_rtol,
-        ),
-    ]
-
-
 def _moment_chunk(psi: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-state ||psi||^2 and <psi|H'|psi> of a block of states."""
     p = np.abs(psi) ** 2
     return p.sum(axis=1), p @ levels
-
-
-def _moment_inputs(frame: EnergyFrame, count: int, rng: RngSpec, **extra) -> dict:
-    return {
-        "spectrum": frame.base.to_json(),
-        "energy": frame.energy,
-        "shift": frame.shift,
-        "count": count,
-        "rng": rng.to_json(),
-        **extra,
-    }
-
-
-def moment_report(
-    batch: SampleBatch,
-    frame: EnergyFrame,
-    tolerance_sigmas: float = 5.0,
-    var_rtol: float = 0.1,
-) -> ExperimentReport:
-    """Compare the four Gaussian moment identities on a materialized batch:
-    means and variances of ||psi||^2 and <psi|H'|psi>."""
-    if batch.meta.get("kind") != "gaussian":
-        raise DomainError("moment report requires a gaussian batch")
-    if batch.meta.get("spectrum") != spectrum_digest(frame.base) or not math.isclose(
-        batch.meta.get("shift", math.nan), frame.shift, rel_tol=0, abs_tol=1e-12
-    ):
-        raise DomainError("batch was not generated from the given frame")
-    norm2, hq = _moment_chunk(batch.states, frame.expanded_levels)
-    measured = _moment_measured(norm2, hq, frame, tolerance_sigmas, var_rtol)
-    return ExperimentReport(
-        name="moments",
-        inputs=_moment_inputs(frame, batch.count, batch.rng_spec),
-        measured=tuple(measured),
-    )
 
 
 def moment_report_streamed(
@@ -537,19 +388,45 @@ def moment_report_streamed(
     var_rtol: float = 0.1,
     workers: int | None = None,
 ) -> ExperimentReport:
-    """Same report as :func:`moment_report` without materializing the batch;
-    identical numbers for identical (frame, count, rng)."""
+    """Check the four Gaussian moment identities on ``count`` states streamed
+    from :func:`sample_gaussian_ensemble`'s chunks: means and variances of
+    ||psi||^2 and <psi|H'|psi>.  The numbers equal those of the materialized
+    batch and do not depend on ``workers``."""
     levels = frame.expanded_levels
     results = _gaussian_stream(
         frame, count, rng, lambda psi: _moment_chunk(psi, levels), workers
     )
     norm2 = np.concatenate([r[0] for r in results]) if results else np.zeros(0)
     hq = np.concatenate([r[1] for r in results]) if results else np.zeros(0)
-    measured = _moment_measured(norm2, hq, frame, tolerance_sigmas, var_rtol)
+    n = frame.dim
+    e_prime = frame.e_prime
+    var_norm_ref = float(((e_prime / levels) ** 2).sum()) / n ** 2
+    mean_norm, se_norm = subbatch_mean_error(norm2)
+    mean_h, se_h = subbatch_mean_error(hq)
+
+    def sample_var(x: np.ndarray) -> float:
+        # undefined below two states; NaN without numpy's warnings
+        return float(x.var(ddof=1)) if x.size > 1 else math.nan
+
+    measured = (
+        Measured("mean_norm_sq", mean_norm, se_norm, 1.0, "sigmas", tolerance_sigmas),
+        Measured("mean_shifted_energy", mean_h, se_h, e_prime, "sigmas", tolerance_sigmas),
+        Measured(
+            "var_shifted_energy", sample_var(hq), None, e_prime ** 2 / n, "relative", var_rtol
+        ),
+        Measured("var_norm_sq", sample_var(norm2), None, var_norm_ref, "relative", var_rtol),
+    )
     return ExperimentReport(
         name="moments",
-        inputs=_moment_inputs(frame, count, rng, workers_invariant=True),
-        measured=tuple(measured),
+        inputs={
+            "spectrum": frame.base.to_json(),
+            "energy": frame.energy,
+            "shift": frame.shift,
+            "count": count,
+            "rng": rng.to_json(),
+            "workers_invariant": True,
+        },
+        measured=measured,
     )
 
 

@@ -71,8 +71,8 @@ class SampleBatch:
     """A set of complex state vectors with optional importance weights.
 
     ``meta`` records the sampler kind and its parameters (spectrum digest,
-    energies, shell width, acceptance rate) so that estimators can verify
-    they are fed a matching batch.  Arrays are frozen after construction.
+    energies, shell width, acceptance rate).  Arrays are frozen after
+    construction.
     """
 
     states: np.ndarray
@@ -104,11 +104,6 @@ class SampleBatch:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def normalized_states(self) -> np.ndarray:
-        """Unit-norm view of the states (Gaussian batches are unnormalized by design)."""
-        norms = np.linalg.norm(self.states, axis=1, keepdims=True)
-        return self.states / norms
 
 
 def spectrum_digest(spectrum: Spectrum) -> str:
@@ -318,8 +313,8 @@ def sample_gaussian_ensemble(frame: EnergyFrame, count: int, rng: RngSpec) -> Sa
     Requires a harmonically shifted frame (E'_H = E'); the output states are
     intentionally *not* normalized -- their norm fluctuates around one with
     Var ||psi||^2 = (1/n^2) sum (E'/E'_k)^2, and expectation values follow
-    the Gaussian moment identities.  Use ``normalized_states()`` for
-    consumers that need exact unit vectors.
+    the Gaussian moment identities.  Consumers that need exact unit vectors
+    divide each row by its norm.
     """
     states = _draw_batch(_gaussian_draw(frame, rng), count, frame.dim)
     meta = {

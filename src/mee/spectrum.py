@@ -267,49 +267,52 @@ def _shift_root(
         dr = multiplier * (s2 / (s1 * s1)) - 1.0
         return r, dr
 
-    # Start just above the harmonic-mean pole at the lowest level.
-    lo = -e_min + 1e-14 * span
-    r_lo, _ = residual(lo)
-    if not math.isfinite(r_lo):
-        lo = np.nextafter(lo, math.inf)
+    # At the pole a level sum can divide by zero (1/inf is the residual's
+    # limit there) and the slope can be inf/inf (Newton needs a finite one).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Start just above the harmonic-mean pole at the lowest level.
+        lo = -e_min + 1e-14 * span
         r_lo, _ = residual(lo)
-    hi = lo + span
-    r_hi, _ = residual(hi)
-    n_expand = 0
-    while r_hi <= 0.0:
-        n_expand += 1
-        if n_expand > 200:
+        if not math.isfinite(r_lo):
+            lo = np.nextafter(lo, math.inf)
+            r_lo, _ = residual(lo)
+        hi = lo + span
+        r_hi, _ = residual(hi)
+        n_expand = 0
+        while r_hi <= 0.0:
+            n_expand += 1
+            if n_expand > 200:
+                raise InfeasibleError(
+                    "no sign change in shift bracket",
+                    bracket=(lo, hi),
+                    residuals=(r_lo, r_hi),
+                )
+            hi = lo + (hi - lo) * 2.0
+            r_hi, _ = residual(hi)
+        if r_lo >= 0.0:
             raise InfeasibleError(
-                "no sign change in shift bracket",
+                "shift residual does not change sign in bracket",
                 bracket=(lo, hi),
                 residuals=(r_lo, r_hi),
             )
-        hi = lo + (hi - lo) * 2.0
-        r_hi, _ = residual(hi)
-    if r_lo >= 0.0:
-        raise InfeasibleError(
-            "shift residual does not change sign in bracket",
-            bracket=(lo, hi),
-            residuals=(r_lo, r_hi),
-        )
 
-    x = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        r, dr = residual(x)
-        if abs(r) <= tol * max(abs(energy + x), 1e-300):
-            return x
-        if r > 0.0:
-            hi = x
-        else:
-            lo = x
-        x_new = x - r / dr if (math.isfinite(dr) and dr > 0.0) else math.nan
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    r, _ = residual(x)
-    raise NumericalError(
-        f"shift solver did not converge within {_MAX_ITER} iterations", residual=r
-    )
+        x = 0.5 * (lo + hi)
+        for _ in range(_MAX_ITER):
+            r, dr = residual(x)
+            if abs(r) <= tol * max(abs(energy + x), 1e-300):
+                return x
+            if r > 0.0:
+                hi = x
+            else:
+                lo = x
+            x_new = x - r / dr if (math.isfinite(dr) and dr > 0.0) else math.nan
+            if not (lo < x_new < hi):
+                x_new = 0.5 * (lo + hi)
+            x = x_new
+        r, _ = residual(x)
+        raise NumericalError(
+            f"shift solver did not converge within {_MAX_ITER} iterations", residual=r
+        )
 
 
 def harmonic_shift_solve(spectrum: Spectrum, energy: float, tol: float = 1e-12) -> float:

@@ -521,16 +521,26 @@ class TestDeterminism:
         assert code == 2
         assert err["error"] == "ParseError"
 
-    @pytest.mark.parametrize("experiment", ["tail", "moments", "spins"])
-    def test_count_below_one_is_exit_2(self, capsys, small_spectrum_file, experiment):
-        if experiment == "spins":
+    @pytest.mark.parametrize(
+        "case, count",
+        [
+            pytest.param(case, count, id=case if count == "0" else f"{case}{count}")
+            for count in ("0", "-1")
+            for case in ("tail", "moments", "spins", "gaussian", "sphere", "oracle")
+        ],
+    )
+    def test_count_below_one_is_exit_2(self, capsys, small_spectrum_file, case, count):
+        if case == "spins":
             argv = ["spins", "--m", "4", "--alpha", "0.3", "--gamma", "0.4"]
+        elif case in ("tail", "moments"):
+            argv = ["verify", "--experiment", case, "--spectrum", small_spectrum_file,
+                    "--energy", "1.5"]
         else:
-            argv = ["verify", "--experiment", experiment, "--spectrum", small_spectrum_file,
+            argv = ["sample", "--mode", case, "--spectrum", small_spectrum_file,
                     "--energy", "1.5"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run([*argv, "--count", "0", "--seed", "1"])
+            code = run([*argv, "--count", count, "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -558,6 +568,42 @@ def test_one_state_report_is_strict_json(small_spectrum_file):
     assert by_name["mean_norm_sq"]["non_finite"] == {"std_error": "inf"}
     assert by_name["var_norm_sq"]["value"] is None
     assert by_name["var_norm_sq"]["non_finite"] == {"value": "nan"}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bounds", "--spectrum", "small", "--energy", "1.5", "--t-values", ","], 2),
+        (["bounds", "--spectrum", "small", "--energy", "1.5", "--epsilon", "2",
+          "--t-values", "nan"], 2),
+        (["bounds", "--spectrum", "small", "--energy", "1.5", "--epsilon-grid", "1,inf"], 2),
+        (["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
+          "--count", "10", "--t-values", "nan"], 2),
+        (["sample", "--mode", "gaussian", "--spectrum", "small", "--energy", "1.5",
+          "--count", "-1"], 2),
+        # the shift bracket starts at the pole of the lowest level, offset by 1e4
+        (["shift", "--spectrum", "offset", "--energy", "10001.5"], 0),
+    ],
+    ids=["t-values-empty", "t-values-nan", "epsilon-grid-inf", "verify-t-values-nan",
+         "sample-count-negative", "shift-offset-1e4"],
+)
+def test_stderr_holds_one_record_or_nothing(tmp_path, small_spectrum_file, argv, code):
+    offset = tmp_path / "offset.json"
+    offset.write_text(json.dumps({"levels": [10001, 10002, 10003]}))
+    files = {"small": small_spectrum_file, "offset": str(offset)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mee", *(files.get(arg, arg) for arg in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stderr == ""
+        json.loads(proc.stdout)
+    else:
+        assert proc.stdout == ""
+        record = json.loads(proc.stderr)  # one record: no traceback, no warning line
+        assert record["error"] == "ParseError"
 
 
 def test_module_entry_point(spectrum_file):

@@ -15,23 +15,21 @@ from mee import (
     ExperimentReport,
     Measured,
     RngSpec,
-    SampleBatch,
     SpinEnsembleSpec,
     Spectrum,
     binary_entropy,
     constants_for,
-    empirical_tail,
-    estimate_reduced_dm,
     harmonic_frame,
-    moment_report,
     moment_report_streamed,
     reduced_dm_report,
+    rho_c_bipartite,
     sample_gaussian_ensemble,
     sample_sphere,
     spin_concentration_probe,
     spin_spectrum,
     tail_report,
 )
+from mee.experiments import _reduced_states, _tail_curve, subbatch_mean_error
 from mee.io import dumps_record
 from mee.sampling import chunk_layout, default_shell_width
 from mee.spectrum import compute_means, harmonic_shift_solve
@@ -104,137 +102,84 @@ class TestReportSerialization:
 
 
 class TestEstimateReducedDm:
+    """Per-state reduced states, as the reduced-dm report folds them."""
+
     def test_product_state_copies(self):
         state = np.zeros(6, dtype=complex)
         state[0] = 1.0 / math.sqrt(2.0)
         state[1] = 1j / math.sqrt(2.0)  # |0>_A x phi_B
-        batch = SampleBatch(
-            states=np.tile(state, (10, 1)), weights=None, rng_spec=RngSpec(seed=0), meta={}
-        )
-        dm = estimate_reduced_dm(batch, 3, 2)
+        rhos = _reduced_states(np.tile(state, (10, 1)), 3, 2)
         want = np.zeros((3, 3))
         want[0, 0] = 1.0
-        assert np.allclose(dm.matrix, want, atol=1e-12)
+        assert rhos.shape == (10, 3, 3)
+        assert np.allclose(rhos, want, atol=1e-12)
 
     def test_unconstrained_states_are_maximally_mixed(self):
         batch = sample_sphere(3 * 64, 8000, RngSpec(seed=21))
-        dm = estimate_reduced_dm(batch, 3, 64)
-        assert np.max(np.abs(dm.matrix - np.eye(3) / 3.0)) < 0.01
+        rho = _reduced_states(batch.states, 3, 64).mean(axis=0)
+        assert np.max(np.abs(rho - np.eye(3) / 3.0)) < 0.01
 
-    def test_basic_invariants(self):
-        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (8, 8, 8)), 1.5)
-        batch = sample_gaussian_ensemble(frame, 2000, RngSpec(seed=22))
-        dm = estimate_reduced_dm(batch, 3, 8)
-        assert dm.trace == pytest.approx(1.0, abs=1e-10)
-        assert np.allclose(dm.matrix, dm.matrix.conj().T)
-        assert dm.eigenvalues().min() > -1e-10
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_blocks_match_the_whole_batch_formula(self, workers):
+        bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0,) * 64)
+        dim_a, dim_b = bs.dim_a, bs.dim_b
+        count = chunk_layout(10**9, dim_a * dim_b)[0] + 88  # two chunks
+        rng = RngSpec(seed=42)
+        report, rho_hat = reduced_dm_report(bs, 1.5, 2.0, count, rng, workers=workers)
 
-    def test_dimension_mismatch(self):
-        batch = sample_sphere(6, 10, RngSpec(seed=23))
-        with pytest.raises(DomainError):
-            estimate_reduced_dm(batch, 4, 2)
-
-    def test_weighted_average(self):
-        e0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        e1 = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-        batch = SampleBatch(
-            states=np.vstack([e0, e1]),
-            weights=np.array([3.0, 1.0]),
-            rng_spec=RngSpec(seed=0),
-            meta={},
-        )
-        dm = estimate_reduced_dm(batch, 2, 2)
-        assert np.allclose(dm.diagonal, [0.75, 0.25])
-
-
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_row_blocks_match_the_whole_batch_formula(self, weighted):
-        dim_a, dim_b = 4, 1024
-        count = chunk_layout(10**9, dim_a * dim_b)[0] + 88  # two blocks
-        gen = np.random.default_rng(42)
-        states = gen.standard_normal((count, dim_a * dim_b)) + 1j * gen.standard_normal(
-            (count, dim_a * dim_b)
-        )
-        weights = gen.uniform(0.5, 2.0, count) if weighted else None
-        batch = SampleBatch(states=states, weights=weights, rng_spec=RngSpec(seed=0), meta={})
+        frame = harmonic_frame(Spectrum(bs.flat_levels().tolist()), 1.5)
+        states = sample_gaussian_ensemble(frame, count, rng).states
         psi = states / np.linalg.norm(states, axis=1, keepdims=True)
         psi = psi.reshape(count, dim_a, dim_b)
         rhos = np.einsum("mak,mbk->mab", psi, psi.conj())
-        if weighted:
-            rho = np.einsum("m,mab->ab", weights / weights.sum(), rhos)
-        else:
-            rho = rhos.sum(axis=0) / count
+        rho = rhos.sum(axis=0) / count
         want = 0.5 * (rho + rho.conj().T)
-        got = estimate_reduced_dm(batch, dim_a, dim_b).matrix
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(rho_hat.matrix - want)) <= 1e-14 * np.max(np.abs(want))
+        rho_ref = rho_c_bipartite(bs, constants_for(bs.combined(), 1.5, 2.0).frame)
+        devs = np.linalg.norm(rhos - rho_ref.matrix, axis=(1, 2))
+        mean_dev = {m.name: m for m in report.measured}["mean_hs_deviation"].value
+        assert abs(mean_dev - devs.mean()) <= 1e-14 * devs.mean()
 
 
 class TestEmpiricalTail:
+    """The empirical tail curve: of a plain sample, and as the tail report
+    streams it from the Gaussian ensemble."""
+
+    SPEC = Spectrum((1.0, 2.0, 3.0), (342, 341, 341))
+
     def test_constant_function_never_exceeds(self):
-        batch = sample_sphere(4, 200, RngSpec(seed=24))
-        curve = empirical_tail(batch, lambda states: np.ones(len(states)), [0.1, 0.5, 1.0])
+        consts = constants_for(self.SPEC, 1.5, 2.0)
+        curve = _tail_curve(np.ones(200), [0.1, 0.5, 1.0], consts)
         assert np.all(curve.frequencies == 0.0)
 
     def test_coordinate_median_is_near_zero(self):
-        batch = sample_sphere(64, 20000, RngSpec(seed=25))
-        curve = empirical_tail(batch, lambda states: states[:, 0].real, [0.1])
-        # Re psi_1 has std ~ 1/sqrt(2n) = 0.088; the median sits well inside
+        spec = Spectrum((1.0, 2.0, 3.0), (22, 21, 21))
+        _, curve = tail_report(spec, 1.5, 2.0, 20000, RngSpec(seed=25), [0.1])
+        # Re psi_1 is symmetric about zero; the median sits well inside its spread
         assert abs(curve.median) < 0.01
 
     def test_frequencies_are_nonincreasing(self):
-        batch = sample_sphere(16, 5000, RngSpec(seed=26))
+        spec = Spectrum((1.0, 2.0, 3.0), (22, 21, 21))
         ts = np.linspace(0.0, 0.5, 21)
-        curve = empirical_tail(batch, lambda states: np.abs(states[:, 0]) ** 2, ts)
+        _, curve = tail_report(spec, 1.5, 2.0, 5000, RngSpec(seed=26), ts)
         assert np.all(np.diff(curve.frequencies) <= 1e-15)
 
     def test_empty_sample_rejected(self):
-        batch = sample_sphere(4, 0, RngSpec(seed=27))
         with pytest.raises(DomainError, match="empty sample"):
-            empirical_tail(batch, lambda states: states[:, 0].real, [0.1])
+            tail_report(self.SPEC, 1.5, 2.0, 0, RngSpec(seed=27), [0.1])
 
     def test_unsorted_ts_rejected(self):
-        batch = sample_sphere(4, 50, RngSpec(seed=27))
-        with pytest.raises(DomainError):
-            empirical_tail(batch, lambda states: np.zeros(len(states)), [0.5, 0.1])
+        with pytest.raises(DomainError, match="sorted"):
+            tail_report(self.SPEC, 1.5, 2.0, 50, RngSpec(seed=27), [0.5, 0.1])
 
     def test_empirical_curve_below_clamped_bound(self):
         # example-style spectrum at moderate dimension; the analytic bound is
         # vacuous (clamped to 1) at this n, and the empirical curve sits under it
-        spec = Spectrum((1.0, 2.0, 3.0), (342, 341, 341))
-        frame = harmonic_frame(spec, 1.5)
-        batch = sample_gaussian_ensemble(frame, 10000, RngSpec(seed=28))
-        normalized = SampleBatch(
-            states=batch.normalized_states(),
-            weights=None,
-            rng_spec=batch.rng_spec,
-            meta={**batch.meta, "normalized": True},
-        )
-        consts = constants_for(spec, 1.5, 2.0)
         ts = np.linspace(0.01, 1.0, 12)
-        curve = empirical_tail(
-            normalized, lambda states: states[:, 0].real, ts, constants=consts
-        )
-        assert curve.bounds is not None
+        _, curve = tail_report(self.SPEC, 1.5, 2.0, 10000, RngSpec(seed=28), ts)
+        assert curve.bounds.shape == ts.shape
         assert np.all(curve.frequencies <= curve.bounds)
         assert np.all(curve.bounds <= 1.0)
-
-    def test_weighted_median_and_frequencies(self):
-        states = np.array([[1.0 + 0j], [0.5 + 0j], [0.0 + 0j]])
-        batch = SampleBatch(
-            states=states,
-            weights=np.array([1.0, 1.0, 10.0]),
-            rng_spec=RngSpec(seed=0),
-            meta={},
-        )
-        curve = empirical_tail(batch, lambda states: states[:, 0].real, [0.25, 0.75])
-        assert curve.median == 0.0
-        assert curve.frequencies[0] == pytest.approx(2.0 / 12.0)
-        assert curve.frequencies[1] == pytest.approx(1.0 / 12.0)
-
-    def test_one_value_per_state_required(self):
-        batch = sample_sphere(4, 50, RngSpec(seed=27))
-        with pytest.raises(DomainError):
-            empirical_tail(batch, lambda states: 0.0, [0.1])
 
 
 class TestTailReport:
@@ -245,8 +190,9 @@ class TestTailReport:
         spec = Spectrum((1.0, 2.0, 3.0), (300, 300, 300))
         rng = RngSpec(seed=29)
         ts = [0.001, 0.01, 0.02, 0.05]
-        batch = sample_gaussian_ensemble(harmonic_frame(spec, 1.5), 3001, rng)
-        values = np.array([float(psi[0].real) for psi in batch.normalized_states()])
+        states = sample_gaussian_ensemble(harmonic_frame(spec, 1.5), 3001, rng).states
+        states = states / np.linalg.norm(states, axis=1, keepdims=True)
+        values = np.array([float(psi[0].real) for psi in states])
         median = float(np.median(values))
         freqs = [float(np.mean(np.abs(values - median) > t)) for t in ts]
         for workers in (1, 2):  # the report streams two chunks
@@ -265,13 +211,14 @@ class TestMomentReport:
     def test_streamed_equals_materialized(self):
         frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (20, 20, 20)), 1.5)
         rng = RngSpec(seed=30)
-        batch = sample_gaussian_ensemble(frame, 4000, rng)
-        a = moment_report(batch, frame)
-        b = moment_report_streamed(frame, 4000, rng)
-        for ma, mb in zip(a.measured, b.measured):
-            assert ma.name == mb.name
-            assert ma.value == mb.value
-            assert ma.std_error == mb.std_error
+        p = np.abs(sample_gaussian_ensemble(frame, 4000, rng).states) ** 2
+        norm2, hq = p.sum(axis=1), p @ frame.expanded_levels
+        report = moment_report_streamed(frame, 4000, rng)
+        by_name = {m.name: m for m in report.measured}
+        for name, values in (("mean_norm_sq", norm2), ("mean_shifted_energy", hq)):
+            assert (by_name[name].value, by_name[name].std_error) == subbatch_mean_error(values)
+        assert by_name["var_norm_sq"].value == float(norm2.var(ddof=1))
+        assert by_name["var_shifted_energy"].value == float(hq.var(ddof=1))
 
     def test_workers_do_not_change_results(self):
         frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (40, 40, 40)), 1.5)
@@ -295,17 +242,6 @@ class TestMomentReport:
         by_name = {m.name: m for m in report.measured}
         assert by_name["var_norm_sq"].reference == pytest.approx(1.0 / n)
         assert by_name["var_norm_sq"].passed
-
-    def test_frame_mismatch_is_rejected(self):
-        spec = Spectrum((1.0, 2.0, 3.0), (4, 4, 4))
-        frame = harmonic_frame(spec, 1.5)
-        batch = sample_gaussian_ensemble(frame, 100, RngSpec(seed=34))
-        other = harmonic_frame(Spectrum((1.0, 2.0, 3.0, 4.0), (3, 3, 3, 3)), 1.5)
-        with pytest.raises(DomainError):
-            moment_report(batch, other)
-        sphere = sample_sphere(12, 100, RngSpec(seed=35))
-        with pytest.raises(DomainError):
-            moment_report(sphere, frame)
 
     def test_stream_leaves_serial_blas_results_unchanged(self):
         # A threaded dot product over 20 000 levels rounds differently from a
@@ -333,6 +269,8 @@ class TestReducedDmReport:
         report, rho_hat = reduced_dm_report(bs, 1.5, 2.0, 3000, RngSpec(seed=36))
         assert report.passed
         assert rho_hat.trace == pytest.approx(1.0, abs=1e-10)
+        assert np.allclose(rho_hat.matrix, rho_hat.matrix.conj().T)
+        assert rho_hat.eigenvalues().min() > -1e-10
         by_name = {m.name: m for m in report.measured}
         assert by_name["mean_hs_deviation"].value < by_name["mean_hs_deviation"].reference
 
