@@ -119,6 +119,15 @@ class TestEstimateReducedDm:
         rho = _reduced_states(batch.states, 3, 64).mean(axis=0)
         assert np.max(np.abs(rho - np.eye(3) / 3.0)) < 0.01
 
+    def test_basic_invariants(self):
+        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (8, 8, 8)), 1.5)
+        batch = sample_gaussian_ensemble(frame, 2000, RngSpec(seed=22))
+        rhos = _reduced_states(batch.states, 3, 8)
+        for rho in (rhos[0], rhos.mean(axis=0)):
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+            assert np.allclose(rho, rho.conj().T)
+            assert np.linalg.eigvalsh(rho).min() > -1e-10
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_row_blocks_match_the_whole_batch_formula(self, workers):
         bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0,) * 64)
