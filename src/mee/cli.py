@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import bounds as bounds_mod
 from . import canonical as canonical_mod
 from . import experiments as exp_mod
 from .errors import DomainError, InfeasibleError, MeeError, NumericalError, ParseError
-from .io import dumps_record, load_bipartite, load_spectrum
+from .io import dumps_record, load_bipartite, load_spectrum, write_csv
 from .sampling import (
     RngSpec,
     SampleBatch,
@@ -174,14 +174,6 @@ def _emit(record: dict, out_dir: str | None, filename: str) -> None:
         (path / filename).write_text(text)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[float]]) -> None:
-    """CRLF-terminated lines of shortest round-trip cells; rows hold Python floats."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
-
-
 def _cmd_means(args: argparse.Namespace) -> int:
     spectrum = load_spectrum(args.spectrum)
     record = {
@@ -256,9 +248,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     rows = []
     for t in ts:
         raw = bounds_mod.tail_bound(consts, t, args.lipschitz)
-        rows.append((t, min(1.0, raw), float(bounds_mod.tail_log10_bound(consts, t))))
+        rows.append((t, min(1.0, raw), bounds_mod.tail_log10_bound(consts, t)))
     if args.out_dir is not None:
-        _write_csv(Path(args.out_dir) / "tail.csv", ("t", "bound", "log10_bound"), rows)
+        write_csv(
+            Path(args.out_dir) / "tail.csv", ("t", "bound", "log10_bound"), rows, _default_workers()
+        )
     return 0
 
 
@@ -322,11 +316,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.out is not None:
         header = [f"{part}{k}" for k in range(batch.dim) for part in ("re", "im")]
         # one row per state, its amplitudes already interleaved as re, im
-        rows = map(np.ndarray.tolist, batch.states.view(np.float64))
+        table = batch.states.view(np.float64)
         if batch.weights is not None:
             header.append("weight")
-            rows = (row + [w] for row, w in zip(rows, batch.weights.tolist()))
-        _write_csv(Path(args.out), header, rows)
+            table = np.column_stack((table, batch.weights))
+        write_csv(args.out, header, table, _default_workers())
     return 0
 
 
@@ -400,7 +394,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     _emit({"config": config, "report": report.to_json()}, args.out_dir, "report.json")
     if curve is not None and args.out_dir is not None:
-        _write_csv(Path(args.out_dir) / "curve.csv", ("t", "frequency", "bound"), curve.to_rows())
+        write_csv(
+            Path(args.out_dir) / "curve.csv", ("t", "frequency", "bound"), curve.to_rows(), workers
+        )
     return 0
 
 

@@ -301,9 +301,16 @@ class TailCurve:
     median: float
     bounds: np.ndarray
 
-    def to_rows(self) -> list[tuple]:
-        rows = zip(self.ts, self.frequencies, self.bounds)
-        return [tuple(float(x) for x in row) for row in rows]
+    def to_rows(self) -> np.ndarray:
+        """The ``(t, frequency, bound)`` table, one row per t."""
+        return np.column_stack((self.ts, self.frequencies, self.bounds))
+
+
+def _sorted_ts(ts: Sequence[float]) -> np.ndarray:
+    ts = np.asarray(list(ts), dtype=float)
+    if np.any(np.diff(ts) < 0.0):
+        raise DomainError("ts must be sorted ascending")
+    return ts
 
 
 def _tail_curve(
@@ -313,9 +320,7 @@ def _tail_curve(
     median as the bound's statement is, beside the clamped bound at each t."""
     if values.size == 0:
         raise DomainError("cannot estimate from an empty sample")
-    ts = np.asarray(list(ts), dtype=float)
-    if np.any(np.diff(ts) < 0.0):
-        raise DomainError("ts must be sorted ascending")
+    ts = _sorted_ts(ts)
     med = float(np.median(values))
     dev = np.abs(values - med)
     freqs = np.array([np.mean(dev > t) for t in ts])
@@ -346,6 +351,7 @@ def tail_report(
     only one value per state is kept.
     """
     frame = harmonic_frame(spectrum, energy)
+    ts = _sorted_ts(ts)  # before the stream, so unsorted ts fail at once
     chunks = _gaussian_stream(frame, count, rng, _first_coordinate, workers)
     values = np.concatenate(chunks) if chunks else np.zeros(0)
     consts = constants_for(spectrum, energy, epsilon)

@@ -181,6 +181,23 @@ class TestEmpiricalTail:
         with pytest.raises(DomainError, match="sorted"):
             tail_report(self.SPEC, 1.5, 2.0, 50, RngSpec(seed=27), [0.5, 0.1])
 
+    def test_unsorted_ts_rejected_before_any_draw(self, monkeypatch):
+        import mee.sampling
+
+        calls = []
+        real = mee.sampling.gaussian_chunk
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mee.sampling, "gaussian_chunk", counted)
+        with pytest.raises(DomainError, match="ts must be sorted ascending"):
+            tail_report(self.SPEC, 1.5, 2.0, 5000, RngSpec(seed=27), [0.5, 0.1], workers=1)
+        assert calls == []
+        tail_report(self.SPEC, 1.5, 2.0, 50, RngSpec(seed=27), [0.1, 0.5], workers=1)
+        assert calls == [1]  # the counter sits where the stream draws
+
     def test_empirical_curve_below_clamped_bound(self):
         # example-style spectrum at moderate dimension; the analytic bound is
         # vacuous (clamped to 1) at this n, and the empirical curve sits under it

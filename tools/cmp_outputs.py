@@ -21,7 +21,9 @@ The list covers the ``verify`` reports of every experiment at ``--workers``
 1, 2 and the default (plus the tail ``curve.csv``), the ``spins`` alias, the
 ``sample`` CSV and record in every mode (Gaussian and sphere over three
 chunks with a short last one, both oracle proposals with an explicit and
-with the default ``--eta`` and ``--max-draws``, a partial oracle batch),
+with the default ``--eta`` and ``--max-draws``, a partial oracle batch, a
+weighted oracle dump large enough for the writer to split it into row parts
+and a Gaussian dump just under that size),
 ``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json`` and the
 error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
 ``verify``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
@@ -111,6 +113,11 @@ def commands() -> dict[str, list[str]]:
                                      "--count", "200", "--proposal", "gaussian"],
         "oracle-partial": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "100000",
                            "--eta", "0.02", "--max-draws", "70000"],
+        # 2000 x 121 cells: the weighted dump is split into row parts
+        "oracle-split": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "2000",
+                         "--eta", "0.02"],
+        # 546 x 120 cells, just under the 2^16 at which the writer splits
+        "gaussian-unsplit": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "546"],
     }
     for mode, argv in samples.items():
         name = f"sample-{mode}"
