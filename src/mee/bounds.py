@@ -15,7 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .spectrum import EnergyFrame, Spectrum, compute_means, epsilon_shift_solve
+from .spectrum import (
+    EnergyFrame,
+    Spectrum,
+    _require_finite_energy,
+    compute_means,
+    epsilon_shift_solve,
+)
 
 __all__ = [
     "WindowCheck",
@@ -177,7 +183,7 @@ def tail_bound(constants: ConcentrationConstants, t: float, lam: float = 1.0) ->
     only rescales the event threshold), may exceed 1, and is non-increasing
     in t for t >= 1/(4n).  Callers clamp for display.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise DomainError("Lipschitz constant must be positive")
     return _exp_or_inf(tail_log_bound(constants, t))
 
@@ -193,10 +199,12 @@ def optimize_epsilon(
 
     The bound couples to epsilon through the shift solve, so a robust scan
     is used instead of smooth optimization.  Ties keep the earliest grid
-    point; an all-infeasible grid raises with a per-point report.
+    point; an all-infeasible grid raises with a per-point report.  Every
+    solve shares the level sums memoised on ``spectrum``.
     """
     if len(grid) == 0:
         raise DomainError("epsilon grid must be nonempty")
+    _require_finite_energy(energy)  # would fail every grid point alike
     best: ConcentrationConstants | None = None
     best_log = math.inf
     failures: dict[float, str] = {}

@@ -244,11 +244,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "window": window.to_json(),
         "constants": consts.to_json(),
     }
-    _emit(record, args.out_dir, "constants.json")
-    rows = []
+    rows = []  # before the record, so a bad --lipschitz leaves no output
     for t in ts:
         raw = bounds_mod.tail_bound(consts, t, args.lipschitz)
         rows.append((t, min(1.0, raw), bounds_mod.tail_log10_bound(consts, t)))
+    _emit(record, args.out_dir, "constants.json")
     if args.out_dir is not None:
         write_csv(
             Path(args.out_dir) / "tail.csv", ("t", "bound", "log10_bound"), rows, _default_workers()

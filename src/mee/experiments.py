@@ -351,10 +351,11 @@ def tail_report(
     only one value per state is kept.
     """
     frame = harmonic_frame(spectrum, energy)
-    ts = _sorted_ts(ts)  # before the stream, so unsorted ts fail at once
+    # before the stream, so unsorted ts or a bad epsilon fail at once
+    ts = _sorted_ts(ts)
+    consts = constants_for(spectrum, energy, epsilon)
     chunks = _gaussian_stream(frame, count, rng, _first_coordinate, workers)
     values = np.concatenate(chunks) if chunks else np.zeros(0)
-    consts = constants_for(spectrum, energy, epsilon)
     curve = _tail_curve(values, ts, consts)
     measured = tuple(
         Measured(f"excess_over_bound_t_{t:g}", float(freq - bound), None, 0.0, "upper")

@@ -407,7 +407,7 @@ def oracle_manifold_sample(
         eta = default_shell_width(spectrum)
     if max_draws is None:
         max_draws = 200 * count
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise DomainError("shell width eta must be positive")
     if count < 1:
         raise DomainError("count must be positive")

@@ -99,6 +99,13 @@ class Spectrum:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def _level_sums(self) -> dict[float, tuple[np.float64, np.float64]]:
+        """Shift x -> (sum_k w_k/(E_k + x), sum_k w_k/(E_k + x)^2), filled by
+        the shift solver.  The sums do not depend on the solve's energy or
+        multiplier, so every solve on this spectrum evaluates each x once."""
+        return {}
+
     def expand(self) -> np.ndarray:
         """Level list with each level repeated by its degeneracy, in order."""
         return np.repeat(self._levels_arr, self.degeneracies)
@@ -242,27 +249,34 @@ class EnergyFrame:
         }
 
 
-def _shift_root(
-    levels: np.ndarray,
-    weights: np.ndarray,
-    energy: float,
-    multiplier: float,
-    tol: float,
-) -> float:
+def _require_finite_energy(energy: float) -> None:
+    """Raise DomainError for a NaN or infinite energy, which no solve could
+    bracket."""
+    if not math.isfinite(energy):
+        raise DomainError(f"energy must be finite, got {energy}")
+
+
+def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float) -> float:
     """Root of r(x) = multiplier * E_H({E_k + x}) - (E + x).
 
     r is strictly increasing for non-degenerate spectra (the harmonic-mean
     derivative identity gives r'(x) = multiplier * E_H^2/E_Q^2 - 1), so a
-    sign-change bracket plus safeguarded Newton converges globally.
+    sign-change bracket plus safeguarded Newton converges globally.  The
+    level sums at each x are memoised on ``spectrum``; a sum is a pure
+    function of (levels, weights, x), so the memo never changes a result.
     """
-    e_min = float(levels.min())
-    e_max = float(levels.max())
-    span = max(e_max - e_min, 1.0)
+    levels = spectrum._levels_arr
+    weights = spectrum._weights_arr
+    sums = spectrum._level_sums
+    span = max(spectrum.e_max - spectrum.e_min, 1.0)
 
     def residual(x: float) -> tuple[float, float]:
-        inv = weights / (levels + x)
-        s1 = inv.sum()
-        s2 = (inv / (levels + x)).sum()
+        pair = sums.get(x)
+        if pair is None:
+            shifted = levels + x
+            inv = weights / shifted
+            pair = sums[x] = (inv.sum(), (inv / shifted).sum())
+        s1, s2 = pair
         r = multiplier / s1 - (energy + x)
         dr = multiplier * (s2 / (s1 * s1)) - 1.0
         return r, dr
@@ -271,7 +285,7 @@ def _shift_root(
     # limit there) and the slope can be inf/inf (Newton needs a finite one).
     with np.errstate(divide="ignore", invalid="ignore"):
         # Start just above the harmonic-mean pole at the lowest level.
-        lo = -e_min + 1e-14 * span
+        lo = -spectrum.e_min + 1e-14 * span
         r_lo, _ = residual(lo)
         if not math.isfinite(r_lo):
             lo = np.nextafter(lo, math.inf)
@@ -336,7 +350,7 @@ def harmonic_shift_solve(spectrum: Spectrum, energy: float, tol: float = 1e-12) 
     if energy == means.e_min:
         # Degenerate endpoint: the lowest shifted level is exactly zero.
         return -means.e_min
-    return _shift_root(spectrum._levels_arr, spectrum._weights_arr, energy, 1.0, tol)
+    return _shift_root(spectrum, energy, 1.0, tol)
 
 
 def epsilon_shift_solve(
@@ -352,8 +366,9 @@ def epsilon_shift_solve(
     distribution alone determines E'_H).  The returned frame has all
     E'_k > 0 by construction of the bracket.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
+    _require_finite_energy(energy)
     n = spectrum.n if dim is None else int(dim)
     if n < 1:
         raise DomainError("dimension must be positive")
@@ -362,6 +377,8 @@ def epsilon_shift_solve(
             f"energy {energy} must exceed the lowest level {spectrum.e_min}"
         )
     multiplier = (1.0 + 1.0 / n) * (1.0 + epsilon / math.sqrt(n))
+    if math.isinf(multiplier):
+        raise DomainError(f"epsilon {epsilon} is too large: the multiplier overflows at n = {n}")
     if spectrum.all_equal:
         # E_H(s) = E_1 + s exactly; the residual is linear in s.
         s = (energy - multiplier * spectrum.e_min) / (multiplier - 1.0)
@@ -371,7 +388,7 @@ def epsilon_shift_solve(
                 shift=s,
             )
         return EnergyFrame(spectrum, energy, s, n)
-    s = _shift_root(spectrum._levels_arr, spectrum._weights_arr, energy, multiplier, tol)
+    s = _shift_root(spectrum, energy, multiplier, tol)
     return EnergyFrame(spectrum, energy, s, n)
 
 

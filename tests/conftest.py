@@ -5,7 +5,8 @@ paths: plain bisection for shift equations, quadrature over an explicit
 parametrization for three-level manifold moments, and closed forms where
 two-level algebra permits.  The ``grouped_calls`` fixture counts how often
 the library groups a level list, and ``epsilon_solves`` how often it solves
-the epsilon shift.
+the epsilon shift.  ``record_level_sums`` logs the shift solver's level-sum
+memo of one spectrum.
 """
 from __future__ import annotations
 
@@ -62,6 +63,42 @@ def epsilon_solves(monkeypatch):
     for module in (mee.bounds, mee.canonical):
         monkeypatch.setattr(module, "epsilon_shift_solve", counting)
     return calls
+
+
+class LevelSumLog(dict):
+    """A spectrum's level-sum memo that logs each shift the solver asks it
+    for (one per residual evaluation) and each shift it had to sum anew."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked: list[float] = []
+        self.evaluated: list[float] = []
+
+    def get(self, x, default=None):
+        self.asked.append(x)
+        return super().get(x, default)
+
+    def __setitem__(self, x, pair):
+        self.evaluated.append(x)
+        super().__setitem__(x, pair)
+
+
+def record_level_sums(spectrum: Spectrum) -> LevelSumLog:
+    """Install a logging memo on ``spectrum`` before its first solve."""
+    log = LevelSumLog()
+    spectrum.__dict__["_level_sums"] = log  # seeds the cached property
+    return log
+
+
+def random_spectrum(seed: int, size: int) -> tuple[Spectrum, float]:
+    """Uniform levels on [0, 10) with degeneracies 1-19, and the energy 70%
+    of the way from the lowest level to the arithmetic mean, where the
+    epsilon grid is feasible from 2 up."""
+    rng = np.random.default_rng(seed)
+    spec = Spectrum(tuple(rng.uniform(0.0, 10.0, size).tolist()),
+                    tuple(rng.integers(1, 20, size).tolist()))
+    lv, w = np.asarray(spec.levels), np.asarray(spec.degeneracies, dtype=float)
+    return spec, spec.e_min + 0.7 * (float(w @ lv / w.sum()) - spec.e_min)
 
 
 def bisect_shift(levels, weights, energy, multiplier=1.0, iters=200):

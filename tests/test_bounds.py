@@ -22,6 +22,8 @@ from mee import (
     epsilon_shift_solve,
 )
 from mee.bounds import tail_log_bound
+from mee.cli import DEFAULT_EPSILON_GRID
+from conftest import random_spectrum, record_level_sums
 
 EX1 = Spectrum((1.0, 2.0, 3.0), (2731, 2731, 2731))  # n = 8193
 
@@ -248,6 +250,73 @@ class TestOptimizeEpsilon:
     def test_empty_grid(self):
         with pytest.raises(DomainError):
             optimize_epsilon(EX1, 1.5, 1.0, [])
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_fails_before_the_grid(self, energy):
+        spec = Spectrum(EX1.levels, EX1.degeneracies)
+        sums = record_level_sums(spec)
+        with pytest.raises(DomainError, match="energy must be finite"):
+            optimize_epsilon(spec, energy, 1.0, [2.0, 3.0])
+        assert sums.asked == []
+
+
+def _fresh(spec: Spectrum) -> Spectrum:
+    return Spectrum(spec.levels, spec.degeneracies)
+
+
+class TestSharedLevelSums:
+    """Every shift solve on one spectrum shares its level sums; no result
+    may depend on the solves that ran before it."""
+
+    # below 2, epsilon is infeasible on these spectra (n ~ 2000)
+    @pytest.mark.parametrize(
+        "grid",
+        [list(DEFAULT_EPSILON_GRID), [8.0, 0.5, 2.0, 2.0, 4.0, 1.0], [3.0, 0.1, 6.0, 3.0, 2.5]],
+        ids=["default", "unsorted-repeat", "infeasible-first"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_matches_fresh_solves(self, seed, grid):
+        spec, energy = random_spectrum(seed, 200)
+        t = 0.5
+        got = optimize_epsilon(spec, energy, t, grid)
+        best, best_log = None, math.inf
+        for eps in grid:
+            try:
+                cand = constants_for(_fresh(spec), energy, eps)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    constants_for(spec, energy, eps)
+                continue
+            # the same bits again on the spectrum the grid ran on
+            assert repr(constants_for(spec, energy, eps).to_json()) == repr(cand.to_json())
+            log_value = tail_log_bound(cand, t)
+            if log_value < best_log:
+                best, best_log = cand, log_value
+        assert repr(got.to_json()) == repr(best.to_json())
+
+    def test_later_grid_solves_reuse_the_bracket_points(self):
+        spec, energy = random_spectrum(11, 200)
+        grid = list(DEFAULT_EPSILON_GRID)
+        shared = record_level_sums(spec)
+        optimize_epsilon(spec, energy, 2.0, grid)
+        asked = []
+        for eps in grid:
+            fresh = _fresh(spec)
+            log = record_level_sums(fresh)
+            try:
+                constants_for(fresh, energy, eps)
+            except InfeasibleError:
+                pass
+            asked.append(log.asked)
+        # the same residual sequence as solving each point on its own ...
+        assert shared.asked == [x for points in asked for x in points]
+        # ... and each distinct shift summed once, in first-seen order
+        assert shared.evaluated == list(dict.fromkeys(shared.asked))
+        # every solve opens on the same bracket start and first bracket end,
+        # so the second and later solves sum neither of them again
+        assert all(points[:2] == asked[0][:2] for points in asked)
+        assert shared.evaluated.count(asked[0][0]) == 1
+        assert len(shared.evaluated) <= len(shared.asked) - 2 * (len(grid) - 1)
 
 
 class TestMedianWindow:

@@ -392,6 +392,65 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
+class TestNonFiniteInputs:
+    """NaN and infinite energies, epsilons, Lipschitz constants and shell
+    widths fail with a DomainError before any work they would spoil."""
+
+    @staticmethod
+    def _forbid(monkeypatch, target):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{target} ran")
+
+        monkeypatch.setattr(target, forbidden)
+
+    @pytest.mark.parametrize(
+        "argv, forbidden",
+        [
+            (["bounds", "--spectrum", "big", "--energy", "nan"], "mee.spectrum._shift_root"),
+            (["bounds", "--spectrum", "big", "--energy", "inf", "--epsilon", "2"],
+             "mee.spectrum._shift_root"),
+            (["canonical", "--bipartite", "bip", "--energy", "nan", "--epsilon", "2"],
+             "mee.spectrum._shift_root"),
+            (["shift", "--spectrum", "big", "--epsilon", "2", "--energy", "nan"],
+             "mee.spectrum._shift_root"),
+            (["shift", "--spectrum", "big", "--epsilon", "2", "--energy", "inf"],
+             "mee.spectrum._shift_root"),
+            (["shift", "--spectrum", "big", "--epsilon", "2", "--energy=-inf"],
+             "mee.spectrum._shift_root"),
+            (["shift", "--spectrum", "big", "--epsilon", "nan", "--energy", "1.5"],
+             "mee.spectrum._shift_root"),
+            # an all-equal spectrum never reaches the root finder; it used to
+            # print a null shift and exit 0
+            (["shift", "--spectrum", "flat", "--epsilon", "inf", "--energy", "2.5"], None),
+            (["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
+              "--epsilon", "nan", "--count", "10", "--seed", "1"],
+             "mee.experiments._gaussian_stream"),
+            (["bounds", "--spectrum", "big", "--energy", "1.5", "--lipschitz", "nan",
+              "--out-dir", "out"], None),
+            (["sample", "--mode", "oracle", "--spectrum", "small", "--energy", "1.5",
+              "--eta", "nan", "--count", "5", "--seed", "1"], "mee.sampling._map_ordered"),
+        ],
+        ids=["bounds-energy-nan", "bounds-energy-inf", "canonical-energy-nan",
+             "shift-energy-nan", "shift-energy-inf", "shift-energy-minus-inf",
+             "shift-epsilon-nan", "shift-epsilon-inf-all-equal", "verify-tail-epsilon-nan",
+             "bounds-lipschitz-nan", "sample-oracle-eta-nan"],
+    )
+    def test_domain_error(self, capsys, monkeypatch, tmp_path, spectrum_file,
+                          small_spectrum_file, bipartite_file, argv, forbidden):
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"levels": [2.0, 2.0, 2.0]}))
+        files = {"big": spectrum_file, "small": small_spectrum_file, "bip": bipartite_file,
+                 "flat": str(flat), "out": str(tmp_path / "out")}
+        if forbidden is not None:
+            self._forbid(monkeypatch, forbidden)
+        code = run([files.get(arg, arg) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
+        assert not (tmp_path / "out").exists()
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self, capsys, small_spectrum_file, tmp_path):
         outs = []

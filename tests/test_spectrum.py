@@ -14,7 +14,7 @@ from mee import (
     harmonic_shift_solve,
     epsilon_shift_solve,
 )
-from conftest import bisect_shift
+from conftest import bisect_shift, random_spectrum, record_level_sums
 
 SQRT7 = math.sqrt(7.0)
 
@@ -305,6 +305,50 @@ class TestEpsilonShift:
             epsilon_shift_solve(spec, 1.5, -1.0)
         with pytest.raises(DomainError):
             epsilon_shift_solve(spec, 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "energy, epsilon",
+        [(math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0), (1.5, math.nan), (1.5, math.inf)],
+        ids=["energy-nan", "energy-inf", "energy-minus-inf", "epsilon-nan", "epsilon-inf"],
+    )
+    @pytest.mark.parametrize("levels", [(1.0, 2.0, 3.0), (2.0, 2.0)], ids=["spread", "all-equal"])
+    def test_non_finite_inputs_fail_before_the_solve(self, levels, energy, epsilon):
+        spec = Spectrum(levels)
+        sums = record_level_sums(spec)
+        with pytest.raises(DomainError):
+            epsilon_shift_solve(spec, energy, epsilon)
+        assert sums.asked == []
+
+    def test_overflowing_multiplier_is_a_domain_error(self):
+        # at n = 1 the multiplier 2 * (1 + 1e308) is inf; the all-equal
+        # closed form would return a NaN shift
+        with pytest.raises(DomainError, match="overflows"):
+            epsilon_shift_solve(Spectrum((2.0, 2.0)), 2.5, 1e308, dim=1)
+
+
+class TestSharedLevelSums:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_earlier_solves_do_not_change_a_result(self, seed):
+        spec, energy = random_spectrum(seed, 60)
+        harmonic = harmonic_shift_solve(spec, energy)
+        epsilon = epsilon_shift_solve(spec, energy, 2.0).shift
+        again = harmonic_shift_solve(spec, energy)
+
+        def fresh():
+            return Spectrum(spec.levels, spec.degeneracies)
+
+        fresh_h, fresh_e = fresh(), fresh()
+        assert harmonic.hex() == again.hex() == harmonic_shift_solve(fresh_h, energy).hex()
+        assert epsilon.hex() == epsilon_shift_solve(fresh_e, energy, 2.0).shift.hex()
+        # the pair shares its bracket points; the repeat sums nothing anew
+        assert len(spec._level_sums) < len(fresh_h._level_sums) + len(fresh_e._level_sums)
+
+    def test_memo_belongs_to_the_instance(self):
+        spec, energy = random_spectrum(7, 60)
+        twin = Spectrum(spec.levels, spec.degeneracies)
+        assert spec == twin
+        harmonic_shift_solve(spec, energy)
+        assert spec._level_sums and not twin._level_sums
 
 
 class TestEnergyFrame:

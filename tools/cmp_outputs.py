@@ -28,8 +28,9 @@ and a Gaussian dump just under that size),
 error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
 ``verify``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
 --count 0``.  ``means``, ``shift``,
-``bounds`` (grid and ``--epsilon``) and ``canonical`` also run on two larger
-inputs drawn from a fixed seed: 20 000 random levels with degeneracies 1-19,
+``bounds`` (the default grid, an unsorted grid with a repeated value, and
+``--epsilon``) and ``canonical`` also run on two larger inputs drawn from a
+fixed seed: 20 000 random levels with degeneracies 1-19,
 and a bipartite spectrum of integer levels whose combined spectrum collapses
 12 000 sums into a few dozen grouped levels.  Four malformed inputs (a
 401-digit integer level in a spectrum and in ``levels_b``, a degeneracy of
@@ -149,6 +150,10 @@ def commands() -> dict[str, list[str]]:
                                  "--out-dir", "out/large-bounds-grid"]
     cmds["large-bounds-epsilon"] = ["bounds", *large, "--energy", "3.5", "--epsilon", "2",
                                     "--out-dir", "out/large-bounds-epsilon"]
+    # an unsorted grid with a repeat: the solves share level sums in any order
+    cmds["large-bounds-grid-unsorted"] = ["bounds", *large, "--energy", "3.5",
+                                          "--epsilon-grid", "8,0.5,2,2,4,1",
+                                          "--out-dir", "out/large-bounds-grid-unsorted"]
     cmds["bip-int-canonical"] = ["canonical", "--bipartite", "in/bip-int.json",
                                  "--energy", "15", "--epsilon", "2",
                                  "--out-dir", "out/bip-int-canonical"]
