@@ -414,20 +414,10 @@ _HANDLERS = {
 def _error_record(exc: Exception) -> str:
     record = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, InfeasibleError):
-        record["details"] = {k: _jsonable(v) for k, v in exc.details.items()}
+        record["details"] = exc.details
     if isinstance(exc, NumericalError) and exc.residual is not None:
         record["details"] = {"residual": exc.residual}
     return dumps_record(record)
-
-
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return str(value)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

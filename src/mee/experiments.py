@@ -21,6 +21,7 @@ from .sampling import (
     _chunk_task,
     _gaussian_draw,
     _map_ordered,
+    _row_norms,
     chunk_layout,
     oracle_manifold_sample,
 )
@@ -41,8 +42,7 @@ __all__ = [
 ]
 
 _SUB_BATCHES = 32
-# Real scalars per row block of _row_norms (1 MB of float64).
-_NORM_BLOCK_SCALARS = 1 << 17
+_VAR_RTOL = 0.1  # relative tolerance of the moments report's variance identities
 # Measured fields that hold floats and may be non-finite.
 _FLOAT_FIELDS = ("value", "std_error", "reference", "tolerance")
 
@@ -155,11 +155,9 @@ class ExperimentReport:
 
 
 def subbatch_mean_error(
-    values: np.ndarray,
-    weights: np.ndarray | None = None,
-    parts: int = _SUB_BATCHES,
+    values: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[float, float]:
-    """(weighted) mean and its standard error from ``parts`` contiguous sub-batches.
+    """(weighted) mean and its standard error from 32 contiguous sub-batches.
 
     Robust to mildly non-normal estimators; degenerates gracefully for tiny
     samples by using as many nonempty parts as available.
@@ -172,7 +170,7 @@ def subbatch_mean_error(
     else:
         weights = np.asarray(weights, dtype=float)
         mean = float(np.dot(weights, values) / weights.sum())
-    parts = max(1, min(parts, values.size))
+    parts = max(1, min(_SUB_BATCHES, values.size))
     bounds = np.linspace(0, values.size, parts + 1, dtype=int)
     sub = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -190,27 +188,22 @@ def subbatch_mean_error(
 
 def _gaussian_stream(
     frame: EnergyFrame, count: int, rng: RngSpec, reduce: Callable, workers: int | None
-) -> list:
-    """``reduce(states)`` of each chunk of :func:`sample_gaussian_ensemble`'s
-    batch, in chunk order, drawn on ``workers`` threads; ``reduce`` must not
-    keep a view of its argument (see :func:`_chunk_task`)."""
+) -> tuple[np.ndarray, ...]:
+    """Each array of the tuple ``reduce(states)`` (one leading row per state, or
+    per chunk) concatenated over the chunks of :func:`sample_gaussian_ensemble`'s
+    batch in chunk order, drawn on ``workers`` threads; ``reduce`` must not keep
+    a view of its argument (see :func:`_chunk_task`)."""
+    draw = _gaussian_draw(frame, rng)
+    if count < 1:
+        raise DomainError("cannot estimate from an empty sample")
     layout = chunk_layout(count, frame.dim)
-    task = _chunk_task(_gaussian_draw(frame, rng), reduce, layout, frame.dim)
-    return list(_map_ordered(task, enumerate(layout), workers))
+    task = _chunk_task(draw, reduce, layout, frame.dim)
+    results = list(_map_ordered(task, enumerate(layout), workers))
+    return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
 # ---------------------------------------------------------------------------
 # Reduced density matrices
-
-
-def _row_norms(states: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(states, axis=1)`` bit for bit, over row blocks, so its
-    two complex temporaries are block-sized instead of chunk-sized."""
-    rows = max(1, _NORM_BLOCK_SCALARS // max(2 * states.shape[1], 1))
-    norms = np.empty(states.shape[0])
-    for lo in range(0, states.shape[0], rows):
-        norms[lo : lo + rows] = np.linalg.norm(states[lo : lo + rows], axis=1)
-    return norms
 
 
 def _reduced_states(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -249,11 +242,10 @@ def reduced_dm_report(
     def one_chunk(psi: np.ndarray):
         rhos = _reduced_states(psi, dim_a, dim_b)
         devs = np.linalg.norm(rhos - rho_ref.matrix, axis=(1, 2))
-        return rhos.sum(axis=0), devs
+        return rhos.sum(axis=0)[None], devs
 
-    results = _gaussian_stream(frame, count, rng, one_chunk, workers)
-    rho_sum = sum((r[0] for r in results), np.zeros((dim_a, dim_a), dtype=complex))
-    devs = np.concatenate([r[1] for r in results]) if results else np.zeros(0)
+    rho_sums, devs = _gaussian_stream(frame, count, rng, one_chunk, workers)
+    rho_sum = sum(rho_sums, np.zeros((dim_a, dim_a), dtype=complex))
     rho_hat = DensityMatrix(0.5 * (rho_sum + rho_sum.conj().T) / count)
 
     mean_dev, se_dev = subbatch_mean_error(devs)
@@ -316,10 +308,8 @@ def _sorted_ts(ts: Sequence[float]) -> np.ndarray:
 def _tail_curve(
     values: np.ndarray, ts: Sequence[float], constants: ConcentrationConstants
 ) -> TailCurve:
-    """Empirical Prob{|value - median| > t} of a sample, centered at its
+    """Empirical Prob{|value - median| > t} of a nonempty sample, centered at its
     median as the bound's statement is, beside the clamped bound at each t."""
-    if values.size == 0:
-        raise DomainError("cannot estimate from an empty sample")
     ts = _sorted_ts(ts)
     med = float(np.median(values))
     dev = np.abs(values - med)
@@ -328,10 +318,10 @@ def _tail_curve(
     return TailCurve(ts=ts, frequencies=freqs, median=med, bounds=bnds)
 
 
-def _first_coordinate(states: np.ndarray) -> np.ndarray:
+def _first_coordinate(states: np.ndarray) -> tuple[np.ndarray]:
     """Re(psi_1) of each state after normalization, without a normalized copy
     of the batch."""
-    return (states[:, 0] / _row_norms(states)).real
+    return ((states[:, 0] / _row_norms(states)).real,)
 
 
 def tail_report(
@@ -354,8 +344,7 @@ def tail_report(
     # before the stream, so unsorted ts or a bad epsilon fail at once
     ts = _sorted_ts(ts)
     consts = constants_for(spectrum, energy, epsilon)
-    chunks = _gaussian_stream(frame, count, rng, _first_coordinate, workers)
-    values = np.concatenate(chunks) if chunks else np.zeros(0)
+    (values,) = _gaussian_stream(frame, count, rng, _first_coordinate, workers)
     curve = _tail_curve(values, ts, consts)
     measured = tuple(
         Measured(f"excess_over_bound_t_{t:g}", float(freq - bound), None, 0.0, "upper")
@@ -392,7 +381,6 @@ def moment_report_streamed(
     count: int,
     rng: RngSpec,
     tolerance_sigmas: float = 5.0,
-    var_rtol: float = 0.1,
     workers: int | None = None,
 ) -> ExperimentReport:
     """Check the four Gaussian moment identities on ``count`` states streamed
@@ -400,11 +388,8 @@ def moment_report_streamed(
     ||psi||^2 and <psi|H'|psi>.  The numbers equal those of the materialized
     batch and do not depend on ``workers``."""
     levels = frame.expanded_levels
-    results = _gaussian_stream(
-        frame, count, rng, lambda psi: _moment_chunk(psi, levels), workers
-    )
-    norm2 = np.concatenate([r[0] for r in results]) if results else np.zeros(0)
-    hq = np.concatenate([r[1] for r in results]) if results else np.zeros(0)
+    reduce = lambda psi: _moment_chunk(psi, levels)
+    norm2, hq = _gaussian_stream(frame, count, rng, reduce, workers)
     n = frame.dim
     e_prime = frame.e_prime
     var_norm_ref = float(((e_prime / levels) ** 2).sum()) / n ** 2
@@ -419,9 +404,9 @@ def moment_report_streamed(
         Measured("mean_norm_sq", mean_norm, se_norm, 1.0, "sigmas", tolerance_sigmas),
         Measured("mean_shifted_energy", mean_h, se_h, e_prime, "sigmas", tolerance_sigmas),
         Measured(
-            "var_shifted_energy", sample_var(hq), None, e_prime ** 2 / n, "relative", var_rtol
+            "var_shifted_energy", sample_var(hq), None, e_prime ** 2 / n, "relative", _VAR_RTOL
         ),
-        Measured("var_norm_sq", sample_var(norm2), None, var_norm_ref, "relative", var_rtol),
+        Measured("var_norm_sq", sample_var(norm2), None, var_norm_ref, "relative", _VAR_RTOL),
     )
     return ExperimentReport(
         name="moments",

@@ -55,7 +55,8 @@ def load_bipartite(path: str | Path) -> BipartiteSpectrum:
 
 def dumps_record(record: dict) -> str:
     """Deterministic strict JSON rendering: sorted keys, fixed separators,
-    newline-terminated, every non-finite float written as null."""
+    newline-terminated, every dict key written as ``str(key)`` and every
+    non-finite float as null."""
     return json.dumps(_finite_or_null(record), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -63,7 +64,7 @@ def _finite_or_null(obj):
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {key: _finite_or_null(value) for key, value in obj.items()}
+        return {str(key): _finite_or_null(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_finite_or_null(value) for value in obj]
     return obj

@@ -40,6 +40,8 @@ __all__ = [
 # Scalars (real normal variates) per generation chunk; the layout depends
 # only on this constant, count and n, never on worker count.
 _CHUNK_SCALARS = 1 << 22
+# Real scalars per row block of _row_norms (1 MB of float64).
+_NORM_BLOCK_SCALARS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -262,6 +264,16 @@ def _draw_batch(draw: Callable, count: int, n: int) -> np.ndarray:
     return states
 
 
+def _row_norms(states: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(states, axis=1)`` bit for bit, over row blocks, so its
+    two complex temporaries are block-sized instead of chunk-sized."""
+    rows = max(1, _NORM_BLOCK_SCALARS // max(2 * states.shape[1], 1))
+    norms = np.empty(states.shape[0])
+    for lo in range(0, states.shape[0], rows):
+        norms[lo : lo + rows] = np.linalg.norm(states[lo : lo + rows], axis=1)
+    return norms
+
+
 def default_shell_width(spectrum: Spectrum) -> float:
     """Shell half-width 0.02 (E_max - E_min)/sqrt(n); the on-sphere energy
     spread scales like 1/sqrt(n), keeping the acceptance rate workable."""
@@ -334,7 +346,7 @@ def sample_sphere(n: int, count: int, rng: RngSpec) -> SampleBatch:
 
     def draw(chunk: int, size: int, out: np.ndarray) -> np.ndarray:
         psi = _complex_normals(rng, chunk, size, n, out)
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        psi /= _row_norms(psi)[:, None]
         return psi
 
     return SampleBatch(

@@ -235,9 +235,9 @@ class EnergyFrame:
     def shifted_spectrum(self) -> Spectrum:
         return Spectrum(self.shifted_levels.tolist(), self.base.degeneracies)
 
-    def is_harmonic(self, rtol: float = 1e-8) -> bool:
-        """True when E' equals the shifted harmonic mean to relative tolerance."""
-        return abs(self.e_prime_harm - self.e_prime) <= rtol * abs(self.e_prime)
+    def is_harmonic(self) -> bool:
+        """True when E' equals the shifted harmonic mean to relative tolerance 1e-8."""
+        return abs(self.e_prime_harm - self.e_prime) <= 1e-8 * abs(self.e_prime)
 
     def to_json(self) -> dict:
         return {
@@ -254,6 +254,12 @@ def _require_finite_energy(energy: float) -> None:
     bracket."""
     if not math.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
+
+
+def _require_tol(tol: float) -> None:
+    """Raise DomainError for a tolerance no residual meets (NaN, negative) or all do (inf)."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float) -> float:
@@ -336,6 +342,7 @@ def harmonic_shift_solve(spectrum: Spectrum, energy: float, tol: float = 1e-12) 
     equal (all-equal spectra are handled as an explicit degenerate case and
     never reach the solver).
     """
+    _require_tol(tol)
     if spectrum.all_equal:
         if energy == spectrum.e_min:
             return 0.0
@@ -366,6 +373,7 @@ def epsilon_shift_solve(
     distribution alone determines E'_H).  The returned frame has all
     E'_k > 0 by construction of the bracket.
     """
+    _require_tol(tol)
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
     _require_finite_energy(energy)

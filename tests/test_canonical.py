@@ -286,6 +286,11 @@ class TestDetmax:
         with pytest.raises(DomainError):
             detmax_state((1.0, 2.0, 3.0), 2.5)  # above the arithmetic mean
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf])
+    def test_bad_tol_is_a_domain_error(self, tol):
+        with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+            detmax_state((1.0, 2.0, 3.0), 1.5, tol=tol)
+
 
 class TestQubit:
     def test_canonical_closed_form(self):

@@ -78,6 +78,16 @@ class TestShift:
         assert code == 0
         assert -0.5 < record["shift"] < 0.0
 
+    def test_zero_tol_still_solves(self, capsys, tmp_path):
+        path = tmp_path / "s123.json"
+        path.write_text(json.dumps({"levels": [1.0, 2.0, 3.0]}))
+        code, record = run_json(
+            capsys, ["shift", "--spectrum", str(path), "--energy", "1.5", "--tol", "0"]
+        )
+        assert code == 0
+        assert record["config"]["tol"] == 0.0
+        assert record["shift"] == pytest.approx(-0.45142, abs=1e-5)
+
     def test_domain_error_exit_code(self, capsys, two_level_file):
         code = run(["shift", "--spectrum", two_level_file, "--energy", "5.0"])
         err = json.loads(capsys.readouterr().err)
@@ -130,6 +140,20 @@ class TestBounds:
         assert code == 1
         assert err["error"] == "InfeasibleError"
         assert err["details"]["min_feasible_epsilon"] > 1.0
+
+    def test_infeasible_grid_failures_are_keyed_by_string(self, capsys, tmp_path):
+        # the record sorts the float keys as strings: "1e-05" after "0.5"
+        path = tmp_path / "s123.json"
+        path.write_text(json.dumps({"levels": [1.0, 2.0, 3.0]}))
+        code = run(["bounds", "--spectrum", str(path), "--energy", "1.5",
+                    "--epsilon-grid", "0.5,0.00001,3"])
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert code == 1
+        assert captured.out == ""
+        assert err["error"] == "InfeasibleError"
+        assert list(err["details"]["failures"]) == ["0.5", "1e-05", "3.0"]
+        assert err["details"]["grid"] == [0.5, 1e-05, 3.0]
 
 
 class TestCanonical:
@@ -394,7 +418,8 @@ class TestErrorPaths:
 
 class TestNonFiniteInputs:
     """NaN and infinite energies, epsilons, Lipschitz constants and shell
-    widths fail with a DomainError before any work they would spoil."""
+    widths, and NaN, negative or infinite solver tolerances, fail with a
+    DomainError before any work they would spoil."""
 
     @staticmethod
     def _forbid(monkeypatch, target):
@@ -429,18 +454,30 @@ class TestNonFiniteInputs:
               "--out-dir", "out"], None),
             (["sample", "--mode", "oracle", "--spectrum", "small", "--energy", "1.5",
               "--eta", "nan", "--count", "5", "--seed", "1"], "mee.sampling._map_ordered"),
+            # no residual meets a negative or NaN tolerance: 200 iterations
+            # and a NumericalError
+            (["shift", "--spectrum", "s123", "--energy", "1.5", "--tol", "-1"],
+             "mee.spectrum._shift_root"),
+            (["shift", "--spectrum", "s123", "--energy", "1.5", "--epsilon", "2",
+              "--tol", "nan"], "mee.spectrum._shift_root"),
+            # every residual meets an infinite one: exit 0 with a wrong shift
+            (["shift", "--spectrum", "s123", "--energy", "1.5", "--tol", "inf"],
+             "mee.spectrum._shift_root"),
         ],
         ids=["bounds-energy-nan", "bounds-energy-inf", "canonical-energy-nan",
              "shift-energy-nan", "shift-energy-inf", "shift-energy-minus-inf",
              "shift-epsilon-nan", "shift-epsilon-inf-all-equal", "verify-tail-epsilon-nan",
-             "bounds-lipschitz-nan", "sample-oracle-eta-nan"],
+             "bounds-lipschitz-nan", "sample-oracle-eta-nan", "shift-tol-negative",
+             "shift-epsilon-tol-nan", "shift-tol-inf"],
     )
     def test_domain_error(self, capsys, monkeypatch, tmp_path, spectrum_file,
                           small_spectrum_file, bipartite_file, argv, forbidden):
         flat = tmp_path / "flat.json"
         flat.write_text(json.dumps({"levels": [2.0, 2.0, 2.0]}))
+        s123 = tmp_path / "s123.json"
+        s123.write_text(json.dumps({"levels": [1.0, 2.0, 3.0]}))
         files = {"big": spectrum_file, "small": small_spectrum_file, "bip": bipartite_file,
-                 "flat": str(flat), "out": str(tmp_path / "out")}
+                 "flat": str(flat), "s123": str(s123), "out": str(tmp_path / "out")}
         if forbidden is not None:
             self._forbid(monkeypatch, forbidden)
         code = run([files.get(arg, arg) for arg in argv])

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import bisect_shift
 
 from mee import (
     BipartiteSpectrum,
+    DensityMatrix,
     DomainError,
     ExperimentReport,
     Measured,
@@ -149,6 +151,24 @@ class TestEstimateReducedDm:
         mean_dev = {m.name: m for m in report.measured}["mean_hs_deviation"].value
         assert abs(mean_dev - devs.mean()) <= 1e-14 * devs.mean()
 
+    def test_chunk_sums_fold_in_chunk_order(self):
+        # the mean reduced state is the chunk sums added to zero one by one,
+        # in chunk order
+        bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0,) * 64)
+        layout = chunk_layout(25000, bs.dim_a * bs.dim_b)
+        assert len(layout) == 3
+        rng = RngSpec(seed=43)
+        _, rho_hat = reduced_dm_report(bs, 1.3, 2.0, 25000, rng, workers=2)
+
+        frame = harmonic_frame(Spectrum(bs.flat_levels().tolist()), 1.3)
+        states = sample_gaussian_ensemble(frame, 25000, rng).states
+        rho_sum = np.zeros((bs.dim_a, bs.dim_a), dtype=complex)
+        edges = np.cumsum([0, *layout])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rho_sum = rho_sum + _reduced_states(states[lo:hi], bs.dim_a, bs.dim_b).sum(axis=0)
+        want = DensityMatrix(0.5 * (rho_sum + rho_sum.conj().T) / 25000)
+        assert rho_hat.matrix.tobytes() == want.matrix.tobytes()
+
 
 class TestEmpiricalTail:
     """The empirical tail curve: of a plain sample, and as the tail report
@@ -246,6 +266,11 @@ class TestMomentReport:
         assert by_name["var_norm_sq"].value == float(norm2.var(ddof=1))
         assert by_name["var_shifted_energy"].value == float(hq.var(ddof=1))
 
+    def test_empty_sample_rejected(self):
+        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0)), 1.5)
+        with pytest.raises(DomainError, match="^cannot estimate from an empty sample$"):
+            moment_report_streamed(frame, 0, RngSpec(seed=30))
+
     def test_workers_do_not_change_results(self):
         frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (40, 40, 40)), 1.5)
         rng = RngSpec(seed=31)
@@ -316,6 +341,13 @@ class TestReducedDmReport:
         b, rho_b = reduced_dm_report(bs, 1.3, 2.0, 2000, RngSpec(seed=37), workers=3)
         assert a == b
         assert np.array_equal(rho_a.matrix, rho_b.matrix)
+
+    def test_empty_sample_rejected_without_a_warning(self):
+        bs = BipartiteSpectrum((1.0, 2.0), (0.0,) * 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^cannot estimate from an empty sample$"):
+                reduced_dm_report(bs, 1.3, 2.0, 0, RngSpec(seed=37))
 
 
 class TestSpinSpectrum:

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -29,6 +30,7 @@ from mee.sampling import (
     _chunk_task,
     _complex_normals,
     _map_ordered,
+    _row_norms,
     chunk_layout,
     gaussian_chunk,
 )
@@ -70,8 +72,35 @@ class TestChunking:
         frame = harmonic_frame(SPEC123, 1.5)
         rng = RngSpec(seed=5)
         batch = sample_gaussian_ensemble(frame, 2000, rng)
-        streamed = np.concatenate(_gaussian_stream(frame, 2000, rng, np.copy, 1))
+        (streamed,) = _gaussian_stream(frame, 2000, rng, lambda s: (s.copy(),), 1)
         assert np.array_equal(batch.states, streamed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stream_concatenates_each_array_in_chunk_order(self, workers):
+        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (300, 300, 300)), 1.5)
+        rng = RngSpec(seed=6)
+        count = 5000
+        layout = chunk_layout(count, frame.dim)
+        assert len(layout) == 3
+        states = sample_gaussian_ensemble(frame, count, rng).states
+        firsts, totals = _gaussian_stream(
+            frame, count, rng, lambda s: (s[:, 0].copy(), s.sum(axis=0)[None]), workers
+        )
+        assert np.array_equal(firsts, states[:, 0])
+        edges = np.cumsum([0, *layout])
+        want = [states[lo:hi].sum(axis=0) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert totals.shape == (3, frame.dim)
+        assert totals.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_stream_rejects_an_empty_sample_before_any_draw(self, monkeypatch, count):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the stream drew")
+
+        monkeypatch.setattr(sampling_mod, "gaussian_chunk", forbidden)
+        frame = harmonic_frame(SPEC123, 1.5)
+        with pytest.raises(DomainError, match="^cannot estimate from an empty sample$"):
+            _gaussian_stream(frame, count, RngSpec(seed=7), lambda s: (s.copy(),), 1)
 
     def test_same_spec_same_batch(self):
         frame = harmonic_frame(SPEC123, 1.5)
@@ -266,6 +295,36 @@ class TestBlasThreadLimit:
 
 
 class TestSphere:
+    def test_row_norms_are_the_whole_batch_norm(self):
+        # 2 x 2100 reals per row: 31 rows per block, so 4 full blocks and a short one
+        z = RngSpec(seed=8).generator().standard_normal((140, 2100, 2)).view(np.complex128)
+        z = z[..., 0]
+        assert _row_norms(z).tobytes() == np.linalg.norm(z, axis=1).tobytes()
+
+    def test_rows_are_normalized_through_row_norms(self, monkeypatch):
+        rows = []
+
+        def counted(states):
+            rows.append(states.shape[0])
+            return _row_norms(states)
+
+        monkeypatch.setattr(sampling_mod, "_row_norms", counted)
+        sample_sphere(900, 3000, RngSpec(seed=9))
+        assert rows == chunk_layout(3000, 900)
+
+    def test_one_chunk_peaks_below_one_and_a_half_batches(self):
+        # 2330 x 900 is exactly one chunk; a chunk-sized norm temporary would
+        # add at least one more batch
+        count, n = 2330, 900
+        assert chunk_layout(count, n) == [count]
+        tracemalloc.start()
+        try:
+            batch = sample_sphere(n, count, RngSpec(seed=10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * batch.states.nbytes
+
     def test_unit_norms(self):
         batch = sample_sphere(16, 500, RngSpec(seed=2))
         norms = np.linalg.norm(batch.states, axis=1)

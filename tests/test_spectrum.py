@@ -326,6 +326,21 @@ class TestEpsilonShift:
             epsilon_shift_solve(Spectrum((2.0, 2.0)), 2.5, 1e308, dim=1)
 
 
+class TestSolverTolerance:
+    @pytest.mark.parametrize(
+        "tol", [math.nan, -1.0, -1e-300, math.inf], ids=["nan", "negative", "tiny-negative", "inf"]
+    )
+    @pytest.mark.parametrize("levels", [(1.0, 2.0, 3.0), (2.0, 2.0)], ids=["spread", "all-equal"])
+    def test_bad_tol_fails_before_the_solve(self, levels, tol):
+        spec = Spectrum(levels)
+        sums = record_level_sums(spec)
+        with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+            harmonic_shift_solve(spec, 2.0, tol=tol)
+        with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+            epsilon_shift_solve(spec, 2.5, 2.0, tol=tol)
+        assert sums.asked == []
+
+
 class TestSharedLevelSums:
     @pytest.mark.parametrize("seed", range(5))
     def test_earlier_solves_do_not_change_a_result(self, seed):

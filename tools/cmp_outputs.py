@@ -24,9 +24,9 @@ chunks with a short last one, both oracle proposals with an explicit and
 with the default ``--eta`` and ``--max-draws``, a partial oracle batch, a
 weighted oracle dump large enough for the writer to split it into row parts
 and a Gaussian dump just under that size),
-``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json`` and the
+``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json``, the
 error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
-``verify``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
+``verify`` and that of an all-infeasible ``bounds --epsilon-grid``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
 --count 0``.  ``means``, ``shift``,
 ``bounds`` (the default grid, an unsorted grid with a repeated value, and
 ``--epsilon``) and ``canonical`` also run on two larger inputs drawn from a
@@ -128,6 +128,9 @@ def commands() -> dict[str, list[str]]:
                            "--t-values", "0.1,0.2,0.4", "--out-dir", "out/bounds-grid"]
     cmds["bounds-epsilon"] = ["bounds", "--spectrum", "in/s123.json", "--energy", "1.5",
                               "--epsilon", "2", "--out-dir", "out/bounds-epsilon"]
+    # exits 1 with failures keyed "0.5", "1e-05", "3.0": string order, not numeric
+    cmds["bounds-grid-infeasible"] = ["bounds", "--spectrum", "in/s123.json", "--energy",
+                                      "1.5", "--epsilon-grid", "0.5,0.00001,3"]
     cmds["canonical"] = ["canonical", "--bipartite", "in/bip.json", "--energy", "1.3",
                          "--epsilon", "2", "--out-dir", "out/canonical"]
     # exits 1 with the InfeasibleError record on stderr
