@@ -176,15 +176,13 @@ def tail_log10_bound(constants: ConcentrationConstants, t: float) -> float:
     return tail_log_bound(constants, t) / math.log(10.0)
 
 
-def tail_bound(constants: ConcentrationConstants, t: float, lam: float = 1.0) -> float:
+def tail_bound(constants: ConcentrationConstants, t: float) -> float:
     """Raw right-hand side of the tail inequality for the event |f - median| > lam*t.
 
-    The bound itself does not depend on the Lipschitz constant ``lam`` (it
-    only rescales the event threshold), may exceed 1, and is non-increasing
-    in t for t >= 1/(4n).  Callers clamp for display.
+    The bound does not depend on the Lipschitz constant lam of f (it only
+    rescales the event threshold), may exceed 1, and is non-increasing in t
+    for t >= 1/(4n).  Callers clamp for display.
     """
-    if not lam > 0.0:
-        raise DomainError("Lipschitz constant must be positive")
     return _exp_or_inf(tail_log_bound(constants, t))
 
 

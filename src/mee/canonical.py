@@ -217,10 +217,7 @@ def detmax_state(levels_a: Sequence[float], energy: float, tol: float = 1e-12) -
     are re-verified to ``tol``.
     """
     spec = Spectrum(tuple(levels_a))
-    if not (spec.e_min < energy < spec.e_max):
-        raise DomainError(
-            f"energy {energy} outside the open level range ({spec.e_min}, {spec.e_max})"
-        )
+    spec._require_inside(energy)
     shift = harmonic_shift_solve(spec, energy, tol)
     lv = spec.expand()
     lam = (energy + shift) / (lv.size * (lv + shift))

@@ -3,9 +3,10 @@
 Subcommands: means, shift, bounds, canonical, sample, verify, and spins
 (the same run as ``verify --experiment spins``).
 Primary records are printed to stdout as deterministic JSON and optionally
-written under --out-dir; curves and amplitude dumps are CSV.  Exit codes:
-0 success, 1 domain/infeasibility/convergence errors (structured JSON on
-stderr), 2 I/O or parse errors.  Given the same seed, outputs are
+written under --out-dir; curves and amplitude dumps are CSV.  Every file is
+written before the record is printed, so a failed write leaves stdout empty.
+Exit codes: 0 success, 1 domain/infeasibility/convergence errors (structured
+JSON on stderr), 2 I/O or parse errors.  Given the same seed, outputs are
 byte-identical regardless of --workers, which defaults to the CPUs this
 process may run on (also for ``spins`` and ``sample --mode oracle``).
 """
@@ -165,13 +166,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(record: dict, out_dir: str | None, filename: str) -> None:
+def _emit(record: dict, out_dir: str | None = None, filename: str = "", tables=()) -> None:
+    """Write each ``(name, header, table)`` CSV and then the record file
+    ``filename`` under ``out_dir``, if one is given; print the record last."""
     text = dumps_record(record)
-    sys.stdout.write(text)
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
+        for name, header, table in tables:
+            write_csv(path / name, header, table)
         (path / filename).write_text(text)
+    sys.stdout.write(text)
 
 
 def _cmd_means(args: argparse.Namespace) -> int:
@@ -180,7 +185,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
         "config": {"command": "means", "spectrum": args.spectrum},
         "means": compute_means(spectrum).to_json(),
     }
-    _emit(record, None, "means.json")
+    _emit(record)
     return 0
 
 
@@ -213,7 +218,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
             "shifted_energy": frame.e_prime,
             "dim": frame.dim,
         }
-    _emit(record, None, "shift.json")
+    _emit(record)
     return 0
 
 
@@ -244,15 +249,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "window": window.to_json(),
         "constants": consts.to_json(),
     }
-    rows = []  # before the record, so a bad --lipschitz leaves no output
+    # the bound does not depend on the Lipschitz constant; only its domain is checked
+    if not args.lipschitz > 0.0:
+        raise DomainError("Lipschitz constant must be positive")
+    rows = []
     for t in ts:
-        raw = bounds_mod.tail_bound(consts, t, args.lipschitz)
+        raw = bounds_mod.tail_bound(consts, t)
         rows.append((t, min(1.0, raw), bounds_mod.tail_log10_bound(consts, t)))
-    _emit(record, args.out_dir, "constants.json")
-    if args.out_dir is not None:
-        write_csv(
-            Path(args.out_dir) / "tail.csv", ("t", "bound", "log10_bound"), rows, _default_workers()
-        )
+    tail = ("tail.csv", ("t", "bound", "log10_bound"), rows)
+    _emit(record, args.out_dir, "constants.json", [tail])
     return 0
 
 
@@ -312,7 +317,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "produced": batch.count,
         "meta": batch.meta,
     }
-    _emit(record, None, "sample.json")
     if args.out is not None:
         header = [f"{part}{k}" for k in range(batch.dim) for part in ("re", "im")]
         # one row per state, its amplitudes already interleaved as re, im
@@ -320,7 +324,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if batch.weights is not None:
             header.append("weight")
             table = np.column_stack((table, batch.weights))
-        write_csv(args.out, header, table, _default_workers())
+        write_csv(args.out, header, table)
+    _emit(record)
     return 0
 
 
@@ -359,7 +364,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = {key: getattr(args, key, None) for key in _VERIFY_CONFIG}
     config.update(command=args.command, seed=seed)
 
-    curve = None
+    tables = []
     if args.experiment == "moments":
         frame = harmonic_frame(load_spectrum(args.spectrum), args.energy)
         report = exp_mod.moment_report_streamed(
@@ -386,17 +391,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ts,
             workers=workers,
         )
+        tables.append(("curve.csv", ("t", "frequency", "bound"), curve.to_rows()))
     else:  # spins
         spec = exp_mod.SpinEnsembleSpec(m=args.m, alpha=args.alpha, gamma=args.gamma)
         report = exp_mod.spin_concentration_probe(
             spec, args.count, rng, eta=args.eta, workers=workers
         )
 
-    _emit({"config": config, "report": report.to_json()}, args.out_dir, "report.json")
-    if curve is not None and args.out_dir is not None:
-        write_csv(
-            Path(args.out_dir) / "curve.csv", ("t", "frequency", "bound"), curve.to_rows(), workers
-        )
+    _emit({"config": config, "report": report.to_json()}, args.out_dir, "report.json", tables)
     return 0
 
 

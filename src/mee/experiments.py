@@ -302,6 +302,8 @@ def _sorted_ts(ts: Sequence[float]) -> np.ndarray:
     ts = np.asarray(list(ts), dtype=float)
     if np.any(np.diff(ts) < 0.0):
         raise DomainError("ts must be sorted ascending")
+    if np.any(ts < 0.0):  # tail_log_bound's error, raised before any draw
+        raise DomainError("deviation t must be nonnegative")
     return ts
 
 
@@ -341,7 +343,7 @@ def tail_report(
     only one value per state is kept.
     """
     frame = harmonic_frame(spectrum, energy)
-    # before the stream, so unsorted ts or a bad epsilon fail at once
+    # before the stream, so unsorted or negative ts or a bad epsilon fail at once
     ts = _sorted_ts(ts)
     consts = constants_for(spectrum, energy, epsilon)
     (values,) = _gaussian_stream(frame, count, rng, _first_coordinate, workers)
@@ -426,11 +428,15 @@ def moment_report_streamed(
 # Non-interacting spins
 
 
+def _require_spin_count(m: int) -> None:
+    if not (1 <= m <= 30):
+        raise DomainError("m must lie in [1, 30]")
+
+
 def spin_spectrum(m: int) -> Spectrum:
     """Spectrum of m non-interacting spins with per-spin levels {0, 1}:
     level k has degeneracy C(m, k), total dimension 2^m."""
-    if not (1 <= m <= 30):
-        raise DomainError("m must lie in [1, 30]")
+    _require_spin_count(m)
     return Spectrum(
         tuple(float(k) for k in range(m + 1)),
         tuple(math.comb(m, k) for k in range(m + 1)),
@@ -455,8 +461,7 @@ class SpinEnsembleSpec:
     gamma: float
 
     def __post_init__(self):
-        if not (1 <= self.m <= 30):
-            raise DomainError("m must lie in [1, 30]")
+        _require_spin_count(self.m)
         if not (0.0 < self.alpha < 0.5):
             raise DomainError("alpha must lie in (0, 1/2)")
         if not (self.alpha < self.gamma < 0.5):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .canonical import BipartiteSpectrum
 from .errors import DomainError, ParseError
+from .sampling import _default_workers
 from .spectrum import Spectrum
 
 
@@ -75,22 +76,23 @@ def _finite_or_null(obj):
 SPLIT_CELLS = 1 << 16
 
 
-def write_csv(path: str | Path, header: Sequence[str], table, workers: int = 1) -> None:
+def write_csv(path: str | Path, header: Sequence[str], table) -> None:
     """Write ``header`` and the rows of the 2-D float ``table`` as CSV.
 
     Every line ends in CRLF and every cell is the shortest decimal that reads
     back to the same float (``repr``).  Where ``os.fork`` exists, a table of
-    at least ``SPLIT_CELLS`` cells is cut into ``min(workers, rows)``
-    contiguous row parts when ``path`` is a regular file: forked children
-    format the parts after the first into anonymous temporary files beside
-    ``path`` while this process formats the first, and the parts are
-    appended in order, so the bytes do not depend on ``workers``.  A failed
-    part raises ``OSError`` and removes ``path``.
+    at least ``SPLIT_CELLS`` cells is cut into one contiguous row part per
+    CPU this process may run on (at most one per row) when ``path`` is a
+    regular file: forked children format the parts after the first into
+    anonymous temporary files beside ``path`` while this process formats the
+    first, and the parts are appended in order, so the bytes do not depend
+    on the part count.  A failed part raises ``OSError`` and removes
+    ``path``.
     """
     path = Path(path)
     table = np.asarray(table, dtype=float)
     path.parent.mkdir(parents=True, exist_ok=True)
-    parts = min(workers, len(table))
+    parts = min(_default_workers(), len(table))
     split = False
     try:
         with path.open("w", newline="") as fh:

@@ -55,11 +55,11 @@ class RngSpec:
         if self.seed < 0 or self.stream < 0:
             raise DomainError("seed and stream must be nonnegative integers")
 
-    def generator(self, chunk: int | None = None) -> np.random.Generator:
+    def generator(self, chunk: int) -> np.random.Generator:
         # SFC64 is the fastest bulk-normal generator available here; the
         # reproducibility contract lives at the (seed, stream, chunk) level,
         # not in the bit-generator algorithm.
-        key = (self.stream,) if chunk is None else (self.stream, chunk)
+        key = (self.stream, chunk)
         return np.random.Generator(
             np.random.SFC64(np.random.SeedSequence(entropy=self.seed, spawn_key=key))
         )
@@ -79,7 +79,6 @@ class SampleBatch:
 
     states: np.ndarray
     weights: np.ndarray | None
-    rng_spec: RngSpec
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -336,7 +335,7 @@ def sample_gaussian_ensemble(frame: EnergyFrame, count: int, rng: RngSpec) -> Sa
         "shift": frame.shift,
         "normalized": False,
     }
-    return SampleBatch(states=states, weights=None, rng_spec=rng, meta=meta)
+    return SampleBatch(states=states, weights=None, meta=meta)
 
 
 def sample_sphere(n: int, count: int, rng: RngSpec) -> SampleBatch:
@@ -352,7 +351,6 @@ def sample_sphere(n: int, count: int, rng: RngSpec) -> SampleBatch:
     return SampleBatch(
         states=_draw_batch(draw, count, n),
         weights=None,
-        rng_spec=rng,
         meta={"kind": "sphere", "n": n, "normalized": True},
     )
 
@@ -430,11 +428,7 @@ def oracle_manifold_sample(
             "gradient norm vanishes identically for an all-equal spectrum; "
             "the shell reweighting is degenerate"
         )
-    if not (spectrum.e_min < energy < spectrum.e_max):
-        raise DomainError(
-            f"energy {energy} outside the open level range "
-            f"({spectrum.e_min}, {spectrum.e_max})"
-        )
+    spectrum._require_inside(energy)
     if proposal not in ("uniform", "gaussian"):
         raise DomainError(f"unknown proposal {proposal!r}")
 
@@ -511,4 +505,4 @@ def oracle_manifold_sample(
     }
     if frame is not None:
         meta["shift"] = frame.shift
-    return SampleBatch(states=states, weights=weights, rng_spec=rng, meta=meta)
+    return SampleBatch(states=states, weights=weights, meta=meta)

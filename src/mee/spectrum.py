@@ -110,6 +110,13 @@ class Spectrum:
         """Level list with each level repeated by its degeneracy, in order."""
         return np.repeat(self._levels_arr, self.degeneracies)
 
+    def _require_inside(self, energy: float) -> None:
+        """Raise DomainError unless e_min < energy < e_max."""
+        if not (self.e_min < energy < self.e_max):
+            raise DomainError(
+                f"energy {energy} outside the open level range ({self.e_min}, {self.e_max})"
+            )
+
     def negated(self) -> "Spectrum":
         return Spectrum(tuple(-x for x in self.levels), self.degeneracies)
 
@@ -232,21 +239,9 @@ class EnergyFrame:
     def e_prime_quad(self) -> float:
         return float(np.dot(self.weights, self.shifted_levels ** -2.0) ** -0.5)
 
-    def shifted_spectrum(self) -> Spectrum:
-        return Spectrum(self.shifted_levels.tolist(), self.base.degeneracies)
-
     def is_harmonic(self) -> bool:
         """True when E' equals the shifted harmonic mean to relative tolerance 1e-8."""
         return abs(self.e_prime_harm - self.e_prime) <= 1e-8 * abs(self.e_prime)
-
-    def to_json(self) -> dict:
-        return {
-            "spectrum": self.base.to_json(),
-            "energy": self.energy,
-            "shift": self.shift,
-            "dim": self.dim,
-            "shifted_energy": self.e_prime,
-        }
 
 
 def _require_finite_energy(energy: float) -> None:

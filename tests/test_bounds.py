@@ -187,10 +187,6 @@ class TestTailBound:
             got = tail_bound(k, t)
             assert got == math.inf if direct > 709 else got == pytest.approx(math.exp(direct))
 
-    def test_lambda_only_scales_the_event(self):
-        k = constants_for(EX1, 1.5, 2.0)
-        assert tail_bound(k, 0.7, 1.0) == tail_bound(k, 0.7, 2.0)
-
     def test_monotone_nonincreasing_beyond_quarter_n(self):
         k = constants_for(EX1, 1.5, 2.0)
         ts = np.linspace(1.0 / (4 * k.n), 3.0, 80)

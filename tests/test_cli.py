@@ -1,3 +1,4 @@
+import builtins
 import json
 import subprocess
 import sys
@@ -410,6 +411,36 @@ class TestErrorPaths:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--experiment", "moments", "--spectrum", "small", "--energy", "1.5",
+             "--count", "50", "--seed", "1", "--out-dir", "blocked/sub"],
+            ["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
+             "--count", "50", "--seed", "1", "--out-dir", "blocked/sub"],
+            ["bounds", "--spectrum", "big", "--energy", "1.5", "--epsilon", "2",
+             "--out-dir", "blocked/sub"],
+            ["canonical", "--bipartite", "bip", "--energy", "1.3", "--epsilon", "2",
+             "--out-dir", "blocked/sub"],
+            ["sample", "--mode", "gaussian", "--spectrum", "small", "--energy", "1.5",
+             "--count", "20", "--seed", "1", "--out", "blocked/x.csv"],
+        ],
+        ids=["verify-moments", "verify-tail", "bounds", "canonical", "sample"],
+    )
+    def test_unwritable_output_leaves_stdout_empty(self, capsys, tmp_path, spectrum_file,
+                                                   small_spectrum_file, bipartite_file, argv):
+        # a regular file where a directory should be: every file is written
+        # before the record is printed, so no success record precedes the error
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        files = {"big": spectrum_file, "small": small_spectrum_file, "bip": bipartite_file}
+        argv = [files.get(arg, arg) for arg in argv]
+        argv[-1] = str(tmp_path / argv[-1])
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert issubclass(getattr(builtins, json.loads(captured.err)["error"]), OSError)
+
     def test_unknown_subcommand_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
@@ -418,8 +449,9 @@ class TestErrorPaths:
 
 class TestNonFiniteInputs:
     """NaN and infinite energies, epsilons, Lipschitz constants and shell
-    widths, and NaN, negative or infinite solver tolerances, fail with a
-    DomainError before any work they would spoil."""
+    widths, NaN, negative or infinite solver tolerances, nonpositive Lipschitz
+    constants and negative deviations fail with a DomainError before any
+    work they would spoil."""
 
     @staticmethod
     def _forbid(monkeypatch, target):
@@ -463,12 +495,21 @@ class TestNonFiniteInputs:
             # every residual meets an infinite one: exit 0 with a wrong shift
             (["shift", "--spectrum", "s123", "--energy", "1.5", "--tol", "inf"],
              "mee.spectrum._shift_root"),
+            (["bounds", "--spectrum", "big", "--energy", "1.5", "--lipschitz", "0",
+              "--out-dir", "out"], None),
+            (["bounds", "--spectrum", "big", "--energy", "1.5", "--lipschitz=-1",
+              "--out-dir", "out"], None),
+            # a negative t fails in the bound too, but only after every chunk is drawn
+            (["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
+              "--count", "10", "--seed", "1", "--t-values=-0.1,0.2", "--out-dir", "out"],
+             "mee.experiments._gaussian_stream"),
         ],
         ids=["bounds-energy-nan", "bounds-energy-inf", "canonical-energy-nan",
              "shift-energy-nan", "shift-energy-inf", "shift-energy-minus-inf",
              "shift-epsilon-nan", "shift-epsilon-inf-all-equal", "verify-tail-epsilon-nan",
              "bounds-lipschitz-nan", "sample-oracle-eta-nan", "shift-tol-negative",
-             "shift-epsilon-tol-nan", "shift-tol-inf"],
+             "shift-epsilon-tol-nan", "shift-tol-inf", "bounds-lipschitz-zero",
+             "bounds-lipschitz-negative", "verify-tail-negative-t"],
     )
     def test_domain_error(self, capsys, monkeypatch, tmp_path, spectrum_file,
                           small_spectrum_file, bipartite_file, argv, forbidden):

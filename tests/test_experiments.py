@@ -218,6 +218,23 @@ class TestEmpiricalTail:
         tail_report(self.SPEC, 1.5, 2.0, 50, RngSpec(seed=27), [0.1, 0.5], workers=1)
         assert calls == [1]  # the counter sits where the stream draws
 
+    def test_negative_t_rejected_before_any_draw(self, monkeypatch):
+        import mee.sampling
+
+        calls = []
+        real = mee.sampling.gaussian_chunk
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mee.sampling, "gaussian_chunk", counted)
+        with pytest.raises(DomainError, match="deviation t must be nonnegative"):
+            tail_report(self.SPEC, 1.5, 2.0, 5000, RngSpec(seed=27), [-0.1, 0.2], workers=1)
+        assert calls == []
+        tail_report(self.SPEC, 1.5, 2.0, 50, RngSpec(seed=27), [0.0, 0.2], workers=1)
+        assert calls == [1]
+
     def test_empirical_curve_below_clamped_bound(self):
         # example-style spectrum at moderate dimension; the analytic bound is
         # vacuous (clamped to 1) at this n, and the empirical curve sits under it

@@ -9,7 +9,6 @@ import threading
 import numpy as np
 import pytest
 
-import mee.cli
 import mee.io
 from mee.cli import run
 from mee.io import SPLIT_CELLS, load_spectrum, write_csv
@@ -62,10 +61,11 @@ def no_children_left() -> bool:
 
 @needs_fork
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_same_bytes_at_any_part_count(tmp_path, forks, workers):
+def test_same_bytes_at_any_part_count(tmp_path, monkeypatch, forks, workers):
+    monkeypatch.setattr(mee.io, "_default_workers", lambda: workers)
     header, table = weighted_table()
     out = tmp_path / "sub" / "t.csv"
-    write_csv(out, header, table, workers)
+    write_csv(out, header, table)
     assert out.read_bytes() == serial_bytes(header, table)
     assert len(forks) == workers - 1
     assert sorted(p.name for p in out.parent.iterdir()) == ["t.csv"]
@@ -80,7 +80,7 @@ def test_weighted_oracle_dump_at_any_part_count(capsys, tmp_path, monkeypatch, f
     header = [f"{part}{k}" for k in range(60) for part in ("re", "im")] + ["weight"]
     want = serial_bytes(header, np.column_stack((batch.states.view(np.float64), batch.weights)))
     for workers in (1, 2, 3):
-        monkeypatch.setattr(mee.cli, "_default_workers", lambda: workers)
+        monkeypatch.setattr(mee.io, "_default_workers", lambda: workers)
         out = tmp_path / f"w{workers}.csv"
         code = run(["sample", "--spectrum", str(spec), "--energy", "1.8", "--mode", "oracle",
                     "--count", "601", "--eta", "0.05", "--seed", "4", "--out", str(out)])
@@ -95,18 +95,20 @@ def test_small_table_never_forks(tmp_path, monkeypatch):
         raise AssertionError("forked for a table under the threshold")
 
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(mee.io, "_default_workers", lambda: 3)
     table = np.random.default_rng(5).standard_normal((SPLIT_CELLS // 8 - 1, 8))
     out = tmp_path / "small.csv"
-    write_csv(out, list("abcdefgh"), table, 3)
+    write_csv(out, list("abcdefgh"), table)
     assert table.size < SPLIT_CELLS
     assert out.read_bytes() == serial_bytes(list("abcdefgh"), table)
 
 
 def test_without_fork_writes_serially(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(mee.io, "_default_workers", lambda: 3)
     header, table = weighted_table()
     out = tmp_path / "t.csv"
-    write_csv(out, header, table, 3)
+    write_csv(out, header, table)
     assert out.read_bytes() == serial_bytes(header, table)
 
 
@@ -116,13 +118,14 @@ def test_pipe_output_never_forks(tmp_path, monkeypatch):
         raise AssertionError("forked for a pipe")
 
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(mee.io, "_default_workers", lambda: 3)
     header, table = weighted_table()
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
     reader.start()
-    write_csv(fifo, header, table, 3)
+    write_csv(fifo, header, table)
     reader.join(timeout=60)
     assert received == [serial_bytes(header, table)]
     assert fifo.exists()
@@ -140,7 +143,7 @@ def test_failed_part_is_exit_2_and_leaves_nothing(capsys, tmp_path, monkeypatch,
         real(fh, rows)
 
     monkeypatch.setattr(mee.io, "_format_rows", failing)
-    monkeypatch.setattr(mee.cli, "_default_workers", lambda: 3)
+    monkeypatch.setattr(mee.io, "_default_workers", lambda: 3)
     spec = tmp_path / "s60.json"
     spec.write_text(json.dumps({"levels": [1.0, 2.0, 3.0], "degeneracies": [20, 20, 20]}))
     out_dir = tmp_path / "out"
@@ -149,7 +152,7 @@ def test_failed_part_is_exit_2_and_leaves_nothing(capsys, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert code == 2
     assert json.loads(captured.err)["error"] == "OSError"  # one record, nothing else
-    assert json.loads(captured.out)["produced"] == 601
+    assert captured.out == ""
     assert list(out_dir.iterdir()) == []
     assert len(forks) == 2
     assert no_children_left()
@@ -157,8 +160,8 @@ def test_failed_part_is_exit_2_and_leaves_nothing(capsys, tmp_path, monkeypatch,
 
 @needs_fork
 def test_piped_stdout_holds_one_record(tmp_path):
-    """A subprocess with its stdout on a pipe: the children never flush the
-    buffered record, so it is printed once, and stderr stays empty."""
+    """A subprocess with its stdout on a pipe: the record is printed once,
+    after the children have exited, and stderr stays empty."""
     spec = tmp_path / "s60.json"
     spec.write_text(json.dumps({"levels": [1.0, 2.0, 3.0], "degeneracies": [20, 20, 20]}))
     dumps = {}
@@ -166,8 +169,8 @@ def test_piped_stdout_holds_one_record(tmp_path):
         dumps[workers] = tmp_path / f"w{workers}.csv"
         # python -m mee with the CPU count pinned, so the parts do not depend on the host
         script = (
-            "import runpy, mee.cli; "
-            f"mee.cli._default_workers = lambda: {workers}; "
+            "import runpy, mee.io; "
+            f"mee.io._default_workers = lambda: {workers}; "
             "runpy.run_module('mee', run_name='__main__', alter_sys=True)"
         )
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import time
@@ -41,13 +42,13 @@ SPEC123 = Spectrum((1.0, 2.0, 3.0))
 
 class TestRngSpec:
     def test_reproducible_bit_for_bit(self):
-        a = RngSpec(seed=99, stream=3).generator().standard_normal(64)
-        b = RngSpec(seed=99, stream=3).generator().standard_normal(64)
+        a = RngSpec(seed=99, stream=3).generator(0).standard_normal(64)
+        b = RngSpec(seed=99, stream=3).generator(0).standard_normal(64)
         assert np.array_equal(a, b)
 
     def test_streams_are_distinct(self):
-        a = RngSpec(seed=99, stream=0).generator().standard_normal(8)
-        b = RngSpec(seed=99, stream=1).generator().standard_normal(8)
+        a = RngSpec(seed=99, stream=0).generator(0).standard_normal(8)
+        b = RngSpec(seed=99, stream=1).generator(0).standard_normal(8)
         assert not np.array_equal(a, b)
 
     def test_chunks_are_distinct(self):
@@ -284,6 +285,26 @@ class TestBlasThreadLimit:
         assert seen == [1] * 8000
         assert blas_threads() == 2
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+    def test_found_among_the_mapped_libraries(self, blas_threads, monkeypatch):
+        # without a wheel's numpy.libs directory the loaded library is found
+        # through /proc/self/maps, and sets the count the direct pair reads
+        real = os.listdir
+
+        def listdir(path):
+            if os.path.basename(os.path.normpath(path)) == "numpy.libs":
+                raise FileNotFoundError(path)
+            return real(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        api = sampling_mod._find_openblas()
+        assert api is not None
+        get, set_ = api
+        set_(1)
+        assert blas_threads() == 1
+        set_(2)
+        assert get() == 2
+
     def test_without_openblas_the_stream_runs_unchanged(self, monkeypatch):
         frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (300, 300, 300)), 1.5)
         rng = RngSpec(seed=47)
@@ -297,7 +318,7 @@ class TestBlasThreadLimit:
 class TestSphere:
     def test_row_norms_are_the_whole_batch_norm(self):
         # 2 x 2100 reals per row: 31 rows per block, so 4 full blocks and a short one
-        z = RngSpec(seed=8).generator().standard_normal((140, 2100, 2)).view(np.complex128)
+        z = RngSpec(seed=8).generator(0).standard_normal((140, 2100, 2)).view(np.complex128)
         z = z[..., 0]
         assert _row_norms(z).tobytes() == np.linalg.norm(z, axis=1).tobytes()
 

@@ -34,7 +34,9 @@ fixed seed: 20 000 random levels with degeneracies 1-19,
 and a bipartite spectrum of integer levels whose combined spectrum collapses
 12 000 sums into a few dozen grouped levels.  Four malformed inputs (a
 401-digit integer level in a spectrum and in ``levels_b``, a degeneracy of
-1.5, an empty ``levels_a``) check the error path.  It takes a minute or two, mostly the CSV writes.
+1.5, an empty ``levels_a``) check the error path, as do a negative ``verify
+--t-values`` entry, ``bounds --lipschitz 0`` and a ``verify --out-dir`` below a
+regular file.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
 
@@ -99,6 +101,16 @@ def commands() -> dict[str, list[str]]:
             "--energy", "1.5", "--count", "0", "--seed", "7",
             "--out-dir", f"out/verify-{experiment}-count0",
         ]
+    # exits 1 with the bound's "deviation t must be nonnegative" record
+    cmds["verify-tail-negative-t"] = [
+        "verify", "--experiment", "tail", *VERIFY["tail"], "--seed", "7",
+        "--t-values=-0.1,0.2", "--out-dir", "out/verify-tail-negative-t",
+    ]
+    # exits 2 when the report directory cannot be made
+    cmds["verify-out-dir-unusable"] = [
+        "verify", "--experiment", "moments", *VERIFY["moments"], "--seed", "7",
+        "--out-dir", "in/s123.json/sub",
+    ]
     cmds["spins"] = ["spins", "--m", "6", "--alpha", "0.3", "--gamma", "0.4",
                      "--count", "200", "--seed", "3", "--out-dir", "out/spins"]
     samples = {
@@ -131,6 +143,9 @@ def commands() -> dict[str, list[str]]:
     # exits 1 with failures keyed "0.5", "1e-05", "3.0": string order, not numeric
     cmds["bounds-grid-infeasible"] = ["bounds", "--spectrum", "in/s123.json", "--energy",
                                       "1.5", "--epsilon-grid", "0.5,0.00001,3"]
+    # exits 1: the Lipschitz constant must be positive
+    cmds["bounds-lipschitz-zero"] = ["bounds", "--spectrum", "in/s123.json", "--energy", "1.5",
+                                     "--lipschitz", "0", "--out-dir", "out/bounds-lipschitz-zero"]
     cmds["canonical"] = ["canonical", "--bipartite", "in/bip.json", "--energy", "1.3",
                          "--epsilon", "2", "--out-dir", "out/canonical"]
     # exits 1 with the InfeasibleError record on stderr
