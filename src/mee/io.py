@@ -32,11 +32,21 @@ def _load_json(path: str | Path) -> dict:
     return obj
 
 
+def _require_numbers(path: str | Path, obj: dict, key: str) -> None:
+    """Reject JSON strings, booleans and objects in or as ``obj[key]``: the
+    spectrum would read "2" as 2.0, true as 1.0 and an object as its keys."""
+    values = obj[key]
+    kinds = set(map(type, values)) if isinstance(values, list) else {type(values)}
+    if kinds & {str, bool, dict}:
+        raise ParseError(f"{path}: '{key}' must be an array of numbers")
+
+
 def load_spectrum(path: str | Path) -> Spectrum:
     """Read {"levels": [...], "degeneracies": [...]?}; degeneracies default to ones."""
     obj = _load_json(path)
     if "levels" not in obj:
         raise ParseError(f"{path} is missing the 'levels' key")
+    _require_numbers(path, obj, "levels")
     try:
         return Spectrum.from_json(obj)
     except (DomainError, TypeError, ValueError, OverflowError) as exc:
@@ -48,6 +58,8 @@ def load_bipartite(path: str | Path) -> BipartiteSpectrum:
     obj = _load_json(path)
     if "levels_a" not in obj or "levels_b" not in obj:
         raise ParseError(f"{path} is missing 'levels_a'/'levels_b'")
+    _require_numbers(path, obj, "levels_a")
+    _require_numbers(path, obj, "levels_b")
     try:
         return BipartiteSpectrum.from_json(obj)
     except (DomainError, TypeError, ValueError, OverflowError) as exc:

@@ -381,6 +381,93 @@ def gradient_norm(spectrum: Spectrum, state: np.ndarray) -> float:
     return float(_gradient_norm(e1, e2))
 
 
+class _ShellScreen:
+    """The shell oracle's test of one chunk: ``screen(z)`` returns the
+    accepted unit states of a chunk of raw normals ``z`` (a complex
+    ``(size, n)`` view, as :func:`_complex_normals` draws it) and their
+    log-weights, for chunks of at most ``rows`` proposals.
+
+    The proposals are sigma * z, with sigma the Gaussian proposal's
+    :func:`_gaussian_sigmas` (``frame``) or 1 for the uniform one.  A cheap
+    screen on z picks the candidate rows; only those are scaled and given the
+    exact test, in the arithmetic of a test of the whole chunk.
+    """
+
+    def __init__(self, levels: np.ndarray, energy: float, eta: float,
+                 frame: EnergyFrame | None, rows: int):
+        self.levels = levels
+        self.energy = energy
+        self.eta = eta
+        self.frame = frame
+        self.rows = rows
+        self.sig = None if frame is None else _gaussian_sigmas(frame)
+        w = np.ones(levels.size) if self.sig is None else self.sig * self.sig
+        # one row per real scalar of a state (Re, Im): columns w_k, w_k E_k
+        self.weights = np.asfortranarray(np.repeat(np.column_stack([w, w * levels]), 2, axis=0))
+        # Rounding bound, with u = eps/2, L = max|E_k| and a_k = w_k |z_k|^2
+        # exactly, so that a row's energy is e = sum E_k a_k / sum a_k, |e| <= L.
+        # The screen's 2n terms carry up to 3 (m0) or 4 (m1) roundings and its
+        # dot products 2n more; m0's terms are nonnegative and m1's error is
+        # at most that of sum |E_k| a_k <= L sum a_k, so m1/m0 is within
+        # (4n + 8)uL of e.  The exact test's |sigma z_k|^2 carry a few
+        # roundings and its row sum and dot product n each, so its energy is
+        # within about (2n + 12)uL of e.  The two differ by at most
+        # (6n + 20)uL, less than this slack of 16(n + 2)uL at every n, so no
+        # row the exact test accepts is screened out.
+        self.slack = 8.0 * (levels.size + 2) * np.finfo(float).eps * float(np.max(np.abs(levels)))
+        self._local = threading.local()
+
+    def _buffers(self) -> threading.local:
+        """This thread's row-block buffer and all-zero chunk-shaped matrix."""
+        local = self._local
+        if not hasattr(local, "zeros"):
+            n = self.levels.size
+            local.block = np.empty((max(1, _NORM_BLOCK_SCALARS // (2 * n)), 2 * n))
+            local.zeros = np.zeros((self.rows, n))
+        return local
+
+    def approx_energies(self, z: np.ndarray) -> np.ndarray:
+        """m1/m0 of every row of ``z``, with m0 = sum w_k |z_k|^2 and
+        m1 = sum w_k E_k |z_k|^2 (w = sigma^2), over row blocks of about 1 MB."""
+        block = self._buffers().block
+        zf = z.view(np.float64)
+        m = np.empty((z.shape[0], 2))
+        for lo in range(0, z.shape[0], block.shape[0]):
+            part = zf[lo : lo + block.shape[0]]
+            q = np.multiply(part, part, out=block[: part.shape[0]])
+            np.matmul(q, self.weights, out=m[lo : lo + part.shape[0]])
+        return m[:, 1] / m[:, 0]
+
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        zeros = self._buffers().zeros
+        levels, energy = self.levels, self.energy
+        cand = np.flatnonzero(np.abs(self.approx_energies(z) - energy) < self.eta + self.slack)
+        raw = z[cand]
+        if self.sig is not None:
+            raw *= self.sig
+        p = np.abs(raw) ** 2
+        nrm2 = p.sum(axis=1)
+        # OpenBLAS rounds a row's dot product by the row's place in the
+        # matrix, so each candidate's is taken at its place in the chunk
+        zeros[cand] = p
+        e1 = (zeros[: z.shape[0]] @ levels)[cand] / nrm2
+        zeros[cand] = 0.0
+        # normalization deferred: accept on the normalized energy, then
+        # rescale only the accepted rows
+        mask = np.abs(e1 - energy) < self.eta
+        e1 = e1[mask]
+        nrm2 = nrm2[mask]
+        p_acc = p[mask] / nrm2[:, None]
+        e2 = p_acc @ (levels ** 2)
+        grad = _gradient_norm(e1, e2)
+        keep = grad > 0.0
+        psi_acc = raw[mask][keep] / np.sqrt(nrm2[keep, None])
+        lw = np.log(grad[keep])
+        if self.frame is not None:
+            lw = lw + levels.size * np.log(e1[keep] + self.frame.shift)
+        return psi_acc, lw
+
+
 def oracle_manifold_sample(
     spectrum: Spectrum,
     energy: float,
@@ -412,6 +499,17 @@ def oracle_manifold_sample(
     available) and taken in layout order until ``count`` states are accepted;
     chunks drawn ahead of that point are discarded, so the batch does not
     depend on ``workers``.
+
+    Each chunk is screened in two stages.  Straight from the unscaled
+    normals z, row block by row block, one small matrix product gives
+    m0 = sum w_k |z_k|^2 and m1 = sum w_k E_k |z_k|^2 (w = sigma^2 of the
+    Gaussian proposal, 1 for the uniform one); rows with
+    |m1/m0 - E| < eta + slack are candidates, where the slack
+    8 (n + 2) eps max|E_k| exceeds the worst-case rounding gap between m1/m0
+    and the exact energy.  Only the candidates are scaled and get the exact
+    |psi|^2, row sums and energies, each in the arithmetic it would have in a
+    test of the whole chunk, so the states and weights are those of the
+    exact test on every proposal, bit for bit.
     """
     if eta is None:
         eta = default_shell_width(spectrum)
@@ -433,33 +531,10 @@ def oracle_manifold_sample(
         raise DomainError(f"unknown proposal {proposal!r}")
 
     n = spectrum.n
-    levels = spectrum.expand()
     frame = harmonic_frame(spectrum, energy) if proposal == "gaussian" else None
-    if frame is None:
-        draw = lambda chunk, size, out: _complex_normals(rng, chunk, size, n, out)
-    else:
-        draw = _gaussian_draw(frame, rng)
+    draw = lambda chunk, size, out: _complex_normals(rng, chunk, size, n, out)
     layout = chunk_layout(max_draws, n)
-
-    def screen(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(accepted unit states, their log-weights) of one chunk."""
-        # normalization deferred: accept on the normalized energy, then
-        # rescale only the accepted rows
-        p = np.abs(raw) ** 2
-        nrm2 = p.sum(axis=1)
-        e1 = (p @ levels) / nrm2
-        mask = np.abs(e1 - energy) < eta
-        e1 = e1[mask]
-        nrm2 = nrm2[mask]
-        p_acc = p[mask] / nrm2[:, None]
-        e2 = p_acc @ (levels ** 2)
-        grad = _gradient_norm(e1, e2)
-        keep = grad > 0.0
-        psi_acc = raw[mask][keep] / np.sqrt(nrm2[keep, None])
-        lw = np.log(grad[keep])
-        if proposal == "gaussian":
-            lw = lw + n * np.log(e1[keep] + frame.shift)
-        return psi_acc, lw
+    screen = _ShellScreen(spectrum.expand(), energy, eta, frame, layout[0])
 
     accepted: list[np.ndarray] = []
     logw: list[np.ndarray] = []

@@ -6,7 +6,9 @@ parametrization for three-level manifold moments, and closed forms where
 two-level algebra permits.  The ``grouped_calls`` fixture counts how often
 the library groups a level list, and ``epsilon_solves`` how often it solves
 the epsilon shift.  ``record_level_sums`` logs the shift solver's level-sum
-memo of one spectrum.
+memo of one spectrum.  ``ReferenceShellScreen`` is the shell oracle's
+one-stage screen of a whole chunk, which the two-stage screen must match bit
+for bit.
 """
 from __future__ import annotations
 
@@ -120,6 +122,36 @@ def bisect_shift(levels, weights, energy, multiplier=1.0, iters=200):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+class ReferenceShellScreen:
+    """Drop-in for ``mee.sampling._ShellScreen``: the exact test on every row
+    of the chunk, with no cheap pre-screen.  It scales the whole chunk of raw
+    normals, takes |psi|^2, row sums and energies of all rows, and keeps
+    those within ``eta`` of ``energy``."""
+
+    def __init__(self, levels, energy, eta, frame, rows):
+        self.levels, self.energy, self.eta, self.frame = levels, energy, eta, frame
+
+    def __call__(self, raw):
+        levels, energy, frame = self.levels, self.energy, self.frame
+        if frame is not None:
+            raw *= np.sqrt(frame.e_prime / (2.0 * frame.dim * frame.expanded_levels))
+        p = np.abs(raw) ** 2
+        nrm2 = p.sum(axis=1)
+        e1 = (p @ levels) / nrm2
+        mask = np.abs(e1 - energy) < self.eta
+        e1 = e1[mask]
+        nrm2 = nrm2[mask]
+        p_acc = p[mask] / nrm2[:, None]
+        e2 = p_acc @ (levels ** 2)
+        grad = 2.0 * np.sqrt(np.maximum(e2 - e1 * e1, 0.0))
+        keep = grad > 0.0
+        psi_acc = raw[mask][keep] / np.sqrt(nrm2[keep, None])
+        lw = np.log(grad[keep])
+        if frame is not None:
+            lw = lw + levels.size * np.log(e1[keep] + frame.shift)
+        return psi_acc, lw
 
 
 def three_level_manifold_moments(levels, energy):

@@ -396,8 +396,14 @@ class TestErrorPaths:
             ("means", {"levels": [1, 2, 10**400]}),
             ("canonical", {"levels_a": [1.0, 2.0], "levels_b": [1, 2, 10**400]}),
             ("means", {"levels": [1, 2, 3], "degeneracies": [1.5, 2, 3]}),
+            ("means", {"levels": ["1", "2", "3"]}),
+            ("means", {"levels": [True, False, 2]}),
+            ("means", {"levels": "123"}),
+            ("canonical", {"levels_a": ["1", 2.0], "levels_b": [0.0, 1.0]}),
+            ("canonical", {"levels_a": [1.0, 2.0], "levels_b": [False, 1.0]}),
         ],
-        ids=["huge-level", "huge-level-b", "fractional-degeneracy"],
+        ids=["huge-level", "huge-level-b", "fractional-degeneracy", "string-levels",
+             "boolean-levels", "string-for-levels", "string-levels-a", "boolean-levels-b"],
     )
     def test_invalid_number_is_exit_2(self, capsys, tmp_path, command, obj):
         bad = tmp_path / "bad3.json"

@@ -26,7 +26,7 @@ from mee import (
     sample_gaussian_ensemble,
     sample_sphere,
 )
-from mee.experiments import _gaussian_stream, moment_report_streamed
+from mee.experiments import _gaussian_stream, moment_report_streamed, spin_spectrum
 from mee.sampling import (
     _chunk_task,
     _complex_normals,
@@ -35,7 +35,11 @@ from mee.sampling import (
     chunk_layout,
     gaussian_chunk,
 )
-from conftest import three_level_manifold_moments, weighted_mean_and_error
+from conftest import (
+    ReferenceShellScreen,
+    three_level_manifold_moments,
+    weighted_mean_and_error,
+)
 
 SPEC123 = Spectrum((1.0, 2.0, 3.0))
 
@@ -626,6 +630,85 @@ class TestOracleWorkers:
                 self._draws(monkeypatch, workers=workers, **kwargs)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+
+
+SPEC60 = Spectrum((1.0, 2.0, 3.0), (20, 20, 20))  # oracle chunks of 34952 proposals
+# (spectrum, energy, oracle arguments, proposals)
+SCREEN_CASES = {
+    "n60": (SPEC60, 1.8, dict(eta=0.02, count=1500), ("uniform", "gaussian")),
+    "negative-levels": (
+        Spectrum((-2.0, -0.5, 1.0, 4.0), (5, 7, 3, 9)), -0.3, dict(count=300),
+        ("uniform", "gaussian"),
+    ),
+    "degenerate-ground": (
+        Spectrum((0.0, 1.0, 2.5), (6, 2, 3)), 0.7, dict(count=800), ("uniform", "gaussian"),
+    ),
+    # chunks of 34952, 34952 and 10096 proposals; the uniform batch is partial
+    "short-last-chunk": (
+        SPEC60, 1.8, dict(eta=0.02, count=5000, max_draws=80000), ("uniform", "gaussian"),
+    ),
+    # the screen's energies are off by ulps of 1e6; the harmonic solve
+    # needed by the Gaussian proposal does not converge at this offset
+    "offset-1e6": (Spectrum((1e6 + 1, 1e6 + 2, 1e6 + 3)), 1e6 + 1.5, dict(count=2000),
+                   ("uniform",)),
+    "offset-1e4": (Spectrum((1e4 + 1, 1e4 + 2, 1e4 + 3)), 1e4 + 1.5, dict(count=2000),
+                   ("gaussian",)),
+}
+
+
+class TestShellScreen:
+    """The two-stage screen gives the bits of the full-chunk reference screen."""
+
+    @staticmethod
+    def _sample(case, proposal, workers):
+        spec, energy, kwargs, _ = SCREEN_CASES[case]
+        kwargs = {"eta": None, "max_draws": None, **kwargs}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = oracle_manifold_sample(
+                spec, energy, rng=RngSpec(seed=41), proposal=proposal, workers=workers, **kwargs
+            )
+        return batch, [(w.category, str(w.message)) for w in caught]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "case,proposal", [(c, p) for c, v in SCREEN_CASES.items() for p in v[3]]
+    )
+    def test_bit_equal_to_the_full_chunk_screen(self, monkeypatch, case, proposal, workers):
+        batch, warned = self._sample(case, proposal, workers)
+        monkeypatch.setattr(sampling_mod, "_ShellScreen", ReferenceShellScreen)
+        want, want_warned = self._sample(case, proposal, workers)
+        assert batch.states.tobytes() == want.states.tobytes()
+        assert batch.weights.tobytes() == want.weights.tobytes()
+        assert batch.meta == want.meta
+        assert warned == want_warned
+        if case == "short-last-chunk" and proposal == "uniform":
+            assert warned and warned[0][0] is LowAcceptanceWarning
+
+    @pytest.mark.parametrize("spec,energy,proposal", [
+        (spin_spectrum(10), 3.0, "gaussian"),
+        (SPEC60, 1.8, "uniform"),
+        (SCREEN_CASES["negative-levels"][0], -0.3, "gaussian"),
+        (SCREEN_CASES["offset-1e6"][0], 1e6 + 1.5, "uniform"),
+    ], ids=["spins-m10", "n60", "negative-levels", "offset-1e6"])
+    def test_screen_energies_stay_well_inside_the_slack(self, spec, energy, proposal):
+        # the slack is a worst-case rounding bound; the measured gap between
+        # the screen's energy and the exact test's must sit far below it
+        frame = harmonic_frame(spec, energy) if proposal == "gaussian" else None
+        levels = spec.expand()
+        rows = chunk_layout(10**9, spec.n)[0]
+        screen = sampling_mod._ShellScreen(levels, energy, 0.01, frame, rows)
+        buf = np.empty((rows, spec.n, 2))
+        worst = 0.0
+        for chunk in range(8):
+            z = _complex_normals(RngSpec(seed=43), chunk, rows, spec.n, buf)
+            approx = screen.approx_energies(z)
+            if frame is not None:
+                z *= screen.sig
+            p = np.abs(z) ** 2
+            exact = (p @ levels) / p.sum(axis=1)
+            worst = max(worst, float(np.max(np.abs(approx - exact))))
+        assert worst < 0.25 * screen.slack, f"gap {worst / screen.slack:.3g} of the slack"
 
 
 class TestBatchInvariants:

@@ -21,7 +21,9 @@ The list covers the ``verify`` reports of every experiment at ``--workers``
 1, 2 and the default (plus the tail ``curve.csv``), the ``spins`` alias, the
 ``sample`` CSV and record in every mode (Gaussian and sphere over three
 chunks with a short last one, both oracle proposals with an explicit and
-with the default ``--eta`` and ``--max-draws``, a partial oracle batch, a
+with the default ``--eta`` and ``--max-draws``, both oracle proposals on a
+spectrum with negative levels and on {1, 2, 3} + 1e6, where the Gaussian
+proposal's shift solve fails, a partial oracle batch, a
 weighted oracle dump large enough for the writer to split it into row parts
 and a Gaussian dump just under that size),
 ``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json``, the
@@ -32,11 +34,12 @@ error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
 ``--epsilon``) and ``canonical`` also run on two larger inputs drawn from a
 fixed seed: 20 000 random levels with degeneracies 1-19,
 and a bipartite spectrum of integer levels whose combined spectrum collapses
-12 000 sums into a few dozen grouped levels.  Four malformed inputs (a
+12 000 sums into a few dozen grouped levels.  Six malformed inputs (a
 401-digit integer level in a spectrum and in ``levels_b``, a degeneracy of
-1.5, an empty ``levels_a``) check the error path, as do a negative ``verify
---t-values`` entry, ``bounds --lipschitz 0`` and a ``verify --out-dir`` below a
-regular file.  It takes a minute or two, mostly the CSV writes.
+1.5, an empty ``levels_a``, string levels and boolean levels) check the
+error path, as do a negative ``verify --t-values`` entry, ``bounds
+--lipschitz 0`` and a ``verify --out-dir`` below a regular file: 53 commands
+and 195 files in all.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
 
@@ -61,6 +64,11 @@ INPUTS = {
     "in/huge-level-b.json": {"levels_a": [1.0, 2.0], "levels_b": [1, 2, 10**400]},
     "in/fractional-degeneracy.json": {"levels": [1, 2, 3], "degeneracies": [1.5, 2, 3]},
     "in/empty-part.json": {"levels_a": [], "levels_b": [0.0, 1.0]},
+    # n = 24: oracle chunks of 87381 proposals
+    "in/negative.json": {"levels": [-2.0, -0.5, 1.0, 4.0], "degeneracies": [5, 7, 3, 9]},
+    "in/offset.json": {"levels": [1e6 + 1, 1e6 + 2, 1e6 + 3]},
+    "in/string-levels.json": {"levels": ["1", "2", "3"]},
+    "in/boolean-levels.json": {"levels": [True, False, 2]},
 }
 
 
@@ -126,6 +134,15 @@ def commands() -> dict[str, list[str]]:
                                      "--count", "200", "--proposal", "gaussian"],
         "oracle-partial": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "100000",
                            "--eta", "0.02", "--max-draws", "70000"],
+        "oracle-negative-uniform": ["--spectrum", "in/negative.json", "--energy", "-0.3",
+                                    "--count", "200", "--max-draws", "400000"],
+        "oracle-negative-gaussian": ["--spectrum", "in/negative.json", "--energy", "-0.3",
+                                     "--count", "500", "--proposal", "gaussian"],
+        "oracle-offset-uniform": ["--spectrum", "in/offset.json", "--energy", "1000001.5",
+                                  "--count", "2000"],
+        # exits 1: the harmonic shift solve does not converge at this offset
+        "oracle-offset-gaussian": ["--spectrum", "in/offset.json", "--energy", "1000001.5",
+                                   "--count", "2000", "--proposal", "gaussian"],
         # 2000 x 121 cells: the weighted dump is split into row parts
         "oracle-split": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "2000",
                          "--eta", "0.02"],
@@ -182,6 +199,8 @@ def commands() -> dict[str, list[str]]:
     cmds["fractional-degeneracy"] = ["means", "--spectrum", "in/fractional-degeneracy.json"]
     cmds["empty-part"] = ["canonical", "--bipartite", "in/empty-part.json",
                           "--energy", "1.5", "--epsilon", "2"]
+    cmds["string-levels"] = ["means", "--spectrum", "in/string-levels.json"]
+    cmds["boolean-levels"] = ["means", "--spectrum", "in/boolean-levels.json"]
     return cmds
 
 
