@@ -5,8 +5,8 @@ Subcommands: means, shift, bounds, canonical, sample, verify, and spins
 Primary records are printed to stdout as deterministic JSON and optionally
 written under --out-dir; curves and amplitude dumps are CSV.  Every file is
 written before the record is printed, so a failed write leaves stdout empty.
-Exit codes: 0 success, 1 domain/infeasibility/convergence errors (structured
-JSON on stderr), 2 I/O or parse errors.  Given the same seed, outputs are
+Exit codes: 0 success, 1 domain/infeasibility/convergence errors, 2 I/O, parse
+and usage errors, with a JSON record on stderr.  Given the same seed, outputs are
 byte-identical regardless of --workers, which defaults to the CPUs this
 process may run on (also for ``spins`` and ``sample --mode oracle``).
 """
@@ -69,8 +69,22 @@ def _check_positive(flag: str, value: int) -> None:
         raise ParseError(f"{flag} must be at least 1, got {value}")
 
 
+def _reject_unread(args: argparse.Namespace, dests: Sequence[str], run_name: str) -> None:
+    """``ParseError`` if a flag of ``dests`` (default ``None``) was given to ``run_name``."""
+    for dest in dests:
+        if getattr(args, dest, None) is not None:
+            raise ParseError(f"{run_name} does not read --{dest.replace('_', '-')}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ParseError``, so they leave as a JSON record."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mee",
         description="Concentration-of-measure toolkit for quantum mean-energy ensembles.",
     )
@@ -102,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list; scans for the feasible value minimizing the bound at the largest t",
     )
     p_bounds.add_argument("--t-values", default=None, help="comma list of deviations t")
-    p_bounds.add_argument("--lipschitz", type=float, default=1.0)
     p_bounds.add_argument("--dim", type=int, default=None)
     p_bounds.add_argument("--out-dir", default=None)
 
@@ -120,22 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--stream", type=int, default=0)
     p_sample.add_argument("--mode", choices=("gaussian", "sphere", "oracle"), required=True)
     p_sample.add_argument("--eta", type=float, default=None)
-    p_sample.add_argument("--proposal", choices=("uniform", "gaussian"), default="uniform")
+    p_sample.add_argument("--proposal", choices=("uniform", "gaussian"), default=None)
     p_sample.add_argument("--max-draws", type=int, default=None)
     p_sample.add_argument("--out", default=None, help="CSV file for amplitudes")
 
     p_verify = sub.add_parser("verify", help="Monte Carlo verification experiments")
-    p_verify.add_argument(
-        "--experiment", choices=("moments", "reduced-dm", "tail", "spins"), required=True
-    )
+    p_verify.add_argument("--experiment", choices=tuple(_VERIFY_READS), required=True)
     p_verify.add_argument("--spectrum", default=None)
     p_verify.add_argument("--bipartite", default=None)
     p_verify.add_argument("--energy", type=float, default=None)
-    p_verify.add_argument("--epsilon", type=float, default=2.0)
+    p_verify.add_argument("--epsilon", type=float, default=None)
     p_verify.add_argument("--count", type=int, default=DEFAULT_COUNT)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--stream", type=int, default=0)
-    p_verify.add_argument("--tolerance-sigmas", type=float, default=DEFAULT_SIGMAS)
+    p_verify.add_argument("--tolerance-sigmas", type=float, default=None)
     p_verify.add_argument("--eta", type=float, default=None)
     p_verify.add_argument("--t-values", default=None)
     p_verify.add_argument(
@@ -190,6 +201,8 @@ def _cmd_means(args: argparse.Namespace) -> int:
 
 
 def _cmd_shift(args: argparse.Namespace) -> int:
+    if args.epsilon is None:
+        _reject_unread(args, ("dim",), "shift without --epsilon")
     spectrum = load_spectrum(args.spectrum)
     config = {
         "command": "shift",
@@ -223,6 +236,8 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.epsilon is not None:
+        _reject_unread(args, ("epsilon_grid",), "bounds with --epsilon")
     spectrum = load_spectrum(args.spectrum)
     ts = _parse_floats(args.t_values) if args.t_values else list(DEFAULT_T_VALUES)
     if args.epsilon is None:
@@ -243,15 +258,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "epsilon": args.epsilon,
             "epsilon_grid": grid,
             "t_values": ts,
-            "lipschitz": args.lipschitz,
             "dim": args.dim,
         },
         "window": window.to_json(),
         "constants": consts.to_json(),
     }
-    # the bound does not depend on the Lipschitz constant; only its domain is checked
-    if not args.lipschitz > 0.0:
-        raise DomainError("Lipschitz constant must be positive")
     rows = []
     for t in ts:
         raw = bounds_mod.tail_bound(consts, t)
@@ -297,6 +308,10 @@ def _batch_for_sample(args: argparse.Namespace, spectrum, rng: RngSpec) -> Sampl
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     _check_positive("--count", args.count)
+    unread = {"oracle": (), "gaussian": ("eta", "proposal", "max_draws")}
+    unread["sphere"] = ("energy", *unread["gaussian"])
+    _reject_unread(args, unread[args.mode], f"sample --mode {args.mode}")
+    args.proposal = (args.proposal or "uniform") if args.mode == "oracle" else None
     spectrum = load_spectrum(args.spectrum)
     seed = _seed(args)
     rng = RngSpec(seed=seed, stream=args.stream)
@@ -311,7 +326,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "stream": args.stream,
             "mode": args.mode,
             "eta": args.eta,
-            "proposal": args.proposal if args.mode == "oracle" else None,
+            "proposal": args.proposal,
             "out": args.out,
         },
         "produced": batch.count,
@@ -329,25 +344,16 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-# Inputs each verify experiment needs, as argparse destinations of its flags.
-_VERIFY_NEEDS = {
-    "moments": ("spectrum", "energy"),
-    "reduced-dm": ("bipartite", "energy"),
-    "tail": ("spectrum", "energy"),
-    "spins": ("m", "alpha", "gamma"),
+# The flags each verify experiment reads beyond --count, --seed, --stream,
+# --workers and --out-dir, as argparse destinations mapped to the value used
+# when the flag is not given; the experiment cannot run without a _NEEDED one.
+_NEEDED = object()
+_VERIFY_READS = {
+    "moments": {"spectrum": _NEEDED, "energy": _NEEDED, "tolerance_sigmas": DEFAULT_SIGMAS},
+    "reduced-dm": {"bipartite": _NEEDED, "energy": _NEEDED, "epsilon": 2.0},
+    "tail": {"spectrum": _NEEDED, "energy": _NEEDED, "epsilon": 2.0, "t_values": None},
+    "spins": {"m": _NEEDED, "alpha": _NEEDED, "gamma": _NEEDED, "eta": None},
 }
-_VERIFY_CONFIG = (
-    "experiment",
-    "spectrum",
-    "bipartite",
-    "energy",
-    "epsilon",
-    "count",
-    "stream",
-    "tolerance_sigmas",
-    "eta",
-    "t_values",
-)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -357,11 +363,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _check_positive("--workers", workers)
     _check_positive("--count", args.count)
     rng = RngSpec(seed=seed, stream=args.stream)
-    needs = _VERIFY_NEEDS[args.experiment]
-    if any(getattr(args, key) is None for key in needs):
-        flags = [f"--{key}" for key in needs]
+    reads = _VERIFY_READS[args.experiment]
+    unread = [dest for other in _VERIFY_READS.values() for dest in other if dest not in reads]
+    _reject_unread(args, unread, f"verify --experiment {args.experiment}")
+    vars(args).update((dest, v) for dest, v in reads.items() if getattr(args, dest) is None)
+    if any(getattr(args, dest) is _NEEDED for dest in reads):
+        flags = [f"--{dest}" for dest, default in reads.items() if default is _NEEDED]
         raise DomainError(f"{args.experiment} needs {', '.join(flags[:-1])} and {flags[-1]}")
-    config = {key: getattr(args, key, None) for key in _VERIFY_CONFIG}
+    config = {key: getattr(args, key) for key in ("experiment", "count", "stream", *reads)}
     config.update(command=args.command, seed=seed)
 
     tables = []
@@ -377,7 +386,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             args.epsilon,
             args.count,
             rng,
-            tolerance_sigmas=args.tolerance_sigmas,
             workers=workers,
         )
     elif args.experiment == "tail":
@@ -423,9 +431,8 @@ def _error_record(exc: Exception) -> str:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except (ParseError, OSError) as exc:
         sys.stderr.write(_error_record(exc))

@@ -219,7 +219,6 @@ def reduced_dm_report(
     epsilon: float,
     count: int,
     rng: RngSpec,
-    tolerance_sigmas: float = 5.0,
     workers: int | None = None,
 ) -> tuple[ExperimentReport, DensityMatrix]:
     """Gaussian-sampler check of the canonical reduced state.
@@ -267,7 +266,6 @@ def reduced_dm_report(
             "epsilon": epsilon,
             "count": count,
             "rng": rng.to_json(),
-            "tolerance_sigmas": tolerance_sigmas,
             "envelope": envelope,
             "rho_c_diagonal": [float(x) for x in diag_ref],
             "rho_c_trace": rho_ref.trace,

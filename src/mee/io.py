@@ -47,6 +47,8 @@ def load_spectrum(path: str | Path) -> Spectrum:
     if "levels" not in obj:
         raise ParseError(f"{path} is missing the 'levels' key")
     _require_numbers(path, obj, "levels")
+    if "degeneracies" in obj:
+        _require_numbers(path, obj, "degeneracies")
     try:
         return Spectrum.from_json(obj)
     except (DomainError, TypeError, ValueError, OverflowError) as exc:

@@ -401,9 +401,11 @@ class TestErrorPaths:
             ("means", {"levels": "123"}),
             ("canonical", {"levels_a": ["1", 2.0], "levels_b": [0.0, 1.0]}),
             ("canonical", {"levels_a": [1.0, 2.0], "levels_b": [False, 1.0]}),
+            ("means", {"levels": [1, 2], "degeneracies": [True, 2]}),
         ],
         ids=["huge-level", "huge-level-b", "fractional-degeneracy", "string-levels",
-             "boolean-levels", "string-for-levels", "string-levels-a", "boolean-levels-b"],
+             "boolean-levels", "string-for-levels", "string-levels-a", "boolean-levels-b",
+             "boolean-degeneracy"],
     )
     def test_invalid_number_is_exit_2(self, capsys, tmp_path, command, obj):
         bad = tmp_path / "bad3.json"
@@ -447,17 +449,52 @@ class TestErrorPaths:
         assert captured.out == ""
         assert issubclass(getattr(builtins, json.loads(captured.err)["error"]), OSError)
 
-    def test_unknown_subcommand_is_exit_2(self):
+    def test_unknown_subcommand_is_exit_2(self, capsys):
+        assert run(["frobnicate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ParseError"
+        assert "frobnicate" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["bounds", "--spectrum", "small", "--energy", "1.5", "--lipschitz", "0",
+              "--out-dir", "out"], "--lipschitz"),
+            (["means", "--spectrum", "small", "--levels", "1"], "--levels"),
+            (["verify", "--experiment", "moments", "--spectrum", "small", "--energy", "1.5",
+              "--count", "x", "--out-dir", "out"], "--count"),
+            (["sample", "--mode", "bad", "--spectrum", "small", "--out", "out/x.csv"], "--mode"),
+            (["verify", "--experiment", "energy", "--out-dir", "out"], "--experiment"),
+            (["shift", "--spectrum", "small"], "--energy"),
+        ],
+        ids=["bounds-lipschitz", "unknown-flag", "count-not-int", "bad-mode",
+             "bad-experiment", "missing-required"],
+    )
+    def test_usage_error_is_json_exit_2(self, capsys, tmp_path, small_spectrum_file,
+                                        argv, word):
+        files = {"small": small_spectrum_file, "out": str(tmp_path / "out"),
+                 "out/x.csv": str(tmp_path / "out" / "x.csv")}
+        assert run([files.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ParseError"
+        assert word in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["frobnicate"])
-        assert exc.value.code == 2
+            run(["bounds", "--help"])
+        assert exc.value.code == 0
+        assert "--epsilon-grid" in capsys.readouterr().out
 
 
 class TestNonFiniteInputs:
-    """NaN and infinite energies, epsilons, Lipschitz constants and shell
-    widths, NaN, negative or infinite solver tolerances, nonpositive Lipschitz
-    constants and negative deviations fail with a DomainError before any
-    work they would spoil."""
+    """NaN and infinite energies, epsilons and shell widths, NaN, negative or
+    infinite solver tolerances and negative deviations fail with a
+    DomainError before any work they would spoil."""
 
     @staticmethod
     def _forbid(monkeypatch, target):
@@ -488,8 +525,6 @@ class TestNonFiniteInputs:
             (["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
               "--epsilon", "nan", "--count", "10", "--seed", "1"],
              "mee.experiments._gaussian_stream"),
-            (["bounds", "--spectrum", "big", "--energy", "1.5", "--lipschitz", "nan",
-              "--out-dir", "out"], None),
             (["sample", "--mode", "oracle", "--spectrum", "small", "--energy", "1.5",
               "--eta", "nan", "--count", "5", "--seed", "1"], "mee.sampling._map_ordered"),
             # no residual meets a negative or NaN tolerance: 200 iterations
@@ -501,10 +536,6 @@ class TestNonFiniteInputs:
             # every residual meets an infinite one: exit 0 with a wrong shift
             (["shift", "--spectrum", "s123", "--energy", "1.5", "--tol", "inf"],
              "mee.spectrum._shift_root"),
-            (["bounds", "--spectrum", "big", "--energy", "1.5", "--lipschitz", "0",
-              "--out-dir", "out"], None),
-            (["bounds", "--spectrum", "big", "--energy", "1.5", "--lipschitz=-1",
-              "--out-dir", "out"], None),
             # a negative t fails in the bound too, but only after every chunk is drawn
             (["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
               "--count", "10", "--seed", "1", "--t-values=-0.1,0.2", "--out-dir", "out"],
@@ -513,9 +544,8 @@ class TestNonFiniteInputs:
         ids=["bounds-energy-nan", "bounds-energy-inf", "canonical-energy-nan",
              "shift-energy-nan", "shift-energy-inf", "shift-energy-minus-inf",
              "shift-epsilon-nan", "shift-epsilon-inf-all-equal", "verify-tail-epsilon-nan",
-             "bounds-lipschitz-nan", "sample-oracle-eta-nan", "shift-tol-negative",
-             "shift-epsilon-tol-nan", "shift-tol-inf", "bounds-lipschitz-zero",
-             "bounds-lipschitz-negative", "verify-tail-negative-t"],
+             "sample-oracle-eta-nan", "shift-tol-negative", "shift-epsilon-tol-nan",
+             "shift-tol-inf", "verify-tail-negative-t"],
     )
     def test_domain_error(self, capsys, monkeypatch, tmp_path, spectrum_file,
                           small_spectrum_file, bipartite_file, argv, forbidden):
@@ -533,6 +563,105 @@ class TestNonFiniteInputs:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "DomainError"
         assert not (tmp_path / "out").exists()
+
+
+# Each run with its required flags, and the flags it does not read.
+_UNREAD = {
+    "verify-moments": (
+        ["verify", "--experiment", "moments", "--spectrum", "small", "--energy", "1.5",
+         "--count", "10", "--seed", "1", "--out-dir", "out"],
+        ["--bipartite", "--epsilon", "--t-values", "--m", "--alpha", "--gamma", "--eta"],
+    ),
+    "verify-reduced-dm": (
+        ["verify", "--experiment", "reduced-dm", "--bipartite", "bip", "--energy", "1.5",
+         "--count", "10", "--seed", "1", "--out-dir", "out"],
+        ["--spectrum", "--tolerance-sigmas", "--t-values", "--m", "--alpha", "--gamma",
+         "--eta"],
+    ),
+    "verify-tail": (
+        ["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
+         "--count", "10", "--seed", "1", "--out-dir", "out"],
+        ["--bipartite", "--tolerance-sigmas", "--m", "--alpha", "--gamma", "--eta"],
+    ),
+    "verify-spins": (
+        ["verify", "--experiment", "spins", "--m", "4", "--alpha", "0.3", "--gamma", "0.4",
+         "--count", "10", "--seed", "1", "--out-dir", "out"],
+        ["--spectrum", "--bipartite", "--energy", "--epsilon", "--tolerance-sigmas",
+         "--t-values"],
+    ),
+    "shift-harmonic": (["shift", "--spectrum", "small", "--energy", "1.5"], ["--dim"]),
+    "bounds-epsilon": (
+        ["bounds", "--spectrum", "small", "--energy", "1.5", "--epsilon", "2",
+         "--out-dir", "out"],
+        ["--epsilon-grid"],
+    ),
+    "sample-gaussian": (
+        ["sample", "--mode", "gaussian", "--spectrum", "small", "--energy", "1.5",
+         "--count", "5", "--seed", "1", "--out", "out/x.csv"],
+        ["--eta", "--proposal", "--max-draws"],
+    ),
+    "sample-sphere": (
+        ["sample", "--mode", "sphere", "--spectrum", "small", "--count", "5", "--seed", "1",
+         "--out", "out/x.csv"],
+        ["--energy", "--eta", "--proposal", "--max-draws"],
+    ),
+}
+_FLAG_VALUES = {
+    "--spectrum": "small", "--bipartite": "bip", "--energy": "1.5", "--epsilon": "2",
+    "--tolerance-sigmas": "5", "--t-values": "0.1", "--m": "3", "--alpha": "0.3",
+    "--gamma": "0.4", "--eta": "0.1", "--dim": "7", "--epsilon-grid": "1,3",
+    "--proposal": "uniform", "--max-draws": "100",
+}
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [(case, flag) for case, (_, flags) in _UNREAD.items() for flag in flags],
+    ids=[f"{case}{flag}" for case, (_, flags) in _UNREAD.items() for flag in flags],
+)
+def test_unread_flag_is_exit_2(capsys, monkeypatch, tmp_path, small_spectrum_file,
+                               bipartite_file, case, flag):
+    for target in ("mee.sampling._map_ordered", "mee.experiments._map_ordered",
+                   "mee.spectrum._shift_root", "mee.sampling._draw_batch"):
+        TestNonFiniteInputs._forbid(monkeypatch, target)
+    files = {"small": small_spectrum_file, "bip": bipartite_file,
+             "out": str(tmp_path / "out"), "out/x.csv": str(tmp_path / "out" / "x.csv")}
+    argv, _ = _UNREAD[case]
+    argv = [files.get(arg, arg) for arg in [*argv, flag, _FLAG_VALUES[flag]]]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ParseError"
+    assert err["message"].endswith(f"does not read {flag}")
+    assert not (tmp_path / "out").exists()
+
+
+_COMMON_CONFIG = {"command", "experiment", "count", "seed", "stream"}
+
+
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (_UNREAD["verify-moments"][0], {"spectrum", "energy", "tolerance_sigmas"}),
+        (_UNREAD["verify-reduced-dm"][0], {"bipartite", "energy", "epsilon"}),
+        (_UNREAD["verify-tail"][0], {"spectrum", "energy", "epsilon", "t_values"}),
+        (_UNREAD["verify-spins"][0], {"m", "alpha", "gamma", "eta"}),
+        (["spins", "--m", "4", "--alpha", "0.3", "--gamma", "0.4", "--count", "10",
+          "--seed", "1"], {"m", "alpha", "gamma", "eta"}),
+    ],
+    ids=["moments", "reduced-dm", "tail", "spins", "spins-alias"],
+)
+def test_verify_config_echoes_the_flags_read(capsys, tmp_path, small_spectrum_file,
+                                             bipartite_file, argv, reads):
+    files = {"small": small_spectrum_file, "bip": bipartite_file, "out": str(tmp_path / "out")}
+    code, record = run_json(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == 0
+    assert set(record["config"]) == _COMMON_CONFIG | reads
+    defaults = {"tolerance_sigmas": 5.0, "epsilon": 2.0, "t_values": None, "eta": None}
+    for key in reads & defaults.keys():
+        assert record["config"][key] == defaults[key]
+    assert "tolerance_sigmas" not in record["report"]["inputs"]
 
 
 class TestDeterminism:

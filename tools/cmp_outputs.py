@@ -34,12 +34,16 @@ error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
 ``--epsilon``) and ``canonical`` also run on two larger inputs drawn from a
 fixed seed: 20 000 random levels with degeneracies 1-19,
 and a bipartite spectrum of integer levels whose combined spectrum collapses
-12 000 sums into a few dozen grouped levels.  Six malformed inputs (a
+12 000 sums into a few dozen grouped levels.  Seven malformed inputs (a
 401-digit integer level in a spectrum and in ``levels_b``, a degeneracy of
-1.5, an empty ``levels_a``, string levels and boolean levels) check the
-error path, as do a negative ``verify --t-values`` entry, ``bounds
---lipschitz 0`` and a ``verify --out-dir`` below a regular file: 53 commands
-and 195 files in all.  It takes a minute or two, mostly the CSV writes.
+1.5, an empty ``levels_a``, string levels, boolean levels and a boolean
+degeneracy) check the error path, as do a negative ``verify --t-values``
+entry and a ``verify --out-dir`` below a regular file.  Four runs pass a
+flag they do not read (``verify --experiment moments --eta``, ``shift
+--dim`` without ``--epsilon``, ``bounds --epsilon`` with ``--epsilon-grid``
+and ``sample --mode sphere --energy``) and check its exit-2 record: 57
+commands and 207 files in all.  It takes a minute or two, mostly the CSV
+writes.
 """
 from __future__ import annotations
 
@@ -69,6 +73,7 @@ INPUTS = {
     "in/offset.json": {"levels": [1e6 + 1, 1e6 + 2, 1e6 + 3]},
     "in/string-levels.json": {"levels": ["1", "2", "3"]},
     "in/boolean-levels.json": {"levels": [True, False, 2]},
+    "in/boolean-degeneracy.json": {"levels": [1, 2], "degeneracies": [True, 2]},
 }
 
 
@@ -160,9 +165,19 @@ def commands() -> dict[str, list[str]]:
     # exits 1 with failures keyed "0.5", "1e-05", "3.0": string order, not numeric
     cmds["bounds-grid-infeasible"] = ["bounds", "--spectrum", "in/s123.json", "--energy",
                                       "1.5", "--epsilon-grid", "0.5,0.00001,3"]
-    # exits 1: the Lipschitz constant must be positive
-    cmds["bounds-lipschitz-zero"] = ["bounds", "--spectrum", "in/s123.json", "--energy", "1.5",
-                                     "--lipschitz", "0", "--out-dir", "out/bounds-lipschitz-zero"]
+    # each exits 2: the run does not read the last flag
+    cmds["verify-moments-eta"] = ["verify", "--experiment", "moments", *VERIFY["moments"],
+                                  "--seed", "7", "--out-dir", "out/verify-moments-eta",
+                                  "--eta", "0.1"]
+    cmds["shift-harmonic-dim"] = ["shift", "--spectrum", "in/s123.json", "--energy", "1.5",
+                                  "--dim", "7"]
+    cmds["bounds-epsilon-grid"] = ["bounds", "--spectrum", "in/s900.json", "--energy", "1.5",
+                                   "--epsilon", "2", "--out-dir", "out/bounds-epsilon-grid",
+                                   "--epsilon-grid", "1,3"]
+    cmds["sample-sphere-energy"] = ["sample", "--mode", "sphere", "--spectrum", "in/s900.json",
+                                    "--count", "10", "--seed", "5",
+                                    "--out", "out/sample-sphere-energy/states.csv",
+                                    "--energy", "1.5"]
     cmds["canonical"] = ["canonical", "--bipartite", "in/bip.json", "--energy", "1.3",
                          "--epsilon", "2", "--out-dir", "out/canonical"]
     # exits 1 with the InfeasibleError record on stderr
@@ -201,6 +216,7 @@ def commands() -> dict[str, list[str]]:
                           "--energy", "1.5", "--epsilon", "2"]
     cmds["string-levels"] = ["means", "--spectrum", "in/string-levels.json"]
     cmds["boolean-levels"] = ["means", "--spectrum", "in/boolean-levels.json"]
+    cmds["boolean-degeneracy"] = ["means", "--spectrum", "in/boolean-degeneracy.json"]
     return cmds
 
 
