@@ -387,6 +387,8 @@ def moment_report_streamed(
     from :func:`sample_gaussian_ensemble`'s chunks: means and variances of
     ||psi||^2 and <psi|H'|psi>.  The numbers equal those of the materialized
     batch and do not depend on ``workers``."""
+    if not 0.0 < tolerance_sigmas < math.inf:  # else every sigmas verdict is fixed
+        raise DomainError(f"tolerance_sigmas must be finite and positive, got {tolerance_sigmas}")
     levels = frame.expanded_levels
     reduce = lambda psi: _moment_chunk(psi, levels)
     norm2, hq = _gaussian_stream(frame, count, rng, reduce, workers)

@@ -9,6 +9,7 @@ O(#distinct levels); expansion happens only on demand (sampling).
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -257,6 +258,13 @@ def _require_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and nonnegative, got {tol}")
 
 
+def _require_float_dim(dim: int | None) -> None:
+    """Raise DomainError for a dimension beyond the float range, where every
+    n-dependent formula overflows."""
+    if dim is not None and dim > sys.float_info.max:
+        raise DomainError("dimension is beyond the float range")
+
+
 def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float) -> float:
     """Root of r(x) = multiplier * E_H({E_k + x}) - (E + x).
 
@@ -372,6 +380,7 @@ def epsilon_shift_solve(
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
     _require_finite_energy(energy)
+    _require_float_dim(dim)
     n = spectrum.n if dim is None else int(dim)
     if n < 1:
         raise DomainError("dimension must be positive")

@@ -80,6 +80,10 @@ class TestEnergyWindow:
         with pytest.raises(DomainError):
             check_energy_window(Spectrum((1.0,)), 0.5)
 
+    def test_dimension_beyond_the_float_range(self):
+        with pytest.raises(DomainError, match="float range"):
+            check_energy_window(EX1, 1.5, dim=10**400)
+
 
 class TestFlip:
     def test_negates_levels_and_energy(self):
@@ -253,6 +257,15 @@ class TestOptimizeEpsilon:
         sums = record_level_sums(spec)
         with pytest.raises(DomainError, match="energy must be finite"):
             optimize_epsilon(spec, energy, 1.0, [2.0, 3.0])
+        assert sums.asked == []
+
+    def test_dimension_beyond_the_float_range_fails_before_the_grid(self):
+        spec = Spectrum(EX1.levels, EX1.degeneracies)
+        sums = record_level_sums(spec)
+        with pytest.raises(DomainError, match="float range"):
+            optimize_epsilon(spec, 1.5, 1.0, [2.0, 3.0], dim=10**400)
+        with pytest.raises(DomainError, match="float range"):
+            epsilon_shift_solve(spec, 1.5, 2.0, dim=10**400)
         assert sums.asked == []
 
 

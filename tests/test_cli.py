@@ -1,5 +1,6 @@
 import builtins
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -279,7 +280,10 @@ class TestSample:
 
     def test_gaussian_requires_energy(self, capsys, small_spectrum_file):
         code = run(["sample", "--spectrum", small_spectrum_file, "--mode", "gaussian"])
-        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ParseError"
+        assert "--energy" in err["message"]
 
 
 class TestVerify:
@@ -357,7 +361,10 @@ class TestVerify:
 
     def test_missing_inputs(self, capsys):
         code = run(["verify", "--experiment", "moments"])
-        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ParseError"
+        assert "--spectrum" in err["message"] and "--energy" in err["message"]
 
 
 class TestSpinsCommand:
@@ -369,6 +376,23 @@ class TestSpinsCommand:
         )
         assert code_a == code_b == 0
         assert rec_a["report"] == rec_b["report"]
+
+
+# The option strings each subcommand accepts, --help aside.
+_OPTIONS = {
+    "means": {"--spectrum"},
+    "shift": {"--spectrum", "--energy", "--epsilon", "--dim", "--tol"},
+    "bounds": {"--spectrum", "--energy", "--epsilon", "--epsilon-grid", "--t-values", "--dim",
+               "--out-dir"},
+    "canonical": {"--bipartite", "--energy", "--epsilon", "--out-dir"},
+    "sample": {"--spectrum", "--energy", "--count", "--seed", "--stream", "--mode", "--eta",
+               "--proposal", "--max-draws", "--out"},
+    "verify": {"--experiment", "--spectrum", "--bipartite", "--energy", "--epsilon", "--count",
+               "--seed", "--stream", "--tolerance-sigmas", "--eta", "--t-values", "--workers",
+               "--m", "--alpha", "--gamma", "--out-dir"},
+    "spins": {"--m", "--alpha", "--gamma", "--count", "--seed", "--stream", "--eta",
+              "--out-dir"},
+}
 
 
 class TestErrorPaths:
@@ -468,9 +492,11 @@ class TestErrorPaths:
             (["sample", "--mode", "bad", "--spectrum", "small", "--out", "out/x.csv"], "--mode"),
             (["verify", "--experiment", "energy", "--out-dir", "out"], "--experiment"),
             (["shift", "--spectrum", "small"], "--energy"),
+            (["spins", "--m", "4", "--alpha", "0.3", "--gamma", "0.4", "--count", "10",
+              "--seed", "1", "--workers", "2", "--out-dir", "out"], "--workers"),
         ],
         ids=["bounds-lipschitz", "unknown-flag", "count-not-int", "bad-mode",
-             "bad-experiment", "missing-required"],
+             "bad-experiment", "missing-required", "spins-workers"],
     )
     def test_usage_error_is_json_exit_2(self, capsys, tmp_path, small_spectrum_file,
                                         argv, word):
@@ -484,11 +510,13 @@ class TestErrorPaths:
         assert word in err["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_help_exits_0(self, capsys):
+    @pytest.mark.parametrize("command", list(_OPTIONS))
+    def test_help_exits_0(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            run(["bounds", "--help"])
+            run([command, "--help"])
         assert exc.value.code == 0
-        assert "--epsilon-grid" in capsys.readouterr().out
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert set(re.findall(r"--[a-z][a-z-]*", usage)) == _OPTIONS[command]
 
 
 class TestNonFiniteInputs:
@@ -540,12 +568,26 @@ class TestNonFiniteInputs:
             (["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
               "--count", "10", "--seed", "1", "--t-values=-0.1,0.2", "--out-dir", "out"],
              "mee.experiments._gaussian_stream"),
+            # nan and -1 would fail every sigmas check, inf pass every one
+            *[(["verify", "--experiment", "moments", "--spectrum", "small", "--energy", "1.5",
+                "--count", "10", "--seed", "1", "--tolerance-sigmas", sigmas,
+                "--out-dir", "out"], "mee.experiments._gaussian_stream")
+              for sigmas in ("nan", "inf", "0", "-1")],
+            # a dimension no float holds overflows the multiplier
+            (["shift", "--spectrum", "big", "--energy", "1.5", "--epsilon", "2",
+              "--dim", str(10**400)], "mee.spectrum._shift_root"),
+            (["bounds", "--spectrum", "big", "--energy", "1.5", "--dim", str(10**400)],
+             "mee.spectrum._shift_root"),
+            (["bounds", "--spectrum", "big", "--energy", "1.5", "--epsilon", "2",
+              "--dim", str(10**400)], "mee.spectrum._shift_root"),
         ],
         ids=["bounds-energy-nan", "bounds-energy-inf", "canonical-energy-nan",
              "shift-energy-nan", "shift-energy-inf", "shift-energy-minus-inf",
              "shift-epsilon-nan", "shift-epsilon-inf-all-equal", "verify-tail-epsilon-nan",
              "sample-oracle-eta-nan", "shift-tol-negative", "shift-epsilon-tol-nan",
-             "shift-tol-inf", "verify-tail-negative-t"],
+             "shift-tol-inf", "verify-tail-negative-t", "moments-sigmas-nan",
+             "moments-sigmas-inf", "moments-sigmas-0", "moments-sigmas-minus-1",
+             "shift-huge-dim", "bounds-grid-huge-dim", "bounds-epsilon-huge-dim"],
     )
     def test_domain_error(self, capsys, monkeypatch, tmp_path, spectrum_file,
                           small_spectrum_file, bipartite_file, argv, forbidden):
@@ -637,31 +679,70 @@ def test_unread_flag_is_exit_2(capsys, monkeypatch, tmp_path, small_spectrum_fil
     assert not (tmp_path / "out").exists()
 
 
-_COMMON_CONFIG = {"command", "experiment", "count", "seed", "stream"}
+_DRAW_CONFIG = {"command", "count", "seed", "stream"}
+_T_VALUES = [0.1 * k for k in range(1, 21)]
+_GRID = [0.5 * k for k in range(1, 17)]
 
 
 @pytest.mark.parametrize(
-    "argv, reads",
+    "argv, keys, defaults",
     [
-        (_UNREAD["verify-moments"][0], {"spectrum", "energy", "tolerance_sigmas"}),
-        (_UNREAD["verify-reduced-dm"][0], {"bipartite", "energy", "epsilon"}),
-        (_UNREAD["verify-tail"][0], {"spectrum", "energy", "epsilon", "t_values"}),
-        (_UNREAD["verify-spins"][0], {"m", "alpha", "gamma", "eta"}),
+        (["means", "--spectrum", "small"], {"command", "spectrum"}, {}),
+        (_UNREAD["shift-harmonic"][0], {"command", "spectrum", "energy", "tol"},
+         {"tol": 1e-12}),
+        (["shift", "--spectrum", "small", "--energy", "1.5", "--epsilon", "2"],
+         {"command", "spectrum", "energy", "epsilon", "dim", "tol"},
+         {"dim": None, "tol": 1e-12}),
+        (["bounds", "--spectrum", "small", "--energy", "1.5", "--out-dir", "out"],
+         {"command", "spectrum", "energy", "epsilon_grid", "t_values", "dim"},
+         {"epsilon_grid": _GRID, "t_values": _T_VALUES, "dim": None}),
+        (_UNREAD["bounds-epsilon"][0],
+         {"command", "spectrum", "energy", "epsilon", "t_values", "dim"},
+         {"t_values": _T_VALUES, "dim": None}),
+        (["canonical", "--bipartite", "bip", "--energy", "1.3", "--epsilon", "2",
+          "--out-dir", "out"], {"command", "bipartite", "energy", "epsilon"}, {}),
+        (["sample", "--mode", "sphere", "--spectrum", "small"],
+         _DRAW_CONFIG | {"mode", "spectrum", "out"},
+         {"count": 1000, "seed": 12345, "stream": 0, "out": None}),
+        (_UNREAD["sample-gaussian"][0], _DRAW_CONFIG | {"mode", "spectrum", "energy", "out"},
+         {"stream": 0}),
+        (["sample", "--mode", "oracle", "--spectrum", "small", "--energy", "1.8",
+          "--count", "5", "--seed", "1"],
+         _DRAW_CONFIG | {"mode", "spectrum", "energy", "eta", "proposal", "max_draws", "out"},
+         {"eta": None, "proposal": "uniform", "max_draws": None, "out": None}),
+        (_UNREAD["verify-moments"][0],
+         _DRAW_CONFIG | {"experiment", "spectrum", "energy", "tolerance_sigmas"},
+         {"tolerance_sigmas": 5.0}),
+        (_UNREAD["verify-reduced-dm"][0],
+         _DRAW_CONFIG | {"experiment", "bipartite", "energy", "epsilon"}, {"epsilon": 2.0}),
+        (_UNREAD["verify-tail"][0],
+         _DRAW_CONFIG | {"experiment", "spectrum", "energy", "epsilon", "t_values"},
+         {"epsilon": 2.0, "t_values": _T_VALUES}),
+        (_UNREAD["verify-spins"][0], _DRAW_CONFIG | {"experiment", "m", "alpha", "gamma", "eta"},
+         {"eta": None}),
         (["spins", "--m", "4", "--alpha", "0.3", "--gamma", "0.4", "--count", "10",
-          "--seed", "1"], {"m", "alpha", "gamma", "eta"}),
+          "--seed", "1"], _DRAW_CONFIG | {"experiment", "m", "alpha", "gamma", "eta"},
+         {"eta": None, "experiment": "spins"}),
     ],
-    ids=["moments", "reduced-dm", "tail", "spins", "spins-alias"],
+    ids=["means", "shift-harmonic", "shift-epsilon", "bounds-grid", "bounds-epsilon",
+         "canonical", "sample-sphere", "sample-gaussian", "sample-oracle", "moments",
+         "reduced-dm", "tail", "spins", "spins-alias"],
 )
-def test_verify_config_echoes_the_flags_read(capsys, tmp_path, small_spectrum_file,
-                                             bipartite_file, argv, reads):
-    files = {"small": small_spectrum_file, "bip": bipartite_file, "out": str(tmp_path / "out")}
+def test_verify_config_echoes_the_flags_read(capsys, tmp_path, monkeypatch,
+                                             small_spectrum_file, bipartite_file, argv,
+                                             keys, defaults):
+    """``config`` holds the command, the run's selector and every flag the
+    run reads but --out-dir and --workers, absent ones at the value used."""
+    monkeypatch.delenv("MEE_SEED", raising=False)
+    files = {"small": small_spectrum_file, "bip": bipartite_file, "out": str(tmp_path / "out"),
+             "out/x.csv": str(tmp_path / "out" / "x.csv")}
     code, record = run_json(capsys, [files.get(arg, arg) for arg in argv])
     assert code == 0
-    assert set(record["config"]) == _COMMON_CONFIG | reads
-    defaults = {"tolerance_sigmas": 5.0, "epsilon": 2.0, "t_values": None, "eta": None}
-    for key in reads & defaults.keys():
-        assert record["config"][key] == defaults[key]
-    assert "tolerance_sigmas" not in record["report"]["inputs"]
+    assert set(record["config"]) == keys
+    for key, value in defaults.items():
+        assert record["config"][key] == value
+    if "report" in record:
+        assert "tolerance_sigmas" not in record["report"]["inputs"]
 
 
 class TestDeterminism:

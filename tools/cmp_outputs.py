@@ -41,9 +41,13 @@ degeneracy) check the error path, as do a negative ``verify --t-values``
 entry and a ``verify --out-dir`` below a regular file.  Four runs pass a
 flag they do not read (``verify --experiment moments --eta``, ``shift
 --dim`` without ``--epsilon``, ``bounds --epsilon`` with ``--epsilon-grid``
-and ``sample --mode sphere --energy``) and check its exit-2 record: 57
-commands and 207 files in all.  It takes a minute or two, mostly the CSV
-writes.
+and ``sample --mode sphere --energy``) and check its exit-2 record, and
+four leave out a flag the run needs (``verify --experiment moments`` without
+``--spectrum``, ``sample --mode gaussian`` without ``--energy``, ``shift``
+without ``--energy`` and ``spins`` without ``--m``).  Two runs check a
+domain error: ``verify --experiment moments --tolerance-sigmas nan`` and
+``shift --epsilon 2`` at a 401-digit ``--dim``.  63 commands and 225 files
+in all.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
 
@@ -178,6 +182,20 @@ def commands() -> dict[str, list[str]]:
                                     "--count", "10", "--seed", "5",
                                     "--out", "out/sample-sphere-energy/states.csv",
                                     "--energy", "1.5"]
+    # each exits 2: the run needs a flag it is not given
+    cmds["verify-moments-no-spectrum"] = ["verify", "--experiment", "moments", "--energy",
+                                          "1.5", "--count", "10", "--seed", "7"]
+    cmds["sample-gaussian-no-energy"] = ["sample", "--mode", "gaussian", "--spectrum",
+                                         "in/s900.json", "--count", "10", "--seed", "5"]
+    cmds["shift-no-energy"] = ["shift", "--spectrum", "in/s123.json"]
+    cmds["spins-no-m"] = ["spins", "--alpha", "0.3", "--gamma", "0.4", "--count", "10",
+                          "--seed", "3"]
+    # each exits 1 with a DomainError record before any draw or solve
+    cmds["verify-moments-sigmas-nan"] = ["verify", "--experiment", "moments",
+                                         *VERIFY["moments"], "--seed", "7",
+                                         "--tolerance-sigmas", "nan"]
+    cmds["shift-epsilon-huge-dim"] = ["shift", "--spectrum", "in/s123.json", "--energy", "1.5",
+                                      "--epsilon", "2", "--dim", str(10**400)]
     cmds["canonical"] = ["canonical", "--bipartite", "in/bip.json", "--energy", "1.3",
                          "--epsilon", "2", "--out-dir", "out/canonical"]
     # exits 1 with the InfeasibleError record on stderr
