@@ -18,8 +18,8 @@ from .errors import DomainError, InfeasibleError
 from .spectrum import (
     EnergyFrame,
     Spectrum,
+    _checked_dim,
     _require_finite_energy,
-    _require_float_dim,
     compute_means,
     epsilon_shift_solve,
 )
@@ -99,8 +99,7 @@ class Ellipsoid:
 
 def check_energy_window(spectrum: Spectrum, energy: float, dim: int | None = None) -> WindowCheck:
     """Check that E sits above E_min but not too close to the arithmetic mean."""
-    _require_float_dim(dim)
-    n = spectrum.n if dim is None else int(dim)
+    n = _checked_dim(spectrum, dim)
     if n < 2:
         raise DomainError("the energy window test needs dimension n >= 2")
     means = compute_means(spectrum)
@@ -205,7 +204,7 @@ def optimize_epsilon(
     if len(grid) == 0:
         raise DomainError("epsilon grid must be nonempty")
     _require_finite_energy(energy)  # these two would fail every grid point alike
-    _require_float_dim(dim)
+    _checked_dim(spectrum, dim)
     best: ConcentrationConstants | None = None
     best_log = math.inf
     failures: dict[float, str] = {}

@@ -250,6 +250,8 @@ def _cmd_shift(args: argparse.Namespace, config: dict) -> None:
 def _cmd_bounds(args: argparse.Namespace, config: dict) -> None:
     spectrum = load_spectrum(args.spectrum)
     ts = args.t_values
+    # first, so a dimension below 2 fails once, not at every grid point
+    window = bounds_mod.check_energy_window(spectrum, args.energy, dim=args.dim)
     if args.epsilon is None:
         # optimize at the deepest requested deviation, where the bound matters most
         consts = bounds_mod.optimize_epsilon(
@@ -257,7 +259,6 @@ def _cmd_bounds(args: argparse.Namespace, config: dict) -> None:
         )
     else:
         consts = bounds_mod.constants_for(spectrum, args.energy, args.epsilon, dim=args.dim)
-    window = bounds_mod.check_energy_window(spectrum, args.energy, dim=args.dim)
     record = {"config": config, "window": window.to_json(), "constants": consts.to_json()}
     rows = []
     for t in ts:

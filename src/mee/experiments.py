@@ -18,6 +18,7 @@ from .canonical import BipartiteSpectrum, DensityMatrix, delta_deviation, rho_c_
 from .errors import DomainError
 from .sampling import (
     RngSpec,
+    _block_rows,
     _chunk_task,
     _gaussian_draw,
     _map_ordered,
@@ -189,15 +190,15 @@ def subbatch_mean_error(
 def _gaussian_stream(
     frame: EnergyFrame, count: int, rng: RngSpec, reduce: Callable, workers: int | None
 ) -> tuple[np.ndarray, ...]:
-    """Each array of the tuple ``reduce(states)`` (one leading row per state, or
-    per chunk) concatenated over the chunks of :func:`sample_gaussian_ensemble`'s
-    batch in chunk order, drawn on ``workers`` threads; ``reduce`` must not keep
-    a view of its argument (see :func:`_chunk_task`)."""
-    draw = _gaussian_draw(frame, rng)
+    """Each array of the tuple ``reduce(states)`` (one leading row per state)
+    concatenated over :func:`sample_gaussian_ensemble`'s batch in state order,
+    drawn and reduced in row blocks of its chunks on ``workers`` threads;
+    ``reduce`` must not keep a view of its argument (see :func:`_chunk_task`)."""
+    draw = _gaussian_draw(frame)
     if count < 1:
         raise DomainError("cannot estimate from an empty sample")
     layout = chunk_layout(count, frame.dim)
-    task = _chunk_task(draw, reduce, layout, frame.dim)
+    task = _chunk_task(rng, draw, reduce, _block_rows(frame.dim, layout[0]), frame.dim)
     results = list(_map_ordered(task, enumerate(layout), workers))
     return tuple(np.concatenate(parts) for parts in zip(*results))
 
@@ -238,13 +239,17 @@ def reduced_dm_report(
     rho_ref = rho_c_bipartite(bs, consts.frame)
     envelope = math.sqrt(8.0) * dim_a * delta_deviation(consts)
 
-    def one_chunk(psi: np.ndarray):
+    def one_block(psi: np.ndarray):
         rhos = _reduced_states(psi, dim_a, dim_b)
-        devs = np.linalg.norm(rhos - rho_ref.matrix, axis=(1, 2))
-        return rhos.sum(axis=0)[None], devs
+        return rhos, np.linalg.norm(rhos - rho_ref.matrix, axis=(1, 2))
 
-    rho_sums, devs = _gaussian_stream(frame, count, rng, one_chunk, workers)
-    rho_sum = sum(rho_sums, np.zeros((dim_a, dim_a), dtype=complex))
+    rhos, devs = _gaussian_stream(frame, count, rng, one_block, workers)
+    # summed chunk by chunk, in chunk order: the sum does not depend on the
+    # row blocks the stream reduced in
+    rho_sum = np.zeros((dim_a, dim_a), dtype=complex)
+    edges = np.cumsum([0, *chunk_layout(count, frame.dim)])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rho_sum = rho_sum + rhos[lo:hi].sum(axis=0)
     rho_hat = DensityMatrix(0.5 * (rho_sum + rho_sum.conj().T) / count)
 
     mean_dev, se_dev = subbatch_mean_error(devs)

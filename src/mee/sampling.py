@@ -19,7 +19,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,7 +40,8 @@ __all__ = [
 # Scalars (real normal variates) per generation chunk; the layout depends
 # only on this constant, count and n, never on worker count.
 _CHUNK_SCALARS = 1 << 22
-# Real scalars per row block of _row_norms (1 MB of float64).
+# Real scalars per row block (1 MB of float64): streams draw and reduce each
+# chunk in blocks of about this size, and _row_norms normalizes in them.
 _NORM_BLOCK_SCALARS = 1 << 17
 
 
@@ -167,12 +168,15 @@ def _find_openblas() -> tuple[Callable, Callable] | None:
 class _BlasThreadLimit:
     """Context manager holding NumPy's OpenBLAS to one thread.
 
-    Inside a threaded stream the worker threads are the parallelism: an
-    OpenBLAS helper thread would busy-wait against them.  The library is
-    looked up on the first entry; without one this is a no-op.  Nested or
-    concurrent entries share one limit, and the last exit restores the count
-    the first entry found, so no BLAS call outside a stream sees the limit
-    (a threaded dot product may round differently from a serial one).
+    Every stream runs inside it, on any number of workers.  A threaded
+    ``dgemv`` splits a matrix's rows between its threads and rounds the rows
+    at each split with its remainder kernel, so with more than one BLAS
+    thread a state's ``p @ levels`` would depend on where the split falls,
+    and so on the worker count; on threaded streams an OpenBLAS helper thread
+    would also busy-wait against the workers.  The library is looked up on
+    the first entry; without one this is a no-op.  Nested or concurrent
+    entries share one limit, and the last exit restores the count the first
+    entry found, so no BLAS call outside a stream sees the limit.
     """
 
     _UNRESOLVED = object()
@@ -213,52 +217,85 @@ def _map_ordered(fn: Callable, items: Iterable, workers: int | None = None) -> I
     every reduction over them is fixed.  The consumer may stop early: an item
     starts only once the consumer has taken the result before it, so at most
     ``workers - 1`` items past the last one taken are computed, and closing
-    the generator waits for them.  While items run on threads, NumPy's
-    OpenBLAS runs on one thread (see :class:`_BlasThreadLimit`).
+    the generator waits for them.  Until the generator is exhausted or
+    closed, NumPy's OpenBLAS runs on one thread, with one worker too, so a
+    BLAS result does not depend on ``workers`` (see :class:`_BlasThreadLimit`).
     """
     items = list(items)
     if workers is None:
         workers = _default_workers()
     workers = min(workers, len(items))
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
-        running = deque(pool.submit(fn, it) for it in items[:workers])
-        try:
-            for it in items[workers:]:
-                yield running.popleft().result()
-                running.append(pool.submit(fn, it))
-            while running:
-                yield running.popleft().result()
-        finally:
-            for future in running:
-                future.cancel()
+    with _ONE_BLAS_THREAD:
+        if workers <= 1:
+            yield from map(fn, items)
+            return
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            running = deque(pool.submit(fn, it) for it in items[:workers])
+            try:
+                for it in items[workers:]:
+                    yield running.popleft().result()
+                    running.append(pool.submit(fn, it))
+                while running:
+                    yield running.popleft().result()
+            finally:
+                for future in running:
+                    future.cancel()
 
 
-def _chunk_task(draw: Callable, reduce: Callable, layout: Sequence[int], n: int) -> Callable:
-    """:func:`_map_ordered` task ``(chunk, size) -> reduce(draw(chunk, size, buf))``
-    over ``enumerate(layout)``; ``draw`` fills the first ``size`` rows of ``buf``
-    as :func:`_complex_normals` does.  Each thread keeps its own ``buf`` while the
-    task lives, sized for the first (largest) chunk; ``reduce`` must not keep a view."""
+def _block_rows(n: int, chunk_rows: int) -> int:
+    """Rows per block of a stream over C^n whose largest chunk holds
+    ``chunk_rows`` states: about ``_NORM_BLOCK_SCALARS`` numbers, rounded down
+    to a multiple of 16 rows (at least 16), and at most one chunk.
+
+    OpenBLAS's ``dgemv`` rounds a row of ``p @ levels`` by its place in the
+    matrix: it works on groups of rows, and rows that do not fill a group go
+    through other kernels.  Blocks cut from the start of the chunk in a
+    multiple of 8 rows keep the rows' places as far as it was measured: on
+    matrices of 340 to 1234 rows at n = 3 to 4096, blocks of 8 to 128 rows in
+    steps of 8 gave the whole matrix's bits, blocks of 4 or 12 rows moved one
+    row of some, and blocks of 1, 2, 3, 5 or 7 rows tens to hundreds of rows.
+    """
+    rows = _NORM_BLOCK_SCALARS // (2 * n) // 16 * 16
+    return min(max(rows, 16), chunk_rows)
+
+
+def _chunk_task(rng: RngSpec, draw: Callable, reduce: Callable, rows: int, n: int) -> Callable:
+    """The :func:`_map_ordered` task ``(chunk, size) -> tuple of arrays`` of
+    every chunk stream.
+
+    Chunk ``chunk`` comes from one ``rng.generator(chunk)``, drawn and reduced
+    in blocks of ``rows`` states (the last block of a chunk may be shorter):
+    ``draw(gen, out)`` fills a float64 ``(rows, n, 2)`` block ``out`` with the
+    generator's next normals, as :func:`_complex_normals` does, and returns
+    the block's states; ``reduce(states)`` returns a tuple of arrays with one
+    leading row per state (of the states it keeps, for the shell oracle), and
+    must not keep a view of ``states``.  The task returns each array
+    concatenated over the chunk's blocks.  Consecutive blocks continue one
+    generator, so the states are those of a whole-chunk draw bit for bit, and
+    with ``rows`` from :func:`_block_rows` so are the reductions.  Each thread
+    reuses one block buffer while the task lives.
+    """
     local = threading.local()
 
-    def task(item: tuple[int, int]):
+    def task(item: tuple[int, int]) -> tuple[np.ndarray, ...]:
         chunk, size = item
         buf = getattr(local, "buf", None)
         if buf is None:
-            buf = local.buf = np.empty((layout[0], n, 2))
-        return reduce(draw(chunk, size, buf))
+            buf = local.buf = np.empty((rows, n, 2))
+        gen = rng.generator(chunk)
+        parts = [reduce(draw(gen, buf[: min(rows, size - lo)])) for lo in range(0, size, rows)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     return task
 
 
-def _draw_batch(draw: Callable, count: int, n: int) -> np.ndarray:
-    """The (count, n) batch, each chunk of the layout drawn into its own rows."""
+def _draw_batch(rng: RngSpec, draw: Callable, count: int, n: int) -> np.ndarray:
+    """The (count, n) batch, each chunk of the layout drawn into its own rows
+    by ``draw(rng.generator(chunk), rows)`` (see :func:`_chunk_task`)."""
     states = np.empty((count, n), dtype=complex)
     rows = states.view(np.float64).reshape(count, n, 2)
     for chunk, size in enumerate(chunk_layout(count, n)):
-        draw(chunk, size, rows)
+        draw(rng.generator(chunk), rows[:size])
         rows = rows[size:]
     return states
 
@@ -284,30 +321,27 @@ def _gaussian_sigmas(frame: EnergyFrame) -> np.ndarray:
     return np.sqrt(frame.e_prime / (2.0 * frame.dim * frame.expanded_levels))
 
 
-def _complex_normals(rng: RngSpec, chunk: int, size: int, n: int, out: np.ndarray) -> np.ndarray:
-    """Draw ``chunk`` into the first ``size`` rows of a float64 (rows, n, 2)
-    ``out``: interleaved (re, im) normals, returned as a complex view."""
-    z = rng.generator(chunk).standard_normal(out=out[:size])
-    return z.view(np.complex128)[..., 0]
+def _complex_normals(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill a float64 (rows, n, 2) ``out`` with the next normals of ``gen``:
+    interleaved (re, im), returned as a complex (rows, n) view."""
+    return gen.standard_normal(out=out).view(np.complex128)[..., 0]
 
 
-def gaussian_chunk(
-    frame: EnergyFrame, rng: RngSpec, chunk: int, size: int, out: np.ndarray
-) -> np.ndarray:
-    """States of one chunk: Re and Im of each component drawn independently
-    with density proportional to exp(-n E'_k x^2 / E').
+def gaussian_chunk(frame: EnergyFrame, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """States of one block of a chunk: Re and Im of each component drawn
+    independently with density proportional to exp(-n E'_k x^2 / E').
 
-    The states are a view into ``out`` (see :func:`_complex_normals`), valid
-    until its rows are filled again.
+    ``gen`` is the chunk's generator, and successive calls draw successive
+    rows of the chunk.  The states are a view into ``out`` (see
+    :func:`_complex_normals`), valid until its rows are filled again.
     """
-    sig = _gaussian_sigmas(frame)
-    psi = _complex_normals(rng, chunk, size, sig.size, out)
-    psi *= sig
+    psi = _complex_normals(gen, out)
+    psi *= _gaussian_sigmas(frame)
     return psi
 
 
-def _gaussian_draw(frame: EnergyFrame, rng: RngSpec) -> Callable:
-    """``draw(chunk, size, out)`` of the Gaussian ensemble over ``frame``."""
+def _gaussian_draw(frame: EnergyFrame) -> Callable:
+    """``draw(gen, out)`` of the Gaussian ensemble over ``frame``."""
     if frame.dim != frame.base.n:
         raise DomainError("gaussian sampling needs a frame over the full expanded spectrum")
     if not frame.is_harmonic():
@@ -315,7 +349,7 @@ def _gaussian_draw(frame: EnergyFrame, rng: RngSpec) -> Callable:
             "gaussian sampling requires the pure harmonic shift "
             f"(E'_H = {frame.e_prime_harm}, E' = {frame.e_prime})"
         )
-    return lambda chunk, size, out: gaussian_chunk(frame, rng, chunk, size, out)
+    return lambda gen, out: gaussian_chunk(frame, gen, out)
 
 
 def sample_gaussian_ensemble(frame: EnergyFrame, count: int, rng: RngSpec) -> SampleBatch:
@@ -327,7 +361,7 @@ def sample_gaussian_ensemble(frame: EnergyFrame, count: int, rng: RngSpec) -> Sa
     the Gaussian moment identities.  Consumers that need exact unit vectors
     divide each row by its norm.
     """
-    states = _draw_batch(_gaussian_draw(frame, rng), count, frame.dim)
+    states = _draw_batch(rng, _gaussian_draw(frame), count, frame.dim)
     meta = {
         "kind": "gaussian",
         "spectrum": spectrum_digest(frame.base),
@@ -343,13 +377,13 @@ def sample_sphere(n: int, count: int, rng: RngSpec) -> SampleBatch:
     if n < 1:
         raise DomainError("dimension must be positive")
 
-    def draw(chunk: int, size: int, out: np.ndarray) -> np.ndarray:
-        psi = _complex_normals(rng, chunk, size, n, out)
+    def draw(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        psi = _complex_normals(gen, out)
         psi /= _row_norms(psi)[:, None]
         return psi
 
     return SampleBatch(
-        states=_draw_batch(draw, count, n),
+        states=_draw_batch(rng, draw, count, n),
         weights=None,
         meta={"kind": "sphere", "n": n, "normalized": True},
     )
@@ -382,10 +416,12 @@ def gradient_norm(spectrum: Spectrum, state: np.ndarray) -> float:
 
 
 class _ShellScreen:
-    """The shell oracle's test of one chunk: ``screen(z)`` returns the
-    accepted unit states of a chunk of raw normals ``z`` (a complex
-    ``(size, n)`` view, as :func:`_complex_normals` draws it) and their
-    log-weights, for chunks of at most ``rows`` proposals.
+    """The shell oracle's test, in two steps: ``screen(z)`` keeps the proposals
+    of one row block of raw normals ``z`` (a complex ``(rows, n)`` view, as
+    :func:`_complex_normals` draws it, of at most ``rows`` rows cut from the
+    start of its chunk as :func:`_chunk_task` cuts them) whose exact energy
+    lies in the shell, and ``finish`` turns a chunk's kept proposals, its
+    blocks' results concatenated, into accepted unit states and log-weights.
 
     The proposals are sigma * z, with sigma the Gaussian proposal's
     :func:`_gaussian_sigmas` (``frame``) or 1 for the uniform one.  A cheap
@@ -417,51 +453,46 @@ class _ShellScreen:
         self.slack = 8.0 * (levels.size + 2) * np.finfo(float).eps * float(np.max(np.abs(levels)))
         self._local = threading.local()
 
-    def _buffers(self) -> threading.local:
-        """This thread's row-block buffer and all-zero chunk-shaped matrix."""
-        local = self._local
-        if not hasattr(local, "zeros"):
-            n = self.levels.size
-            local.block = np.empty((max(1, _NORM_BLOCK_SCALARS // (2 * n)), 2 * n))
-            local.zeros = np.zeros((self.rows, n))
-        return local
-
     def approx_energies(self, z: np.ndarray) -> np.ndarray:
         """m1/m0 of every row of ``z``, with m0 = sum w_k |z_k|^2 and
-        m1 = sum w_k E_k |z_k|^2 (w = sigma^2), over row blocks of about 1 MB."""
-        block = self._buffers().block
+        m1 = sum w_k E_k |z_k|^2 (w = sigma^2)."""
         zf = z.view(np.float64)
-        m = np.empty((z.shape[0], 2))
-        for lo in range(0, z.shape[0], block.shape[0]):
-            part = zf[lo : lo + block.shape[0]]
-            q = np.multiply(part, part, out=block[: part.shape[0]])
-            np.matmul(q, self.weights, out=m[lo : lo + part.shape[0]])
+        m = np.square(zf) @ self.weights
         return m[:, 1] / m[:, 0]
 
-    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        zeros = self._buffers().zeros
-        levels, energy = self.levels, self.energy
-        cand = np.flatnonzero(np.abs(self.approx_energies(z) - energy) < self.eta + self.slack)
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        zeros = getattr(self._local, "zeros", None)
+        if zeros is None:  # this thread's all-zero block-shaped matrix
+            zeros = self._local.zeros = np.zeros((self.rows, self.levels.size))
+        near = np.abs(self.approx_energies(z) - self.energy) < self.eta + self.slack
+        cand = np.flatnonzero(near)
         raw = z[cand]
         if self.sig is not None:
             raw *= self.sig
         p = np.abs(raw) ** 2
         nrm2 = p.sum(axis=1)
         # OpenBLAS rounds a row's dot product by the row's place in the
-        # matrix, so each candidate's is taken at its place in the chunk
+        # matrix, so each candidate's is taken at its place in the block,
+        # which keeps its place in the chunk (see _block_rows)
         zeros[cand] = p
-        e1 = (zeros[: z.shape[0]] @ levels)[cand] / nrm2
+        e1 = (zeros[: z.shape[0]] @ self.levels)[cand] / nrm2
         zeros[cand] = 0.0
-        # normalization deferred: accept on the normalized energy, then
-        # rescale only the accepted rows
-        mask = np.abs(e1 - energy) < self.eta
-        e1 = e1[mask]
-        nrm2 = nrm2[mask]
-        p_acc = p[mask] / nrm2[:, None]
+        # normalization deferred: keep the rows in the shell, and rescale
+        # only the accepted ones in finish
+        mask = np.abs(e1 - self.energy) < self.eta
+        return raw[mask], p[mask], e1[mask], nrm2[mask]
+
+    def finish(self, raw: np.ndarray, p: np.ndarray, e1: np.ndarray,
+               nrm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Accepted unit states and log-weights of one chunk's kept rows.  Its
+        ``p_acc @ levels**2`` rounds a row by its place among the chunk's kept
+        rows, so it runs once per chunk, not per block."""
+        levels = self.levels
+        p_acc = p / nrm2[:, None]
         e2 = p_acc @ (levels ** 2)
         grad = _gradient_norm(e1, e2)
         keep = grad > 0.0
-        psi_acc = raw[mask][keep] / np.sqrt(nrm2[keep, None])
+        psi_acc = raw[keep] / np.sqrt(nrm2[keep, None])
         lw = np.log(grad[keep])
         if self.frame is not None:
             lw = lw + levels.size * np.log(e1[keep] + self.frame.shift)
@@ -500,16 +531,19 @@ def oracle_manifold_sample(
     chunks drawn ahead of that point are discarded, so the batch does not
     depend on ``workers``.
 
-    Each chunk is screened in two stages.  Straight from the unscaled
-    normals z, row block by row block, one small matrix product gives
+    Each chunk is drawn by :func:`_chunk_task`, in row blocks of about 1 MB
+    of normals, and each block is screened in two stages.  Straight from the
+    unscaled normals z, one small matrix product gives
     m0 = sum w_k |z_k|^2 and m1 = sum w_k E_k |z_k|^2 (w = sigma^2 of the
     Gaussian proposal, 1 for the uniform one); rows with
     |m1/m0 - E| < eta + slack are candidates, where the slack
     8 (n + 2) eps max|E_k| exceeds the worst-case rounding gap between m1/m0
     and the exact energy.  Only the candidates are scaled and get the exact
     |psi|^2, row sums and energies, each in the arithmetic it would have in a
-    test of the whole chunk, so the states and weights are those of the
-    exact test on every proposal, bit for bit.
+    test of the whole chunk; the rows in the shell are then normalized and
+    weighted once per chunk, over that chunk's rows in order.  So the states
+    and weights are those of the exact test of every whole chunk, bit for
+    bit, and no array the size of a chunk is made.
     """
     if eta is None:
         eta = default_shell_width(spectrum)
@@ -532,15 +566,16 @@ def oracle_manifold_sample(
 
     n = spectrum.n
     frame = harmonic_frame(spectrum, energy) if proposal == "gaussian" else None
-    draw = lambda chunk, size, out: _complex_normals(rng, chunk, size, n, out)
     layout = chunk_layout(max_draws, n)
-    screen = _ShellScreen(spectrum.expand(), energy, eta, frame, layout[0])
+    rows = _block_rows(n, layout[0])
+    screen = _ShellScreen(spectrum.expand(), energy, eta, frame, rows)
+    screened = _chunk_task(rng, _complex_normals, screen, rows, n)
+    task = lambda item: screen.finish(*screened(item))
 
     accepted: list[np.ndarray] = []
     logw: list[np.ndarray] = []
     n_accepted = 0
     n_drawn = 0
-    task = _chunk_task(draw, screen, layout, n)
     with closing(_map_ordered(task, enumerate(layout), workers)) as stream:
         for size, (psi_acc, lw) in zip(layout, stream):
             n_drawn += size

@@ -258,11 +258,17 @@ def _require_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def _require_float_dim(dim: int | None) -> None:
-    """Raise DomainError for a dimension beyond the float range, where every
-    n-dependent formula overflows."""
-    if dim is not None and dim > sys.float_info.max:
+def _checked_dim(spectrum: Spectrum, dim: int | None) -> int:
+    """The dimension n of the n-dependent formulas: ``dim``, or the spectrum's
+    when it is None.  Raise DomainError for an n below 1 or beyond the float
+    range, where every such formula fails."""
+    if dim is None:
+        return spectrum.n
+    if dim > sys.float_info.max:
         raise DomainError("dimension is beyond the float range")
+    if dim < 1:
+        raise DomainError("dimension must be positive")
+    return int(dim)
 
 
 def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float) -> float:
@@ -380,10 +386,7 @@ def epsilon_shift_solve(
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
     _require_finite_energy(energy)
-    _require_float_dim(dim)
-    n = spectrum.n if dim is None else int(dim)
-    if n < 1:
-        raise DomainError("dimension must be positive")
+    n = _checked_dim(spectrum, dim)
     if energy <= spectrum.e_min:
         raise DomainError(
             f"energy {energy} must exceed the lowest level {spectrum.e_min}"

@@ -126,9 +126,11 @@ def bisect_shift(levels, weights, energy, multiplier=1.0, iters=200):
 
 class ReferenceShellScreen:
     """Drop-in for ``mee.sampling._ShellScreen``: the exact test on every row
-    of the chunk, with no cheap pre-screen.  It scales the whole chunk of raw
+    of a block, with no cheap pre-screen.  It scales the whole block of raw
     normals, takes |psi|^2, row sums and energies of all rows, and keeps
-    those within ``eta`` of ``energy``."""
+    those within ``eta`` of ``energy``; ``finish`` passes them on.  With the
+    block budget ``mee.sampling._NORM_BLOCK_SCALARS`` at least a chunk, each
+    block is a whole chunk and this is the exact test of every chunk."""
 
     def __init__(self, levels, energy, eta, frame, rows):
         self.levels, self.energy, self.eta, self.frame = levels, energy, eta, frame
@@ -151,6 +153,9 @@ class ReferenceShellScreen:
         lw = np.log(grad[keep])
         if frame is not None:
             lw = lw + levels.size * np.log(e1[keep] + frame.shift)
+        return psi_acc, lw
+
+    def finish(self, psi_acc, lw):
         return psi_acc, lw
 
 

@@ -84,6 +84,14 @@ class TestEnergyWindow:
         with pytest.raises(DomainError, match="float range"):
             check_energy_window(EX1, 1.5, dim=10**400)
 
+    @pytest.mark.parametrize("dim,message", [
+        (0, "^dimension must be positive$"), (-3, "^dimension must be positive$"),
+        (1, "^the energy window test needs dimension n >= 2$"),
+    ])
+    def test_dimension_below_two(self, dim, message):
+        with pytest.raises(DomainError, match=message):
+            check_energy_window(EX1, 1.5, dim=dim)
+
 
 class TestFlip:
     def test_negates_levels_and_energy(self):
@@ -266,6 +274,15 @@ class TestOptimizeEpsilon:
             optimize_epsilon(spec, 1.5, 1.0, [2.0, 3.0], dim=10**400)
         with pytest.raises(DomainError, match="float range"):
             epsilon_shift_solve(spec, 1.5, 2.0, dim=10**400)
+        assert sums.asked == []
+
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_nonpositive_dimension_fails_before_the_grid(self, dim):
+        spec = Spectrum(EX1.levels, EX1.degeneracies)
+        sums = record_level_sums(spec)
+        with pytest.raises(DomainError, match="^dimension must be positive$"):
+            optimize_epsilon(spec, 1.5, 1.0, [2.0, 3.0], dim=dim)
         assert sums.asked == []
 
 

@@ -143,6 +143,26 @@ class TestBounds:
         assert err["error"] == "InfeasibleError"
         assert err["details"]["min_feasible_epsilon"] > 1.0
 
+    @pytest.mark.parametrize("dim,message", [
+        ("0", "dimension must be positive"), ("-3", "dimension must be positive"),
+        ("1", "the energy window test needs dimension n >= 2"),
+    ])
+    @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "2"]], ids=["grid", "epsilon"])
+    def test_dimension_below_two_is_one_domain_error(self, capsys, monkeypatch, tmp_path,
+                                                     dim, message, epsilon):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved the epsilon shift")
+
+        monkeypatch.setattr("mee.bounds.epsilon_shift_solve", forbidden)
+        path = tmp_path / "s123.json"
+        path.write_text(json.dumps({"levels": [1.0, 2.0, 3.0]}))
+        code = run(["bounds", "--spectrum", str(path), "--energy", "1.5", "--dim", dim,
+                    *epsilon])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "DomainError", "message": message}
+
     def test_infeasible_grid_failures_are_keyed_by_string(self, capsys, tmp_path):
         # the record sorts the float keys as strings: "1e-05" after "0.5"
         path = tmp_path / "s123.json"
@@ -785,19 +805,33 @@ class TestDeterminism:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("experiment", ["spins", "tail"])
-    def test_report_bytes_at_any_worker_count(self, capsys, tmp_path, experiment):
-        if experiment == "spins":  # the count is filled in the fourth of 15 chunks
+    @pytest.mark.parametrize("case", ["spins", "tail", "moments-n1024", "tail-n1024",
+                                      "reduced-dm-n900"])
+    def test_report_bytes_at_any_worker_count(self, capsys, tmp_path, case):
+        experiment = case.split("-n")[0]
+        seed = "79" if case in ("spins", "tail") else "4"
+        if case == "spins":  # the count is filled in the fourth of 15 chunks
             argv = ["--m", "8", "--alpha", "0.3", "--gamma", "0.4", "--count", "300"]
-        else:  # two chunks of proposals
+        elif case == "tail":  # two chunks of proposals
             spectrum = tmp_path / "n300.json"
             spectrum.write_text(json.dumps({"levels": [1.0, 2.0, 3.0], "degeneracies": [100] * 3}))
             argv = ["--spectrum", str(spectrum), "--energy", "1.5", "--count", "8000"]
+        elif case == "reduced-dm-n900":  # chunks of 2330, 2330 and 340 states
+            path = tmp_path / "bip.json"
+            path.write_text(json.dumps({"levels_a": [1.0, 2.0, 3.0], "levels_b": [0.0] * 300}))
+            argv = ["--bipartite", str(path), "--energy", "1.3", "--count", "5000"]
+        else:
+            # chunks of 2048 and 517 states; a one-worker moments stream on two
+            # OpenBLAS threads used to round var_shifted_energy differently here
+            path = tmp_path / "s1024.json"
+            path.write_text(json.dumps({"levels": [1.0, 2.0, 3.0],
+                                        "degeneracies": [342, 341, 341]}))
+            argv = ["--spectrum", str(path), "--energy", "1.5", "--count", "2565"]
         outs = []
         for name, workers in (("w1", ["--workers", "1"]), ("w2", ["--workers", "2"]), ("wd", [])):
             out = tmp_path / name
             code = run(
-                ["verify", "--experiment", experiment, *argv, "--seed", "79", *workers,
+                ["verify", "--experiment", experiment, *argv, "--seed", seed, *workers,
                  "--out-dir", str(out)]
             )
             capsys.readouterr()

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import sys
@@ -26,7 +27,15 @@ from mee import (
     sample_gaussian_ensemble,
     sample_sphere,
 )
-from mee.experiments import _gaussian_stream, moment_report_streamed, spin_spectrum
+from mee.canonical import BipartiteSpectrum
+from mee.experiments import (
+    _gaussian_stream,
+    _reduced_states,
+    moment_report_streamed,
+    reduced_dm_report,
+    spin_spectrum,
+    tail_report,
+)
 from mee.sampling import (
     _chunk_task,
     _complex_normals,
@@ -42,6 +51,10 @@ from conftest import (
 )
 
 SPEC123 = Spectrum((1.0, 2.0, 3.0))
+# A block budget of at least one chunk plus 16 rows at every n: streams then
+# draw and reduce each chunk as one block.
+WHOLE_CHUNK_BLOCKS = 1 << 40
+GENERATOR = RngSpec.generator
 
 
 class TestRngSpec:
@@ -82,20 +95,28 @@ class TestChunking:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stream_concatenates_each_array_in_chunk_order(self, workers):
-        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (300, 300, 300)), 1.5)
+        # bipartite 3 x 300 (n = 900): chunks of 2330, 2330 and 340 states
+        bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0,) * 300)
+        frame = harmonic_frame(Spectrum(bs.flat_levels().tolist()), 1.3)
         rng = RngSpec(seed=6)
         count = 5000
         layout = chunk_layout(count, frame.dim)
         assert len(layout) == 3
         states = sample_gaussian_ensemble(frame, count, rng).states
-        firsts, totals = _gaussian_stream(
-            frame, count, rng, lambda s: (s[:, 0].copy(), s.sum(axis=0)[None]), workers
+        firsts, norms = _gaussian_stream(
+            frame, count, rng, lambda s: (s[:, 0].copy(), _row_norms(s)), workers
         )
-        assert np.array_equal(firsts, states[:, 0])
+        assert firsts.tobytes() == states[:, 0].tobytes()
+        assert norms.tobytes() == _row_norms(states).tobytes()
+        # reduced-dm sums its per-state reduced states chunk by chunk, in
+        # chunk order, as a sum of per-chunk sums of the materialized batch
         edges = np.cumsum([0, *layout])
-        want = [states[lo:hi].sum(axis=0) for lo, hi in zip(edges[:-1], edges[1:])]
-        assert totals.shape == (3, frame.dim)
-        assert totals.tobytes() == np.array(want).tobytes()
+        rho_sum = np.zeros((bs.dim_a, bs.dim_a), dtype=complex)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rho_sum = rho_sum + _reduced_states(states[lo:hi], bs.dim_a, bs.dim_b).sum(axis=0)
+        want = 0.5 * (rho_sum + rho_sum.conj().T) / count
+        _, rho_hat = reduced_dm_report(bs, 1.3, 2.0, count, rng, workers=workers)
+        assert rho_hat.matrix.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_stream_rejects_an_empty_sample_before_any_draw(self, monkeypatch, count):
@@ -144,23 +165,123 @@ class TestDrawBuffers:
         assert len(layout) == 3 and layout[-1] < layout[0]
         buf = np.empty((layout[0], frame.dim, 2))
         for i, size in enumerate(layout):
-            fresh = gaussian_chunk(frame, rng, i, size, np.empty((size, frame.dim, 2)))
-            into = gaussian_chunk(frame, rng, i, size, buf)
+            fresh = gaussian_chunk(frame, rng.generator(i), np.empty((size, frame.dim, 2)))
+            into = gaussian_chunk(frame, rng.generator(i), buf[:size])
             assert np.shares_memory(into, buf)
             assert into.shape == fresh.shape
             assert into.tobytes() == fresh.tobytes()
-            raw = _complex_normals(rng, i, size, frame.dim, buf)
-            alone = _complex_normals(rng, i, size, frame.dim, np.empty((size, frame.dim, 2)))
+            # successive blocks of one generator continue the chunk's draw
+            gen = rng.generator(i)
+            blocks = [gaussian_chunk(frame, gen, buf[:rows]).copy() for rows in (48, 5, size - 53)]
+            assert np.concatenate(blocks).tobytes() == fresh.tobytes()
+            raw = _complex_normals(rng.generator(i), buf[:size])
+            alone = _complex_normals(rng.generator(i), np.empty((size, frame.dim, 2)))
             assert raw.tobytes() == alone.tobytes()
 
     def test_one_buffer_per_thread(self):
-        task = _chunk_task(lambda chunk, size, out: out, lambda buf: buf, [5, 5, 2], 3)
-        mine = task((0, 5))
-        assert mine.shape == (5, 3, 2) and mine.dtype == np.float64
-        assert task((1, 5)) is mine
+        seen = []
+
+        def draw(gen, out):
+            seen.append(out)
+            return out.view(np.complex128)[..., 0]
+
+        task = _chunk_task(RngSpec(seed=1), draw, lambda s: (s.real[:, 0].copy(),), 4, 3)
+        task((0, 5))
+        task((1, 5))
+        assert [b.shape for b in seen] == [(4, 3, 2), (1, 3, 2)] * 2
+        mine = seen[0]
+        assert mine.dtype == np.float64
+        start = mine.__array_interface__["data"][0]
+        assert all(b.__array_interface__["data"][0] == start for b in seen)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            other = pool.submit(task, (2, 2)).result()
-        assert other is not mine and not np.shares_memory(other, mine)
+            pool.submit(task, (2, 2)).result()
+        other = seen[-1]
+        assert other.shape == (2, 3, 2) and not np.shares_memory(other, mine)
+
+    def test_blocks_are_a_multiple_of_16_rows_within_one_chunk(self):
+        assert sampling_mod._block_rows(4096, 512) == 16
+        assert sampling_mod._block_rows(1024, 2048) == 64
+        assert sampling_mod._block_rows(60, 34952) == 1088
+        assert sampling_mod._block_rows(2**17, 16) == 16  # the budget fits no row
+        assert sampling_mod._block_rows(3, 7) == 7  # capped at the chunk
+        assert sampling_mod._block_rows(2**21, 1) == 1
+
+
+SPEC1024 = Spectrum((1.0, 2.0, 3.0), (342, 341, 341))  # chunks of 2048 + 517 states
+BIP900 = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0,) * 300)  # chunks of 2330, 2330, 340
+
+
+class TestRowBlocks:
+    """Streams draw and reduce each chunk in blocks of 64 rows here (n = 900
+    and 1024), and give the bytes of the whole-chunk path: a chunk of 517
+    states is 8 blocks and one of 5 rows, one of 340 is 5 blocks and one of
+    20."""
+
+    @staticmethod
+    def _run(experiment, workers):
+        rng = RngSpec(seed=4)
+        if experiment == "moments":
+            report = moment_report_streamed(harmonic_frame(SPEC1024, 1.5), 2565, rng,
+                                            workers=workers)
+            return json.dumps(report.to_json())
+        if experiment == "tail":
+            report, curve = tail_report(SPEC1024, 1.5, 2.0, 2565, rng, [0.02, 0.05, 0.1],
+                                        workers=workers)
+            return json.dumps(report.to_json()), curve.to_rows().tobytes()
+        report, rho = reduced_dm_report(BIP900, 1.3, 2.0, 5000, rng, workers=workers)
+        return json.dumps(report.to_json()), rho.matrix.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("experiment", ["moments", "tail", "reduced-dm"])
+    def test_reports_equal_the_whole_chunk_path(self, monkeypatch, experiment, workers):
+        rows = []
+
+        def spy(frame, gen, out):
+            rows.append(out.shape[0])
+            return gaussian_chunk(frame, gen, out)
+
+        monkeypatch.setattr(sampling_mod, "gaussian_chunk", spy)
+        blocked = self._run(experiment, workers)
+        assert max(rows) == 64 and len(rows) > 3 * 5000 // 2330
+        rows.clear()
+        monkeypatch.setattr(sampling_mod, "_NORM_BLOCK_SCALARS", WHOLE_CHUNK_BLOCKS)
+        whole = self._run(experiment, workers)
+        assert sorted(rows) in ([517, 2048], [340, 2330, 2330])
+        assert blocked == whole
+
+
+class TestStreamMemory:
+    """A stream's temporaries are block-sized: one chunk of 32 MB of states
+    peaks below 4 MB of traced allocations."""
+
+    CHUNK_BYTES = 512 * 4096 * 16
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_moments_chunk(self):
+        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (1366, 1365, 1365)), 1.5)
+        assert chunk_layout(512, frame.dim) == [512]
+        peak = self._peak(lambda: moment_report_streamed(frame, 512, RngSpec(seed=3), workers=1))
+        assert peak < self.CHUNK_BYTES / 8
+
+    def test_oracle_chunk(self):
+        spec = spin_spectrum(10)
+        assert chunk_layout(2048, spec.n) == [2048]  # 2048 x 1024: the same 32 MB
+
+        def one_chunk():
+            with pytest.warns(LowAcceptanceWarning):
+                oracle_manifold_sample(spec, 3.0, None, 10**6, 2048, RngSpec(seed=5),
+                                       proposal="gaussian", workers=1)
+
+        assert self._peak(one_chunk) < self.CHUNK_BYTES / 8
 
 
 class TestOrderedStream:
@@ -221,8 +342,9 @@ class TestBlasThreadLimit:
         assert list(_map_ordered(lambda x: blas_threads(), range(8), 2)) == [1] * 8
         assert blas_threads() == 2
 
-    def test_one_worker_leaves_the_count(self, blas_threads):
-        assert list(_map_ordered(lambda x: blas_threads(), range(4), 1)) == [2] * 4
+    def test_one_worker_sees_one_blas_thread(self, blas_threads):
+        assert list(_map_ordered(lambda x: blas_threads(), range(4), 1)) == [1] * 4
+        assert blas_threads() == 2
 
     def test_restored_after_early_close(self, blas_threads):
         with closing(_map_ordered(lambda x: x, range(50), 2)) as stream:
@@ -584,11 +706,11 @@ class TestOracleWorkers:
     def _draws(self, monkeypatch, **kwargs):
         chunks = []
 
-        def spy(*args, **kw):
-            chunks.append(args[1])
-            return _complex_normals(*args, **kw)
+        def spy(spec, chunk):
+            chunks.append(chunk)
+            return GENERATOR(spec, chunk)
 
-        monkeypatch.setattr(sampling_mod, "_complex_normals", spy)
+        monkeypatch.setattr(RngSpec, "generator", spy)
         return oracle_manifold_sample(self.SPEC, 1.8, rng=RngSpec(seed=31), **kwargs), chunks
 
     def _assert_same(self, a, b):
@@ -677,6 +799,7 @@ class TestShellScreen:
     def test_bit_equal_to_the_full_chunk_screen(self, monkeypatch, case, proposal, workers):
         batch, warned = self._sample(case, proposal, workers)
         monkeypatch.setattr(sampling_mod, "_ShellScreen", ReferenceShellScreen)
+        monkeypatch.setattr(sampling_mod, "_NORM_BLOCK_SCALARS", WHOLE_CHUNK_BLOCKS)
         want, want_warned = self._sample(case, proposal, workers)
         assert batch.states.tobytes() == want.states.tobytes()
         assert batch.weights.tobytes() == want.weights.tobytes()
@@ -701,7 +824,7 @@ class TestShellScreen:
         buf = np.empty((rows, spec.n, 2))
         worst = 0.0
         for chunk in range(8):
-            z = _complex_normals(RngSpec(seed=43), chunk, rows, spec.n, buf)
+            z = _complex_normals(RngSpec(seed=43).generator(chunk), buf)
             approx = screen.approx_energies(z)
             if frame is not None:
                 z *= screen.sig

@@ -18,7 +18,8 @@ before comparing, so moved lines do not count as a difference, while the
 warning class and message still do.
 
 The list covers the ``verify`` reports of every experiment at ``--workers``
-1, 2 and the default (plus the tail ``curve.csv``), the ``spins`` alias, the
+1, 2 and the default (plus the tail ``curve.csv``), a moments report at
+``--workers`` 1 and 2 whose last chunk is 517 states, the ``spins`` alias, the
 ``sample`` CSV and record in every mode (Gaussian and sphere over three
 chunks with a short last one, both oracle proposals with an explicit and
 with the default ``--eta`` and ``--max-draws``, both oracle proposals on a
@@ -44,10 +45,11 @@ flag they do not read (``verify --experiment moments --eta``, ``shift
 and ``sample --mode sphere --energy``) and check its exit-2 record, and
 four leave out a flag the run needs (``verify --experiment moments`` without
 ``--spectrum``, ``sample --mode gaussian`` without ``--energy``, ``shift``
-without ``--energy`` and ``spins`` without ``--m``).  Two runs check a
+without ``--energy`` and ``spins`` without ``--m``).  Four runs check a
 domain error: ``verify --experiment moments --tolerance-sigmas nan`` and
-``shift --epsilon 2`` at a 401-digit ``--dim``.  63 commands and 225 files
-in all.  It takes a minute or two, mostly the CSV writes.
+``shift --epsilon 2`` at a 401-digit ``--dim``, and two ``bounds`` runs
+without ``--epsilon`` at ``--dim`` 0 and 1.  67 commands and 239 files in
+all.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
 
@@ -66,6 +68,8 @@ INPUTS = {
     # n = 60: oracle chunks of 34952 proposals
     "in/s60.json": {"levels": [1.0, 2.0, 3.0], "degeneracies": [20, 20, 20]},
     "in/s123.json": {"levels": [1.0, 2.0, 3.0]},
+    # n = 1024: chunks of 2048 states, so --count 2565 leaves a last one of 517
+    "in/s1024.json": {"levels": [1.0, 2.0, 3.0], "degeneracies": [342, 341, 341]},
     # n = 192: chunks of 10922 states
     "in/bip.json": {"levels_a": [1.0, 2.0, 3.0], "levels_b": [0.0] * 64},
     "in/huge-level.json": {"levels": [1, 2, 10**400]},
@@ -117,6 +121,13 @@ def commands() -> dict[str, list[str]]:
             "verify", "--experiment", experiment, "--spectrum", "in/s900.json",
             "--energy", "1.5", "--count", "0", "--seed", "7",
             "--out-dir", f"out/verify-{experiment}-count0",
+        ]
+    # a one-worker stream used to round p @ levels on two OpenBLAS threads
+    for tag in ("w1", "w2"):
+        cmds[f"verify-moments-n1024-{tag}"] = [
+            "verify", "--experiment", "moments", "--spectrum", "in/s1024.json",
+            "--energy", "1.5", "--count", "2565", "--seed", "4", "--workers", tag[1:],
+            "--out-dir", f"out/verify-moments-n1024-{tag}",
         ]
     # exits 1 with the bound's "deviation t must be nonnegative" record
     cmds["verify-tail-negative-t"] = [
@@ -196,6 +207,9 @@ def commands() -> dict[str, list[str]]:
                                          "--tolerance-sigmas", "nan"]
     cmds["shift-epsilon-huge-dim"] = ["shift", "--spectrum", "in/s123.json", "--energy", "1.5",
                                       "--epsilon", "2", "--dim", str(10**400)]
+    for dim in ("0", "1"):
+        cmds[f"bounds-dim-{dim}"] = ["bounds", "--spectrum", "in/s123.json", "--energy", "1.5",
+                                     "--dim", dim]
     cmds["canonical"] = ["canonical", "--bipartite", "in/bip.json", "--energy", "1.3",
                          "--epsilon", "2", "--out-dir", "out/canonical"]
     # exits 1 with the InfeasibleError record on stderr
