@@ -188,17 +188,21 @@ def subbatch_mean_error(
 
 
 def _gaussian_stream(
-    frame: EnergyFrame, count: int, rng: RngSpec, reduce: Callable, workers: int | None
+    frame: EnergyFrame, count: int, rng: RngSpec, reduce: Callable, workers: int | None,
+    finish: Callable | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Each array of the tuple ``reduce(states)`` (one leading row per state)
     concatenated over :func:`sample_gaussian_ensemble`'s batch in state order,
     drawn and reduced in row blocks of its chunks on ``workers`` threads;
-    ``reduce`` must not keep a view of its argument (see :func:`_chunk_task`)."""
+    ``reduce`` must not keep a view of its argument.  With ``finish``, each
+    array is instead that of ``finish(*arrays)`` of each chunk's arrays,
+    concatenated in chunk order (see :func:`_chunk_task`)."""
     draw = _gaussian_draw(frame)
     if count < 1:
         raise DomainError("cannot estimate from an empty sample")
     layout = chunk_layout(count, frame.dim)
-    task = _chunk_task(rng, draw, reduce, _block_rows(frame.dim, layout[0]), frame.dim)
+    rows = _block_rows(frame.dim, layout[0])
+    task = _chunk_task(rng, draw, reduce, rows, frame.dim, finish)
     results = list(_map_ordered(task, enumerate(layout), workers))
     return tuple(np.concatenate(parts) for parts in zip(*results))
 
@@ -243,13 +247,13 @@ def reduced_dm_report(
         rhos = _reduced_states(psi, dim_a, dim_b)
         return rhos, np.linalg.norm(rhos - rho_ref.matrix, axis=(1, 2))
 
-    rhos, devs = _gaussian_stream(frame, count, rng, one_block, workers)
-    # summed chunk by chunk, in chunk order: the sum does not depend on the
-    # row blocks the stream reduced in
-    rho_sum = np.zeros((dim_a, dim_a), dtype=complex)
-    edges = np.cumsum([0, *chunk_layout(count, frame.dim)])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rho_sum = rho_sum + rhos[lo:hi].sum(axis=0)
+    def one_chunk(rhos: np.ndarray, devs: np.ndarray):
+        # summed over the whole chunk, so the sum does not depend on the row
+        # blocks, and only one chunk's reduced states are held at a time
+        return rhos.sum(axis=0)[None], devs
+
+    rho_sums, devs = _gaussian_stream(frame, count, rng, one_block, workers, one_chunk)
+    rho_sum = sum(rho_sums, np.zeros((dim_a, dim_a), dtype=complex))
     rho_hat = DensityMatrix(0.5 * (rho_sum + rho_sum.conj().T) / count)
 
     mean_dev, se_dev = subbatch_mean_error(devs)

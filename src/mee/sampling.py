@@ -250,16 +250,21 @@ def _block_rows(n: int, chunk_rows: int) -> int:
     OpenBLAS's ``dgemv`` rounds a row of ``p @ levels`` by its place in the
     matrix: it works on groups of rows, and rows that do not fill a group go
     through other kernels.  Blocks cut from the start of the chunk in a
-    multiple of 8 rows keep the rows' places as far as it was measured: on
-    matrices of 340 to 1234 rows at n = 3 to 4096, blocks of 8 to 128 rows in
-    steps of 8 gave the whole matrix's bits, blocks of 4 or 12 rows moved one
-    row of some, and blocks of 1, 2, 3, 5 or 7 rows tens to hundreds of rows.
+    multiple of 8 rows keep the rows' places as far as it was measured, with
+    NumPy's bundled OpenBLAS 0.3.31 on its Haswell kernels: on matrices of
+    340 to 1234 rows at n = 3 to 4096, blocks of 8 to 128 rows in steps of 8
+    gave the whole matrix's bits, blocks of 4 or 12 rows moved one row of
+    some, and blocks of 1, 2, 3, 5 or 7 rows tens to hundreds of rows.
+    Another kernel may group rows otherwise, so bit equality with whole-chunk
+    reductions is not guaranteed; independence from the worker count is, as
+    the blocks depend only on ``n`` and ``chunk_rows``.
     """
     rows = _NORM_BLOCK_SCALARS // (2 * n) // 16 * 16
     return min(max(rows, 16), chunk_rows)
 
 
-def _chunk_task(rng: RngSpec, draw: Callable, reduce: Callable, rows: int, n: int) -> Callable:
+def _chunk_task(rng: RngSpec, draw: Callable, reduce: Callable, rows: int, n: int,
+                finish: Callable | None = None) -> Callable:
     """The :func:`_map_ordered` task ``(chunk, size) -> tuple of arrays`` of
     every chunk stream.
 
@@ -269,11 +274,15 @@ def _chunk_task(rng: RngSpec, draw: Callable, reduce: Callable, rows: int, n: in
     generator's next normals, as :func:`_complex_normals` does, and returns
     the block's states; ``reduce(states)`` returns a tuple of arrays with one
     leading row per state (of the states it keeps, for the shell oracle), and
-    must not keep a view of ``states``.  The task returns each array
-    concatenated over the chunk's blocks.  Consecutive blocks continue one
-    generator, so the states are those of a whole-chunk draw bit for bit, and
-    with ``rows`` from :func:`_block_rows` so are the reductions.  Each thread
-    reuses one block buffer while the task lives.
+    must not keep a view of ``states``.  Each array is concatenated over the
+    chunk's blocks, and the task returns ``finish(*arrays)``, or the arrays
+    without ``finish``: the step that must see the whole chunk at once, run
+    in the worker so that no more than a chunk's reductions are held per
+    item.  Consecutive blocks continue one generator, so the states are
+    those of a whole-chunk draw bit for bit, and with ``rows`` from
+    :func:`_block_rows` so are the reductions, on the OpenBLAS kernels it
+    names.  Each thread reuses one block
+    buffer while the task lives.
     """
     local = threading.local()
 
@@ -284,7 +293,8 @@ def _chunk_task(rng: RngSpec, draw: Callable, reduce: Callable, rows: int, n: in
             buf = local.buf = np.empty((rows, n, 2))
         gen = rng.generator(chunk)
         parts = [reduce(draw(gen, buf[: min(rows, size - lo)])) for lo in range(0, size, rows)]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        arrays = tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        return arrays if finish is None else finish(*arrays)
 
     return task
 
@@ -541,9 +551,10 @@ def oracle_manifold_sample(
     and the exact energy.  Only the candidates are scaled and get the exact
     |psi|^2, row sums and energies, each in the arithmetic it would have in a
     test of the whole chunk; the rows in the shell are then normalized and
-    weighted once per chunk, over that chunk's rows in order.  So the states
-    and weights are those of the exact test of every whole chunk, bit for
-    bit, and no array the size of a chunk is made.
+    weighted once per chunk, over that chunk's rows in order.  So no array
+    the size of a chunk is made, and, where OpenBLAS keeps the rows' places
+    as :func:`_block_rows` describes, the states and weights are those of
+    the exact test of every whole chunk, bit for bit.
     """
     if eta is None:
         eta = default_shell_width(spectrum)
@@ -569,8 +580,7 @@ def oracle_manifold_sample(
     layout = chunk_layout(max_draws, n)
     rows = _block_rows(n, layout[0])
     screen = _ShellScreen(spectrum.expand(), energy, eta, frame, rows)
-    screened = _chunk_task(rng, _complex_normals, screen, rows, n)
-    task = lambda item: screen.finish(*screened(item))
+    task = _chunk_task(rng, _complex_normals, screen, rows, n, screen.finish)
 
     accepted: list[np.ndarray] = []
     logw: list[np.ndarray] = []

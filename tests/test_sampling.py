@@ -215,7 +215,8 @@ class TestRowBlocks:
     """Streams draw and reduce each chunk in blocks of 64 rows here (n = 900
     and 1024), and give the bytes of the whole-chunk path: a chunk of 517
     states is 8 blocks and one of 5 rows, one of 340 is 5 blocks and one of
-    20."""
+    20.  The equality rests on how OpenBLAS's dgemv kernel groups rows,
+    measured on the kernels sampling._block_rows names."""
 
     @staticmethod
     def _run(experiment, workers):
@@ -252,7 +253,8 @@ class TestRowBlocks:
 
 class TestStreamMemory:
     """A stream's temporaries are block-sized: one chunk of 32 MB of states
-    peaks below 4 MB of traced allocations."""
+    peaks below 4 MB of traced allocations; what a stream keeps of its states
+    is held for at most one chunk at a time."""
 
     CHUNK_BYTES = 512 * 4096 * 16
 
@@ -282,6 +284,18 @@ class TestStreamMemory:
                                        proposal="gaussian", workers=1)
 
         assert self._peak(one_chunk) < self.CHUNK_BYTES / 8
+
+    def test_reduced_dm_holds_one_chunk_of_reduced_states(self):
+        # 16 x 16: a chunk is 8192 states, and its reduced states take
+        # 8192 x 16 x 16 complex, the same 32 MB; they are held in blocks and
+        # then joined to be summed, so a peak below 2.5 chunks means that no
+        # more than one chunk's are held at a time, whatever the count
+        bs = BipartiteSpectrum((1.0,) * 8 + (2.0,) * 8, (0.0,) * 16)
+        assert chunk_layout(20000, bs.dim_a * bs.dim_b) == [8192, 8192, 3616]
+        peak = self._peak(
+            lambda: reduced_dm_report(bs, 1.3, 2.0, 20000, RngSpec(seed=9), workers=1)
+        )
+        assert peak < 2.5 * self.CHUNK_BYTES
 
 
 class TestOrderedStream:
