@@ -8,7 +8,7 @@ maximizer under trace and energy constraints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -107,11 +107,14 @@ class BipartiteSpectrum:
 
     levels_a: tuple[float, ...]
     levels_b: tuple[float, ...]
+    _parts: tuple[Spectrum, Spectrum] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # each part is checked and stored by the rules of a Spectrum
-        object.__setattr__(self, "levels_a", Spectrum(self.levels_a).levels)
-        object.__setattr__(self, "levels_b", Spectrum(self.levels_b).levels)
+        parts = (Spectrum(self.levels_a), Spectrum(self.levels_b))
+        object.__setattr__(self, "levels_a", parts[0].levels)
+        object.__setattr__(self, "levels_b", parts[1].levels)
+        object.__setattr__(self, "_parts", parts)
 
     @property
     def dim_a(self) -> int:
@@ -128,8 +131,7 @@ class BipartiteSpectrum:
     def flat_levels(self) -> np.ndarray:
         """Combined levels E_kl = E_k^A + E_l^B in row-major (A-major) order,
         matching the index convention of a reshape to (dim_a, dim_b)."""
-        a = np.asarray(self.levels_a, dtype=float)
-        b = np.asarray(self.levels_b, dtype=float)
+        a, b = (part._levels_arr for part in self._parts)
         return (a[:, None] + b[None, :]).ravel()
 
     def combined(self) -> Spectrum:

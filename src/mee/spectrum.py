@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -37,11 +36,24 @@ class Spectrum:
     """A finite list of real energy levels with positive integer degeneracies.
 
     Levels are kept in the order given (no sorting, no grouping), so that
-    ``expand()`` is order-preserving.  Degeneracies default to all ones.
+    ``expand()`` is order-preserving.  Degeneracies default to all ones; they
+    may exceed int64, but must sum to at most the largest float.  ``levels``
+    and ``degeneracies`` hold Python floats and ints, and a Python float
+    given as a level is kept, not copied.
+
+    The constructor also works out, once, the dimension ``n`` (the sum of
+    the degeneracies, an exact int), the level and weight arrays, and the
+    extrema ``e_min`` and ``e_max``: the levels at the first minimum and
+    maximum, so of 0.0 and -0.0 whichever comes first.
     """
 
     levels: tuple[float, ...]
     degeneracies: tuple[int, ...] = ()
+    n: int = field(init=False, repr=False, compare=False)
+    e_min: float = field(init=False, repr=False, compare=False)
+    e_max: float = field(init=False, repr=False, compare=False)
+    _levels_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.levels, dtype=float)
@@ -52,53 +64,50 @@ class Spectrum:
         if not np.isfinite(arr).all():
             raise DomainError("all energy levels must be finite")
         # Python floats, not NumPy scalars: repr and to_json depend on it.
-        # float() returns a Python float as it is, so the caller's are shared.
-        levels = tuple(map(float, self.levels))
+        # An array's floats come from tolist(), which is fast; float() returns
+        # a Python float as it is, so a sequence's are shared.
+        if isinstance(self.levels, np.ndarray):
+            levels = tuple(arr.tolist())
+        else:
+            levels = tuple(map(float, self.levels))
         degs = self.degeneracies
         if degs is None or len(degs) == 0:
             degs = (1,) * len(levels)
+            n = len(levels)
+            weights = np.ones(n) / n
         else:
             given = tuple(degs)
-            degs = tuple(map(int, given))
+            try:
+                degs = tuple(map(int, given))
+            except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+                degs = None
             if degs != given:
                 raise DomainError("degeneracies must be whole numbers")
             if len(degs) != len(levels):
                 raise DomainError("degeneracies must match levels in length")
             if min(degs) < 1:
                 raise DomainError("degeneracies must be positive integers")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "degeneracies", degs)
-
-    # The spectrum is frozen, so its size and extrema are worked out once.
-    @cached_property
-    def n(self) -> int:
-        """Expanded dimension, sum of all degeneracies."""
-        return sum(self.degeneracies)
-
-    @cached_property
-    def e_min(self) -> float:
-        return min(self.levels)
-
-    @cached_property
-    def e_max(self) -> float:
-        return max(self.levels)
+            n = sum(degs)
+            if n > sys.float_info.max:
+                raise DomainError("the degeneracies sum beyond the float range")
+            weights = np.asarray(degs, dtype=float)
+            weights = weights / weights.sum()
+        arr.flags.writeable = False
+        weights.flags.writeable = False
+        for name, value in (
+            ("levels", levels),
+            ("degeneracies", degs),
+            ("n", n),
+            ("e_min", levels[arr.argmin()]),
+            ("e_max", levels[arr.argmax()]),
+            ("_levels_arr", arr),
+            ("_weights_arr", weights),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def all_equal(self) -> bool:
         return self.e_min == self.e_max
-
-    @cached_property
-    def _levels_arr(self) -> np.ndarray:
-        arr = np.asarray(self.levels, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def _weights_arr(self) -> np.ndarray:
-        degs = np.asarray(self.degeneracies, dtype=float)
-        arr = degs / degs.sum()
-        arr.flags.writeable = False
-        return arr
 
     @cached_property
     def _level_sums(self) -> dict[float, tuple[np.float64, np.float64]]:
@@ -119,13 +128,31 @@ class Spectrum:
             )
 
     def negated(self) -> "Spectrum":
-        return Spectrum(tuple(-x for x in self.levels), self.degeneracies)
+        return Spectrum(-self._levels_arr, self.degeneracies)
 
     @classmethod
     def grouped(cls, levels: Sequence[float]) -> "Spectrum":
-        """Group repeated values of ``levels`` into degeneracies (first-seen order)."""
-        counts = Counter(np.asarray(levels, dtype=float).tolist())
-        return cls(tuple(counts.keys()), tuple(counts.values()))
+        """Group equal values of ``levels`` into degeneracies, in first-seen order.
+
+        A group keeps the value it is first seen with, so 0.0 and -0.0 form
+        one group with the sign of whichever comes first.  One sort finds the
+        groups; when no two sorted neighbours are equal, the spectrum is
+        ``levels`` as given, each of degeneracy one.
+        """
+        arr = np.asarray(levels, dtype=float)
+        if arr.ndim != 1:
+            return cls(arr)  # which the constructor rejects
+        order = np.argsort(arr)
+        ranked = arr[order]
+        starts = np.ones(arr.size, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+        if starts.all():
+            return cls(arr)
+        (starts,) = np.nonzero(starts)
+        first = np.minimum.reduceat(order, starts)  # the first-seen index of each run
+        counts = np.diff(starts, append=arr.size)
+        seen = np.argsort(first)
+        return cls(arr[first[seen]], tuple(counts[seen].tolist()))
 
     @classmethod
     def from_json(cls, obj: dict) -> "Spectrum":

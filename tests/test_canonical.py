@@ -63,6 +63,15 @@ class TestBipartiteSpectrum:
         assert list(bs.flat_levels()) == [1.0, 11.0, 2.0, 12.0]
         assert bs.n == 4
 
+    def test_flat_levels_are_the_sums_of_the_fields(self):
+        rng = np.random.default_rng(3)
+        bs = BipartiteSpectrum(tuple(rng.uniform(-1.0, 2.0, 5)), list(rng.normal(size=40)))
+        want = np.add.outer(np.asarray(bs.levels_a), np.asarray(bs.levels_b)).ravel()
+        assert bs.flat_levels().tobytes() == want.tobytes()
+        # the parts' spectra are kept but are not part of the value
+        assert repr(bs) == f"BipartiteSpectrum(levels_a={bs.levels_a!r}, levels_b={bs.levels_b!r})"
+        assert bs == BipartiteSpectrum(bs.levels_a, bs.levels_b)
+
     def test_combined_groups_degenerate_sums(self):
         bs = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0, 0.0))
         combined = bs.combined()

@@ -1,5 +1,6 @@
 import builtins
 import json
+import math
 import re
 import subprocess
 import sys
@@ -446,10 +447,12 @@ class TestErrorPaths:
             ("canonical", {"levels_a": ["1", 2.0], "levels_b": [0.0, 1.0]}),
             ("canonical", {"levels_a": [1.0, 2.0], "levels_b": [False, 1.0]}),
             ("means", {"levels": [1, 2], "degeneracies": [True, 2]}),
+            ("means", {"levels": [1, 2], "degeneracies": [10**400, 1]}),
+            ("means", {"levels": [1, 2], "degeneracies": [math.nan, 1]}),
         ],
         ids=["huge-level", "huge-level-b", "fractional-degeneracy", "string-levels",
              "boolean-levels", "string-for-levels", "string-levels-a", "boolean-levels-b",
-             "boolean-degeneracy"],
+             "boolean-degeneracy", "huge-degeneracy", "nan-degeneracy"],
     )
     def test_invalid_number_is_exit_2(self, capsys, tmp_path, command, obj):
         bad = tmp_path / "bad3.json"
@@ -462,6 +465,31 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["means"],
+            ["shift", "--energy", "1.5"],
+            ["bounds", "--energy", "1.2", "--epsilon", "2"],
+        ],
+        ids=["means", "shift", "bounds"],
+    )
+    def test_degeneracy_beyond_the_float_range_is_a_parse_error(self, capsys, tmp_path, argv):
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps({"levels": [1, 2], "degeneracies": [10**400, 1]}))
+        assert run([argv[0], "--spectrum", str(spec), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ParseError"
+        assert "beyond the float range" in record["message"]
+
+    def test_degeneracy_beyond_int64_is_read_exactly(self, capsys, tmp_path):
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"levels": [1, 2], "degeneracies": [10**30, 1]}))
+        assert run(["means", "--spectrum", str(spec)]) == 0
+        assert '"n": 1000000000000000000000000000001' in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",

@@ -45,6 +45,10 @@ class TestSpectrum:
         s = Spectrum((1.0, 2.0, 3.0), (1, 2, 1)).negated()
         assert s.levels == (-1.0, -2.0, -3.0)
         assert s.degeneracies == (1, 2, 1)
+        z = Spectrum((0.0, -0.0, 1.5, -2.0)).negated()
+        assert [math.copysign(1.0, x) for x in z.levels] == [-1.0, 1.0, -1.0, 1.0]
+        assert all(type(x) is float for x in z.levels)
+        assert z.levels == (-0.0, 0.0, -1.5, 2.0)
 
     @pytest.mark.parametrize(
         "levels,degs",
@@ -56,36 +60,74 @@ class TestSpectrum:
             ((1.0,), (-2,)),
             ((1.0, 2.0, 3.0), (1.5, 2, 3)),
             (((1.0, 2.0),), ()),
+            ((1.0, 2.0), (math.nan, 1)),
+            ((1.0, 2.0), (math.inf, 1)),
+            ((1.0, 2.0), (None, 1)),
+            ((1.0, 2.0), ("2", 1)),
+            ((1.0, 2.0), (10**401, 1)),
+            ((1.0, 2.0), (10**308, 10**308)),
         ],
     )
     def test_invalid_inputs(self, levels, degs):
         with pytest.raises(DomainError):
             Spectrum(levels, degs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, 1.5, "2"])
+    def test_unreadable_degeneracies_are_not_whole_numbers(self, bad):
+        with pytest.raises(DomainError, match="degeneracies must be whole numbers"):
+            Spectrum((1.0, 2.0), (bad, 1))
+
     def test_json_round_trip(self):
         s = Spectrum((1.0, 2.5), (2, 3))
         assert Spectrum.from_json(s.to_json()) == s
 
-    @settings(deadline=None, max_examples=100)
+    @settings(deadline=None, max_examples=150)
     @given(
         st.lists(
             st.tuples(
-                st.floats(allow_nan=False, allow_infinity=False),
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0]),
+                    st.integers(-(2**60), 2**60),
+                ),
                 st.integers(min_value=1, max_value=10**20),
             ),
             min_size=1,
             max_size=12,
-        )
+        ),
+        st.booleans(),
+        st.sampled_from([list, tuple, np.array]),
     )
-    @example([(0.0, 1), (-0.0, 2)])
-    @example([(-0.0, 3), (0.0, 1), (5.0, 1)])
-    def test_size_and_extrema_are_sum_min_max_of_the_fields(self, pairs):
-        s = Spectrum(tuple(x for x, _ in pairs), tuple(d for _, d in pairs))
-        for _ in range(2):  # the first access computes, the second reads the cache
-            assert s.n == sum(s.degeneracies)
-            for got, want in ((s.e_min, min(s.levels)), (s.e_max, max(s.levels))):
-                assert got == want
-                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    @example([(0.0, 1), (-0.0, 2)], True, tuple)
+    @example([(-0.0, 3), (0.0, 1), (5.0, 1)], True, tuple)
+    @example([(-0.0, 3), (0.0, 1), (-0.0, 1)], False, np.array)
+    @example([(2**53 + 1, 2**63 + 1), (1.0, 1)], True, tuple)
+    def test_size_and_extrema_are_sum_min_max_of_the_fields(self, pairs, with_degs, make):
+        """Bit for bit and sign for sign: n, the extrema and the arrays are
+        what the old tuple-based definitions gave: the degeneracies' sum,
+        Python's min and max of the levels, the fields as float arrays, and
+        the degeneracies over their float sum."""
+        levels = make([x for x, _ in pairs])
+        degs = [d for _, d in pairs] if with_degs else ()
+        if with_degs and not (make is np.array and max(degs) >= 2**63):
+            degs = make(degs)  # an array would hold a larger int as a float
+        s = Spectrum(levels, degs)
+        assert s.n == sum(s.degeneracies) and type(s.n) is int
+        for got, want in ((s.e_min, min(s.levels)), (s.e_max, max(s.levels))):
+            assert type(got) is float and got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        lv = np.asarray(s.levels, dtype=float)
+        dg = np.asarray(s.degeneracies, dtype=float)
+        assert s._levels_arr.dtype == np.float64 and s._weights_arr.dtype == np.float64
+        assert s._levels_arr.tobytes() == lv.tobytes()
+        assert s._weights_arr.tobytes() == (dg / dg.sum()).tobytes()
+        assert not s._levels_arr.flags.writeable and not s._weights_arr.flags.writeable
+
+    def test_arrays_are_not_the_callers(self):
+        given = np.array([3.0, 1.0, 2.0])
+        s = Spectrum(given)
+        given[0] = 9.0
+        assert s.levels == (3.0, 1.0, 2.0) and s._levels_arr[0] == 3.0
 
     @pytest.mark.parametrize(
         "make",
@@ -114,18 +156,41 @@ class TestSpectrum:
         s = Spectrum(lv)
         assert all(s.levels[i] is lv[i] for i in range(len(lv)))
 
-    def test_grouped_matches_a_first_seen_dict(self):
-        levels = [2.0, -0.0, 1.0, 0.0, 2.0, 1.5, -0.0, 1.0, 0.0, 7]
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            # repeats, signed zeros among them
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 7.0, 1e300, 5e-324]),
+                     min_size=1, max_size=40),
+            # all distinct: the spectrum is the input, each of degeneracy one
+            st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=1, max_size=40, unique=True),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=1, max_size=40),
+        ),
+        st.sampled_from([list, tuple, np.array]),
+    )
+    @example([2.0, -0.0, 1.0, 0.0, 2.0, 1.5, -0.0, 1.0, 0.0, 7], list)
+    @example([0.0, -0.0], np.array)
+    @example([-0.0, 0.0, 3.0], tuple)
+    def test_grouped_matches_a_first_seen_dict(self, levels, make):
         ref: dict[float, int] = {}
         for x in levels:
             x = float(x)
             ref[x] = ref.get(x, 0) + 1
-        for given_levels in (levels, tuple(levels), np.array(levels)):
-            s = Spectrum.grouped(given_levels)
-            assert s.levels == tuple(ref.keys())
-            assert s.degeneracies == tuple(ref.values())
-            signs = [math.copysign(1.0, x) for x in s.levels]
-            assert signs == [math.copysign(1.0, x) for x in ref]
+        s = Spectrum.grouped(make(levels))
+        assert s.levels == tuple(ref.keys())
+        assert s.degeneracies == tuple(ref.values())
+        assert all(type(x) is float for x in s.levels)
+        assert all(type(d) is int for d in s.degeneracies)
+        signs = [math.copysign(1.0, x) for x in s.levels]
+        assert signs == [math.copysign(1.0, x) for x in ref]
+        assert s._levels_arr.tobytes() == np.asarray(s.levels, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("levels", [[], [math.nan, 1.0], [math.inf, math.inf], [[1.0, 2.0]]])
+    def test_grouped_rejects_what_the_constructor_rejects(self, levels):
+        with pytest.raises(DomainError):
+            Spectrum.grouped(levels)
 
 
 class TestMeans:

@@ -32,14 +32,18 @@ error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
 ``verify`` and that of an all-infeasible ``bounds --epsilon-grid``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
 --count 0``.  ``means``, ``shift``,
 ``bounds`` (the default grid, an unsorted grid with a repeated value, and
-``--epsilon``) and ``canonical`` also run on two larger inputs drawn from a
+``--epsilon``) and ``canonical`` also run on larger inputs drawn from a
 fixed seed: 20 000 random levels with degeneracies 1-19,
-and a bipartite spectrum of integer levels whose combined spectrum collapses
-12 000 sums into a few dozen grouped levels.  Seven malformed inputs (a
-401-digit integer level in a spectrum and in ``levels_b``, a degeneracy of
-1.5, an empty ``levels_a``, string levels, boolean levels and a boolean
-degeneracy) check the error path, as do a negative ``verify --t-values``
-entry and a ``verify --out-dir`` below a regular file.  Four runs pass a
+a bipartite spectrum of integer levels whose combined spectrum collapses
+12 000 sums into a few dozen grouped levels, and a 3 x 30 000 bipartite
+spectrum of uniform levels whose 90 000 combined levels are all distinct.
+``means`` also runs on {-0.0, 0.0, 1} and {0.0, -0.0, 1}, whose lowest level
+keeps the sign of the first zero, and on a degeneracy of 10^30, beyond
+int64.  Nine malformed inputs (a 401-digit integer level in a spectrum and
+in ``levels_b``, a degeneracy of 1.5, an empty ``levels_a``, string levels,
+boolean levels, a boolean degeneracy, a 401-digit degeneracy and a NaN one)
+check the error path, as do a negative ``verify --t-values`` entry and a
+``verify --out-dir`` below a regular file.  Four runs pass a
 flag they do not read (``verify --experiment moments --eta``, ``shift
 --dim`` without ``--epsilon``, ``bounds --epsilon`` with ``--epsilon-grid``
 and ``sample --mode sphere --energy``) and check its exit-2 record, and
@@ -48,12 +52,13 @@ four leave out a flag the run needs (``verify --experiment moments`` without
 without ``--energy`` and ``spins`` without ``--m``).  Four runs check a
 domain error: ``verify --experiment moments --tolerance-sigmas nan`` and
 ``shift --epsilon 2`` at a 401-digit ``--dim``, and two ``bounds`` runs
-without ``--epsilon`` at ``--dim`` 0 and 1.  67 commands and 239 files in
+without ``--epsilon`` at ``--dim`` 0 and 1.  73 commands and 258 files in
 all.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -82,12 +87,20 @@ INPUTS = {
     "in/string-levels.json": {"levels": ["1", "2", "3"]},
     "in/boolean-levels.json": {"levels": [True, False, 2]},
     "in/boolean-degeneracy.json": {"levels": [1, 2], "degeneracies": [True, 2]},
+    "in/huge-degeneracy.json": {"levels": [1, 2], "degeneracies": [10**400, 1]},
+    "in/nan-degeneracy.json": {"levels": [1, 2], "degeneracies": [math.nan, 1]},
+    "in/big-degeneracy.json": {"levels": [1, 2], "degeneracies": [10**30, 1]},
+    # which of two equal zeros is the lowest level
+    "in/zeros-negative-first.json": {"levels": [-0.0, 0.0, 1.0]},
+    "in/zeros-positive-first.json": {"levels": [0.0, -0.0, 1.0]},
 }
 
 
 def large_inputs(seed: int = 8) -> dict[str, dict]:
-    """A 20 000-level spectrum (n = 200 003 at seed 8) and a 4 x 3000 bipartite
-    spectrum of integer levels (43 grouped combined levels at seed 8)."""
+    """A 20 000-level spectrum (n = 200 003 at seed 8), a 4 x 3000 bipartite
+    spectrum of integer levels (43 grouped combined levels at seed 8) and a
+    3 x 30 000 one of uniform levels, whose 90 000 combined levels are all
+    distinct."""
     rng = random.Random(seed)
     levels = [rng.uniform(0.0, 10.0) for _ in range(20_000)]
     degeneracies = [rng.randint(1, 19) for _ in range(20_000)]
@@ -96,6 +109,10 @@ def large_inputs(seed: int = 8) -> dict[str, dict]:
     return {
         "in/large.json": {"levels": levels, "degeneracies": degeneracies},
         "in/bip-int.json": {"levels_a": levels_a, "levels_b": levels_b},
+        "in/bip-uniform.json": {
+            "levels_a": [rng.uniform(0.0, 2.0) for _ in range(3)],
+            "levels_b": [rng.uniform(0.0, 10.0) for _ in range(30_000)],
+        },
     }
 
 
@@ -239,6 +256,14 @@ def commands() -> dict[str, list[str]]:
     cmds["bip-int-canonical"] = ["canonical", "--bipartite", "in/bip-int.json",
                                  "--energy", "15", "--epsilon", "2",
                                  "--out-dir", "out/bip-int-canonical"]
+    # no two combined levels are equal, so none is grouped
+    cmds["bip-uniform-canonical"] = ["canonical", "--bipartite", "in/bip-uniform.json",
+                                     "--energy", "4.2", "--epsilon", "2",
+                                     "--out-dir", "out/bip-uniform-canonical"]
+    for order in ("negative", "positive"):
+        cmds[f"zeros-{order}-first-means"] = ["means", "--spectrum",
+                                              f"in/zeros-{order}-first.json"]
+    cmds["big-degeneracy"] = ["means", "--spectrum", "in/big-degeneracy.json"]
     # malformed inputs: each exits 2 with the ParseError record on stderr
     cmds["huge-level"] = ["means", "--spectrum", "in/huge-level.json"]
     cmds["huge-level-b"] = ["canonical", "--bipartite", "in/huge-level-b.json",
@@ -249,6 +274,8 @@ def commands() -> dict[str, list[str]]:
     cmds["string-levels"] = ["means", "--spectrum", "in/string-levels.json"]
     cmds["boolean-levels"] = ["means", "--spectrum", "in/boolean-levels.json"]
     cmds["boolean-degeneracy"] = ["means", "--spectrum", "in/boolean-degeneracy.json"]
+    cmds["huge-degeneracy"] = ["means", "--spectrum", "in/huge-degeneracy.json"]
+    cmds["nan-degeneracy"] = ["means", "--spectrum", "in/nan-degeneracy.json"]
     return cmds
 
 
