@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import ConcentrationConstants, _exp_or_inf, median_window, tail_log_bound
 from .errors import DomainError, NumericalError
-from .spectrum import EnergyFrame, Spectrum, harmonic_shift_solve, epsilon_shift_solve
+from .spectrum import EnergyFrame, Spectrum, _dot, harmonic_shift_solve, epsilon_shift_solve
 
 __all__ = [
     "DensityMatrix",
@@ -224,7 +224,7 @@ def detmax_state(levels_a: Sequence[float], energy: float, tol: float = 1e-12) -
     lv = spec.expand()
     lam = (energy + shift) / (lv.size * (lv + shift))
     scale = max(1.0, abs(energy))
-    if abs(lam.sum() - 1.0) > 1e3 * tol or abs(float(np.dot(lam, lv)) - energy) > 1e3 * tol * scale:
+    if abs(lam.sum() - 1.0) > 1e3 * tol or abs(float(_dot(lam, lv)) - energy) > 1e3 * tol * scale:
         raise NumericalError(
             "determinant maximizer violates its constraints",
             residual=float(abs(lam.sum() - 1.0)),

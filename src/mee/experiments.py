@@ -26,7 +26,7 @@ from .sampling import (
     chunk_layout,
     oracle_manifold_sample,
 )
-from .spectrum import EnergyFrame, Spectrum, harmonic_frame
+from .spectrum import EnergyFrame, Spectrum, _dot, harmonic_frame
 
 __all__ = [
     "Measured",
@@ -170,7 +170,7 @@ def subbatch_mean_error(
         mean = float(values.mean())
     else:
         weights = np.asarray(weights, dtype=float)
-        mean = float(np.dot(weights, values) / weights.sum())
+        mean = float(_dot(weights, values) / weights.sum())
     parts = max(1, min(_SUB_BATCHES, values.size))
     bounds = np.linspace(0, values.size, parts + 1, dtype=int)
     sub = []
@@ -180,7 +180,7 @@ def subbatch_mean_error(
         if weights is None:
             sub.append(values[lo:hi].mean())
         else:
-            sub.append(np.dot(weights[lo:hi], values[lo:hi]) / weights[lo:hi].sum())
+            sub.append(_dot(weights[lo:hi], values[lo:hi]) / weights[lo:hi].sum())
     sub = np.asarray(sub)
     if sub.size < 2:
         return mean, float("inf")
@@ -382,7 +382,7 @@ def tail_report(
 def _moment_chunk(psi: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-state ||psi||^2 and <psi|H'|psi> of a block of states."""
     p = np.abs(psi) ** 2
-    return p.sum(axis=1), p @ levels
+    return p.sum(axis=1), _dot(p, levels)
 
 
 def moment_report_streamed(
@@ -537,7 +537,7 @@ def spin_concentration_probe(
 
     w = batch.weights / batch.weights.sum()
     re2 = batch.states.real ** 2
-    var_re = w @ re2 - (w @ batch.states.real) ** 2
+    var_re = _dot(w, re2) - _dot(w, batch.states.real) ** 2
     max_coord_var = float(var_re.max())
 
     measured = (

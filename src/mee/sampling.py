@@ -8,7 +8,6 @@ chunks or whether the batch is materialized or streamed.
 """
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import math
@@ -24,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError, LowAcceptanceWarning
-from .spectrum import EnergyFrame, Spectrum, harmonic_frame
+from .spectrum import EnergyFrame, Spectrum, _dot, harmonic_frame
 
 __all__ = [
     "RngSpec",
@@ -131,83 +130,6 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _find_openblas() -> tuple[Callable, Callable] | None:
-    """``(get, set)`` of the thread count of the OpenBLAS NumPy loaded, or None.
-
-    Looks in the ``numpy.libs`` directory of a NumPy wheel, or else among the
-    libraries this process has mapped; opens only a library already loaded.
-    """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    try:
-        names = sorted(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
-        paths = [os.path.join(libs, f) for f in names]
-    except OSError:
-        paths = []
-    if not paths:
-        try:
-            with open("/proc/self/maps") as maps:
-                paths = sorted({ln.split(None, 5)[-1].strip() for ln in maps if "openblas" in ln})
-        except OSError:
-            pass
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
-            continue
-        for prefix in ("scipy_", ""):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
-    return None
-
-
-class _BlasThreadLimit:
-    """Context manager holding NumPy's OpenBLAS to one thread.
-
-    Every stream runs inside it, on any number of workers.  A threaded
-    ``dgemv`` splits a matrix's rows between its threads and rounds the rows
-    at each split with its remainder kernel, so with more than one BLAS
-    thread a state's ``p @ levels`` would depend on where the split falls,
-    and so on the worker count; on threaded streams an OpenBLAS helper thread
-    would also busy-wait against the workers.  The library is looked up on
-    the first entry; without one this is a no-op.  Nested or concurrent
-    entries share one limit, and the last exit restores the count the first
-    entry found, so no BLAS call outside a stream sees the limit.
-    """
-
-    _UNRESOLVED = object()
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._api = self._UNRESOLVED
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self):
-        with self._lock:
-            if self._api is self._UNRESOLVED:
-                self._api = _find_openblas()
-            if self._api is not None and self._depth == 0:
-                get, set_ = self._api
-                self._saved = get()
-                set_(1)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._api is not None and self._depth == 0:
-                self._api[1](self._saved)
-
-
-# One per process, as the OpenBLAS thread count it holds is process-wide.
-_ONE_BLAS_THREAD = _BlasThreadLimit()
-
-
 def _map_ordered(fn: Callable, items: Iterable, workers: int | None = None) -> Iterator:
     """Yield ``fn(item)`` for each item, in item order.
 
@@ -217,50 +139,36 @@ def _map_ordered(fn: Callable, items: Iterable, workers: int | None = None) -> I
     every reduction over them is fixed.  The consumer may stop early: an item
     starts only once the consumer has taken the result before it, so at most
     ``workers - 1`` items past the last one taken are computed, and closing
-    the generator waits for them.  Until the generator is exhausted or
-    closed, NumPy's OpenBLAS runs on one thread, with one worker too, so a
-    BLAS result does not depend on ``workers`` (see :class:`_BlasThreadLimit`).
+    the generator waits for them.
     """
     items = list(items)
     if workers is None:
         workers = _default_workers()
     workers = min(workers, len(items))
-    with _ONE_BLAS_THREAD:
-        if workers <= 1:
-            yield from map(fn, items)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            running = deque(pool.submit(fn, it) for it in items[:workers])
-            try:
-                for it in items[workers:]:
-                    yield running.popleft().result()
-                    running.append(pool.submit(fn, it))
-                while running:
-                    yield running.popleft().result()
-            finally:
-                for future in running:
-                    future.cancel()
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        running = deque(pool.submit(fn, it) for it in items[:workers])
+        try:
+            for it in items[workers:]:
+                yield running.popleft().result()
+                running.append(pool.submit(fn, it))
+            while running:
+                yield running.popleft().result()
+        finally:
+            for future in running:
+                future.cancel()
 
 
 def _block_rows(n: int, chunk_rows: int) -> int:
     """Rows per block of a stream over C^n whose largest chunk holds
-    ``chunk_rows`` states: about ``_NORM_BLOCK_SCALARS`` numbers, rounded down
-    to a multiple of 16 rows (at least 16), and at most one chunk.
-
-    OpenBLAS's ``dgemv`` rounds a row of ``p @ levels`` by its place in the
-    matrix: it works on groups of rows, and rows that do not fill a group go
-    through other kernels.  Blocks cut from the start of the chunk in a
-    multiple of 8 rows keep the rows' places as far as it was measured, with
-    NumPy's bundled OpenBLAS 0.3.31 on its Haswell kernels: on matrices of
-    340 to 1234 rows at n = 3 to 4096, blocks of 8 to 128 rows in steps of 8
-    gave the whole matrix's bits, blocks of 4 or 12 rows moved one row of
-    some, and blocks of 1, 2, 3, 5 or 7 rows tens to hundreds of rows.
-    Another kernel may group rows otherwise, so bit equality with whole-chunk
-    reductions is not guaranteed; independence from the worker count is, as
-    the blocks depend only on ``n`` and ``chunk_rows``.
-    """
-    rows = _NORM_BLOCK_SCALARS // (2 * n) // 16 * 16
-    return min(max(rows, 16), chunk_rows)
+    ``chunk_rows`` states: about ``_NORM_BLOCK_SCALARS`` numbers (at least one
+    row), and at most one chunk.  The blocks depend only on ``n`` and
+    ``chunk_rows``, and every per-row reduction gives a row the same bits in
+    a block of any size, so the streams' bytes are those of whole-chunk
+    draws."""
+    return min(max(_NORM_BLOCK_SCALARS // (2 * n), 1), chunk_rows)
 
 
 def _chunk_task(rng: RngSpec, draw: Callable, reduce: Callable, rows: int, n: int,
@@ -279,9 +187,7 @@ def _chunk_task(rng: RngSpec, draw: Callable, reduce: Callable, rows: int, n: in
     without ``finish``: the step that must see the whole chunk at once, run
     in the worker so that no more than a chunk's reductions are held per
     item.  Consecutive blocks continue one generator, so the states are
-    those of a whole-chunk draw bit for bit, and with ``rows`` from
-    :func:`_block_rows` so are the reductions, on the OpenBLAS kernels it
-    names.  Each thread reuses one block
+    those of a whole-chunk draw bit for bit.  Each thread reuses one block
     buffer while the task lives.
     """
     local = threading.local()
@@ -313,7 +219,7 @@ def _draw_batch(rng: RngSpec, draw: Callable, count: int, n: int) -> np.ndarray:
 def _row_norms(states: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(states, axis=1)`` bit for bit, over row blocks, so its
     two complex temporaries are block-sized instead of chunk-sized."""
-    rows = max(1, _NORM_BLOCK_SCALARS // max(2 * states.shape[1], 1))
+    rows = _block_rows(states.shape[1], max(states.shape[0], 1))
     norms = np.empty(states.shape[0])
     for lo in range(0, states.shape[0], rows):
         norms[lo : lo + rows] = np.linalg.norm(states[lo : lo + rows], axis=1)
@@ -420,36 +326,37 @@ def gradient_norm(spectrum: Spectrum, state: np.ndarray) -> float:
     norm = p.sum()
     if abs(norm - 1.0) > 1e-9:
         raise DomainError(f"state must be normalized to 1e-9 (|psi|^2 = {norm})")
-    e1 = float(np.dot(p, levels))
-    e2 = float(np.dot(p, levels ** 2))
+    e1 = float(_dot(p, levels))
+    e2 = float(_dot(p, levels ** 2))
     return float(_gradient_norm(e1, e2))
 
 
 class _ShellScreen:
-    """The shell oracle's test, in two steps: ``screen(z)`` keeps the proposals
-    of one row block of raw normals ``z`` (a complex ``(rows, n)`` view, as
-    :func:`_complex_normals` draws it, of at most ``rows`` rows cut from the
-    start of its chunk as :func:`_chunk_task` cuts them) whose exact energy
-    lies in the shell, and ``finish`` turns a chunk's kept proposals, its
-    blocks' results concatenated, into accepted unit states and log-weights.
+    """The shell oracle's test of one row block of raw normals ``z`` (a
+    complex ``(rows, n)`` view, as :func:`_complex_normals` draws it): the
+    proposals whose exact energy lies in the shell, as unit states, and
+    their log-weights.
 
     The proposals are sigma * z, with sigma the Gaussian proposal's
     :func:`_gaussian_sigmas` (``frame``) or 1 for the uniform one.  A cheap
     screen on z picks the candidate rows; only those are scaled and given the
-    exact test, in the arithmetic of a test of the whole chunk.
+    exact test.  Every reduction sums each row on its own in a fixed order,
+    so a row gets the same bits in a block of any size and among any other
+    candidates: the result is that of the exact test of every row.
     """
 
     def __init__(self, levels: np.ndarray, energy: float, eta: float,
-                 frame: EnergyFrame | None, rows: int):
+                 frame: EnergyFrame | None):
         self.levels = levels
+        self.levels_sq = levels ** 2
         self.energy = energy
         self.eta = eta
         self.frame = frame
-        self.rows = rows
         self.sig = None if frame is None else _gaussian_sigmas(frame)
         w = np.ones(levels.size) if self.sig is None else self.sig * self.sig
-        # one row per real scalar of a state (Re, Im): columns w_k, w_k E_k
-        self.weights = np.asfortranarray(np.repeat(np.column_stack([w, w * levels]), 2, axis=0))
+        # one entry per real scalar of a state (Re, Im): w_k and w_k E_k
+        self.w0 = np.repeat(w, 2)
+        self.w1 = np.repeat(w * levels, 2)
         # Rounding bound, with u = eps/2, L = max|E_k| and a_k = w_k |z_k|^2
         # exactly, so that a row's energy is e = sum E_k a_k / sum a_k, |e| <= L.
         # The screen's 2n terms carry up to 3 (m0) or 4 (m1) roundings and its
@@ -461,51 +368,31 @@ class _ShellScreen:
         # (6n + 20)uL, less than this slack of 16(n + 2)uL at every n, so no
         # row the exact test accepts is screened out.
         self.slack = 8.0 * (levels.size + 2) * np.finfo(float).eps * float(np.max(np.abs(levels)))
-        self._local = threading.local()
 
     def approx_energies(self, z: np.ndarray) -> np.ndarray:
         """m1/m0 of every row of ``z``, with m0 = sum w_k |z_k|^2 and
         m1 = sum w_k E_k |z_k|^2 (w = sigma^2)."""
-        zf = z.view(np.float64)
-        m = np.square(zf) @ self.weights
-        return m[:, 1] / m[:, 0]
+        sq = np.square(z.view(np.float64))
+        return _dot(sq, self.w1) / _dot(sq, self.w0)
 
-    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
-        zeros = getattr(self._local, "zeros", None)
-        if zeros is None:  # this thread's all-zero block-shaped matrix
-            zeros = self._local.zeros = np.zeros((self.rows, self.levels.size))
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         near = np.abs(self.approx_energies(z) - self.energy) < self.eta + self.slack
-        cand = np.flatnonzero(near)
-        raw = z[cand]
+        raw = z[near]
         if self.sig is not None:
             raw *= self.sig
         p = np.abs(raw) ** 2
         nrm2 = p.sum(axis=1)
-        # OpenBLAS rounds a row's dot product by the row's place in the
-        # matrix, so each candidate's is taken at its place in the block,
-        # which keeps its place in the chunk (see _block_rows)
-        zeros[cand] = p
-        e1 = (zeros[: z.shape[0]] @ self.levels)[cand] / nrm2
-        zeros[cand] = 0.0
-        # normalization deferred: keep the rows in the shell, and rescale
-        # only the accepted ones in finish
+        e1 = _dot(p, self.levels) / nrm2
+        # normalize and weight only the rows in the shell
         mask = np.abs(e1 - self.energy) < self.eta
-        return raw[mask], p[mask], e1[mask], nrm2[mask]
-
-    def finish(self, raw: np.ndarray, p: np.ndarray, e1: np.ndarray,
-               nrm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Accepted unit states and log-weights of one chunk's kept rows.  Its
-        ``p_acc @ levels**2`` rounds a row by its place among the chunk's kept
-        rows, so it runs once per chunk, not per block."""
-        levels = self.levels
-        p_acc = p / nrm2[:, None]
-        e2 = p_acc @ (levels ** 2)
+        raw, p, e1, nrm2 = raw[mask], p[mask], e1[mask], nrm2[mask]
+        e2 = _dot(p / nrm2[:, None], self.levels_sq)
         grad = _gradient_norm(e1, e2)
         keep = grad > 0.0
         psi_acc = raw[keep] / np.sqrt(nrm2[keep, None])
         lw = np.log(grad[keep])
         if self.frame is not None:
-            lw = lw + levels.size * np.log(e1[keep] + self.frame.shift)
+            lw = lw + self.levels.size * np.log(e1[keep] + self.frame.shift)
         return psi_acc, lw
 
 
@@ -543,18 +430,15 @@ def oracle_manifold_sample(
 
     Each chunk is drawn by :func:`_chunk_task`, in row blocks of about 1 MB
     of normals, and each block is screened in two stages.  Straight from the
-    unscaled normals z, one small matrix product gives
-    m0 = sum w_k |z_k|^2 and m1 = sum w_k E_k |z_k|^2 (w = sigma^2 of the
-    Gaussian proposal, 1 for the uniform one); rows with
-    |m1/m0 - E| < eta + slack are candidates, where the slack
-    8 (n + 2) eps max|E_k| exceeds the worst-case rounding gap between m1/m0
-    and the exact energy.  Only the candidates are scaled and get the exact
-    |psi|^2, row sums and energies, each in the arithmetic it would have in a
-    test of the whole chunk; the rows in the shell are then normalized and
-    weighted once per chunk, over that chunk's rows in order.  So no array
-    the size of a chunk is made, and, where OpenBLAS keeps the rows' places
-    as :func:`_block_rows` describes, the states and weights are those of
-    the exact test of every whole chunk, bit for bit.
+    unscaled normals z, two sums per row give m0 = sum w_k |z_k|^2 and
+    m1 = sum w_k E_k |z_k|^2 (w = sigma^2 of the Gaussian proposal, 1 for
+    the uniform one); rows with |m1/m0 - E| < eta + slack are candidates,
+    where the slack 8 (n + 2) eps max|E_k| exceeds the worst-case rounding
+    gap between m1/m0 and the exact energy.  Only the candidates are scaled
+    and get the exact |psi|^2, row sums and energies, and the rows in the
+    shell are normalized and weighted.  No array the size of a chunk is made,
+    and as each row is reduced on its own in a fixed order, the states and
+    weights are those of the exact test of every whole chunk, bit for bit.
     """
     if eta is None:
         eta = default_shell_width(spectrum)
@@ -579,8 +463,8 @@ def oracle_manifold_sample(
     frame = harmonic_frame(spectrum, energy) if proposal == "gaussian" else None
     layout = chunk_layout(max_draws, n)
     rows = _block_rows(n, layout[0])
-    screen = _ShellScreen(spectrum.expand(), energy, eta, frame, rows)
-    task = _chunk_task(rng, _complex_normals, screen, rows, n, screen.finish)
+    screen = _ShellScreen(spectrum.expand(), energy, eta, frame)
+    task = _chunk_task(rng, _complex_normals, screen, rows, n)
 
     accepted: list[np.ndarray] = []
     logw: list[np.ndarray] = []

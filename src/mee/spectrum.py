@@ -30,6 +30,35 @@ __all__ = [
 
 _MAX_ITER = 200
 
+# einsum subscripts of the matrix product of a and b, by (a.ndim, b.ndim).
+_DOT_SUBSCRIPTS = {(1, 1): "i,i->", (2, 1): "ij,j->i", (1, 2): "i,ij->j"}
+# Most terms einsum sums in one pass, at NumPy's iterator buffer size.
+_DOT_TERMS = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """The matrix product of float arrays ``a`` and ``b``, for a 1-D or 2-D
+    ``a`` and a 1-D ``b`` or a 1-D ``a`` and a 2-D ``b``, summed in an order
+    that depends on the shapes only: NumPy's einsum, which runs on the
+    calling thread with kernels built for NumPy's baseline CPU features,
+    where BLAS splits a sum by its thread count, its kernel for the CPU and
+    a row's place in the matrix.
+
+    Against a 1-D ``b``, einsum sums a row of ``a`` of up to ``_DOT_TERMS``
+    terms in one pass; a longer row it sums in one pass beside other rows
+    but in pieces when alone, so longer sums are cut into pieces here and
+    the pieces added in order.  A row's sum then depends on its terms alone,
+    in a block of any size.  Against a 2-D ``b``, the order of each column's
+    sum is set by ``b``'s shape.
+    """
+    subscripts = _DOT_SUBSCRIPTS[a.ndim, b.ndim]
+    if b.ndim == 2:
+        return np.einsum(subscripts, a, b)
+    out = np.einsum(subscripts, a[..., :_DOT_TERMS], b[:_DOT_TERMS])
+    for lo in range(_DOT_TERMS, b.size, _DOT_TERMS):
+        out += np.einsum(subscripts, a[..., lo : lo + _DOT_TERMS], b[lo : lo + _DOT_TERMS])
+    return out
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -193,7 +222,7 @@ def compute_means(spectrum: Spectrum) -> Means:
     """
     lv = spectrum._levels_arr
     w = spectrum._weights_arr
-    e_arith = float(np.dot(w, lv))
+    e_arith = float(_dot(w, lv))
     e_harm = None
     e_quad = None
     if spectrum.e_min > 0.0:
@@ -261,11 +290,11 @@ class EnergyFrame:
 
     @cached_property
     def e_prime_harm(self) -> float:
-        return float(1.0 / np.dot(self.weights, 1.0 / self.shifted_levels))
+        return float(1.0 / _dot(self.weights, 1.0 / self.shifted_levels))
 
     @cached_property
     def e_prime_quad(self) -> float:
-        return float(np.dot(self.weights, self.shifted_levels ** -2.0) ** -0.5)
+        return float(_dot(self.weights, self.shifted_levels ** -2.0) ** -0.5)
 
     def is_harmonic(self) -> bool:
         """True when E' equals the shifted harmonic mean to relative tolerance 1e-8."""

@@ -20,6 +20,7 @@ from scipy import integrate
 import mee.bounds
 import mee.canonical
 from mee import Spectrum
+from mee.spectrum import _dot
 
 # property tests draw the same examples on every run
 settings.register_profile("deterministic", derandomize=True)
@@ -127,12 +128,14 @@ def bisect_shift(levels, weights, energy, multiplier=1.0, iters=200):
 class ReferenceShellScreen:
     """Drop-in for ``mee.sampling._ShellScreen``: the exact test on every row
     of a block, with no cheap pre-screen.  It scales the whole block of raw
-    normals, takes |psi|^2, row sums and energies of all rows, and keeps
-    those within ``eta`` of ``energy``; ``finish`` passes them on.  With the
+    normals, takes |psi|^2, row sums and energies of all rows, keeps those
+    within ``eta`` of ``energy``, and normalizes and weights them.  With the
     block budget ``mee.sampling._NORM_BLOCK_SCALARS`` at least a chunk, each
-    block is a whole chunk and this is the exact test of every chunk."""
+    block is a whole chunk and this is the exact test of every chunk.  Its
+    sums over levels are those of production, ``mee.spectrum._dot``, so that
+    the two can be compared bit for bit."""
 
-    def __init__(self, levels, energy, eta, frame, rows):
+    def __init__(self, levels, energy, eta, frame):
         self.levels, self.energy, self.eta, self.frame = levels, energy, eta, frame
 
     def __call__(self, raw):
@@ -141,21 +144,18 @@ class ReferenceShellScreen:
             raw *= np.sqrt(frame.e_prime / (2.0 * frame.dim * frame.expanded_levels))
         p = np.abs(raw) ** 2
         nrm2 = p.sum(axis=1)
-        e1 = (p @ levels) / nrm2
+        e1 = _dot(p, levels) / nrm2
         mask = np.abs(e1 - energy) < self.eta
         e1 = e1[mask]
         nrm2 = nrm2[mask]
         p_acc = p[mask] / nrm2[:, None]
-        e2 = p_acc @ (levels ** 2)
+        e2 = _dot(p_acc, levels ** 2)
         grad = 2.0 * np.sqrt(np.maximum(e2 - e1 * e1, 0.0))
         keep = grad > 0.0
         psi_acc = raw[mask][keep] / np.sqrt(nrm2[keep, None])
         lw = np.log(grad[keep])
         if frame is not None:
             lw = lw + levels.size * np.log(e1[keep] + frame.shift)
-        return psi_acc, lw
-
-    def finish(self, psi_acc, lw):
         return psi_acc, lw
 
 

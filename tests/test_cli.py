@@ -1,14 +1,19 @@
 import builtins
 import json
 import math
+import os
+import platform
+import random
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mee
 from mee.cli import run
 from mee.io import load_spectrum
 from mee.sampling import RngSpec, default_shell_width, oracle_manifold_sample
@@ -793,6 +798,18 @@ def test_verify_config_echoes_the_flags_read(capsys, tmp_path, monkeypatch,
         assert "tolerance_sigmas" not in record["report"]["inputs"]
 
 
+# Runs each named argv of the JSON object in argv[1] through mee.cli.run in
+# this process, writing its stdout to out/<name>.stdout; exits 1 when one fails.
+_RUN_EACH = """
+import contextlib, json, sys
+from mee.cli import run
+for name, argv in json.loads(sys.argv[1]).items():
+    with open(f"out/{name}.stdout", "w") as out, contextlib.redirect_stdout(out):
+        if run(argv) != 0:
+            sys.exit(1)
+"""
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self, capsys, small_spectrum_file, tmp_path):
         outs = []
@@ -849,8 +866,7 @@ class TestDeterminism:
             path.write_text(json.dumps({"levels_a": [1.0, 2.0, 3.0], "levels_b": [0.0] * 300}))
             argv = ["--bipartite", str(path), "--energy", "1.3", "--count", "5000"]
         else:
-            # chunks of 2048 and 517 states; a one-worker moments stream on two
-            # OpenBLAS threads used to round var_shifted_energy differently here
+            # chunks of 2048 and 517 states
             path = tmp_path / "s1024.json"
             path.write_text(json.dumps({"levels": [1.0, 2.0, 3.0],
                                         "degeneracies": [342, 341, 341]}))
@@ -866,6 +882,60 @@ class TestDeterminism:
             assert code == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_bytes_do_not_depend_on_openblas(self, tmp_path):
+        # OpenBLAS rounds a sum by its thread count and its kernel for the CPU;
+        # no record may depend on either.  Each environment runs every command
+        # in one fresh process, where the OpenBLAS settings take effect.
+        rng = random.Random(8)
+        inputs = {
+            "large.json": {"levels": [rng.uniform(0.0, 10.0) for _ in range(20_000)],
+                           "degeneracies": [rng.randint(1, 19) for _ in range(20_000)]},
+            "s1024.json": {"levels": [1.0, 2.0, 3.0], "degeneracies": [342, 341, 341]},
+            "s4096.json": {"levels": [1.0, 2.0, 3.0], "degeneracies": [1366, 1365, 1365]},
+        }
+        commands = {
+            "means": ["means", "--spectrum", "large.json"],
+            "bounds": ["bounds", "--spectrum", "large.json", "--energy", "3.5",
+                       "--epsilon", "2", "--out-dir", "out/bounds"],
+            "moments": ["verify", "--experiment", "moments", "--spectrum", "s1024.json",
+                        "--energy", "1.5", "--count", "2565", "--seed", "4",
+                        "--out-dir", "out/moments"],
+            "spins": ["verify", "--experiment", "spins", "--m", "8", "--alpha", "0.3",
+                      "--gamma", "0.4", "--count", "100", "--seed", "909",
+                      "--out-dir", "out/spins"],
+            "oracle": ["sample", "--mode", "oracle", "--proposal", "gaussian",
+                       "--spectrum", "s4096.json", "--energy", "1.5", "--count", "20",
+                       "--seed", "5", "--out", "out/oracle.csv"],
+        }
+        envs = {"threads-1": {"OPENBLAS_NUM_THREADS": "1"},
+                "threads-2": {"OPENBLAS_NUM_THREADS": "2"}}
+        if platform.machine().lower() in ("x86_64", "amd64"):
+            envs["prescott"] = {"OPENBLAS_CORETYPE": "Prescott"}
+        base = {k: v for k, v in os.environ.items()
+                if not k.startswith(("OPENBLAS_", "GOTO_", "OMP_")) and k != "MEE_SEED"}
+        base["PYTHONPATH"] = str(Path(mee.__file__).resolve().parents[1])
+        outputs = {}
+        for name, extra in envs.items():
+            work = tmp_path / name
+            (work / "out").mkdir(parents=True)
+            for rel, obj in inputs.items():
+                (work / rel).write_text(json.dumps(obj))
+            proc = subprocess.run(
+                [sys.executable, "-c", _RUN_EACH, json.dumps(commands)],
+                cwd=work, env={**base, **extra}, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out = work / "out"
+            outputs[name] = {str(p.relative_to(out)): p.read_bytes()
+                             for p in sorted(out.rglob("*")) if p.is_file()}
+        first = outputs.pop("threads-1")
+        assert {f"{name}.stdout" for name in commands} <= first.keys()
+        assert "oracle.csv" in first and "moments/report.json" in first
+        differ = {name: sorted(rel for rel in first.keys() | files.keys()
+                               if files.get(rel) != first.get(rel))
+                  for name, files in outputs.items()}
+        assert not any(differ.values()), f"files that differ from threads-1: {differ}"
 
     def test_more_workers_than_chunks(self, capsys, small_spectrum_file, tmp_path):
         outs = []

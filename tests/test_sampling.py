@@ -1,7 +1,5 @@
 import json
 import math
-import os
-import sys
 import threading
 import time
 import tracemalloc
@@ -44,6 +42,7 @@ from mee.sampling import (
     chunk_layout,
     gaussian_chunk,
 )
+from mee.spectrum import _dot
 from conftest import (
     ReferenceShellScreen,
     three_level_manifold_moments,
@@ -198,11 +197,12 @@ class TestDrawBuffers:
         other = seen[-1]
         assert other.shape == (2, 3, 2) and not np.shares_memory(other, mine)
 
-    def test_blocks_are_a_multiple_of_16_rows_within_one_chunk(self):
+    def test_blocks_hold_the_budget_within_one_chunk(self):
         assert sampling_mod._block_rows(4096, 512) == 16
         assert sampling_mod._block_rows(1024, 2048) == 64
-        assert sampling_mod._block_rows(60, 34952) == 1088
-        assert sampling_mod._block_rows(2**17, 16) == 16  # the budget fits no row
+        assert sampling_mod._block_rows(900, 2330) == 72
+        assert sampling_mod._block_rows(60, 34952) == 1092
+        assert sampling_mod._block_rows(2**17, 16) == 1  # the budget fits no row
         assert sampling_mod._block_rows(3, 7) == 7  # capped at the chunk
         assert sampling_mod._block_rows(2**21, 1) == 1
 
@@ -212,11 +212,11 @@ BIP900 = BipartiteSpectrum((1.0, 2.0, 3.0), (0.0,) * 300)  # chunks of 2330, 233
 
 
 class TestRowBlocks:
-    """Streams draw and reduce each chunk in blocks of 64 rows here (n = 900
-    and 1024), and give the bytes of the whole-chunk path: a chunk of 517
-    states is 8 blocks and one of 5 rows, one of 340 is 5 blocks and one of
-    20.  The equality rests on how OpenBLAS's dgemv kernel groups rows,
-    measured on the kernels sampling._block_rows names."""
+    """Streams draw and reduce each chunk in row blocks, and give the bytes of
+    the whole-chunk path at any block size.  The default budget gives blocks
+    of 64 rows at n = 1024 and of 72 at n = 900: a chunk of 517 states is 8
+    blocks and one of 5 rows, one of 340 is 4 blocks and one of 52.  A budget
+    of 7 * 2048 reals gives blocks of 7 rows at both."""
 
     @staticmethod
     def _run(experiment, workers):
@@ -232,9 +232,8 @@ class TestRowBlocks:
         report, rho = reduced_dm_report(BIP900, 1.3, 2.0, 5000, rng, workers=workers)
         return json.dumps(report.to_json()), rho.matrix.tobytes()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("experiment", ["moments", "tail", "reduced-dm"])
-    def test_reports_equal_the_whole_chunk_path(self, monkeypatch, experiment, workers):
+    def _assert_blocked_equals_whole(self, monkeypatch, experiment, workers):
+        n = 900 if experiment == "reduced-dm" else 1024
         rows = []
 
         def spy(frame, gen, out):
@@ -243,12 +242,23 @@ class TestRowBlocks:
 
         monkeypatch.setattr(sampling_mod, "gaussian_chunk", spy)
         blocked = self._run(experiment, workers)
-        assert max(rows) == 64 and len(rows) > 3 * 5000 // 2330
+        assert max(rows) == sampling_mod._NORM_BLOCK_SCALARS // (2 * n)
+        assert len(rows) > 3 * 5000 // 2330
         rows.clear()
         monkeypatch.setattr(sampling_mod, "_NORM_BLOCK_SCALARS", WHOLE_CHUNK_BLOCKS)
         whole = self._run(experiment, workers)
         assert sorted(rows) in ([517, 2048], [340, 2330, 2330])
         assert blocked == whole
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("experiment", ["moments", "tail", "reduced-dm"])
+    def test_reports_equal_the_whole_chunk_path(self, monkeypatch, experiment, workers):
+        self._assert_blocked_equals_whole(monkeypatch, experiment, workers)
+
+    @pytest.mark.parametrize("experiment", ["moments", "tail", "reduced-dm"])
+    def test_blocks_of_7_rows_equal_the_whole_chunk_path(self, monkeypatch, experiment):
+        monkeypatch.setattr(sampling_mod, "_NORM_BLOCK_SCALARS", 7 * 2048)
+        self._assert_blocked_equals_whole(monkeypatch, experiment, 2)
 
 
 class TestStreamMemory:
@@ -335,124 +345,6 @@ class TestOrderedStream:
         assert sorted(started) == sorted(finished)
         assert max(started) <= 3 + 1  # at most workers - 1 items past the last taken
 
-
-
-@pytest.fixture
-def blas_threads():
-    """The OpenBLAS thread-count getter, with the count set to 2 for the test
-    so a limit of 1 shows; the count found is restored afterwards."""
-    api = sampling_mod._find_openblas()
-    if api is None:
-        pytest.skip("NumPy links no OpenBLAS whose thread count can be read")
-    get, set_ = api
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
-
-
-class TestBlasThreadLimit:
-    def test_threaded_tasks_see_one_blas_thread(self, blas_threads):
-        assert list(_map_ordered(lambda x: blas_threads(), range(8), 2)) == [1] * 8
-        assert blas_threads() == 2
-
-    def test_one_worker_sees_one_blas_thread(self, blas_threads):
-        assert list(_map_ordered(lambda x: blas_threads(), range(4), 1)) == [1] * 4
-        assert blas_threads() == 2
-
-    def test_restored_after_early_close(self, blas_threads):
-        with closing(_map_ordered(lambda x: x, range(50), 2)) as stream:
-            for x in stream:
-                assert blas_threads() == 1
-                if x == 3:
-                    break
-        assert blas_threads() == 2
-
-    def test_restored_after_a_task_raises(self, blas_threads):
-        def fn(x):
-            if x == 5:
-                raise ValueError("task failed")
-            return x
-
-        with pytest.raises(ValueError, match="task failed"):
-            list(_map_ordered(fn, range(10), 2))
-        assert blas_threads() == 2
-
-    def test_nested_streams_restore_at_the_last_exit(self, blas_threads):
-        def outer(x):
-            inner = list(_map_ordered(lambda y: blas_threads(), range(3), 2))
-            return inner + [blas_threads()]
-
-        results = list(_map_ordered(outer, range(4), 2))
-        assert results == [[1, 1, 1, 1]] * 4
-        assert blas_threads() == 2
-
-    def test_overlapping_streams_restore_at_the_last_exit(self, blas_threads):
-        a = _map_ordered(lambda x: x, range(4), 2)
-        b = _map_ordered(lambda x: x, range(4), 2)
-        assert next(a) == 0 and next(b) == 0
-        a.close()
-        assert blas_threads() == 1
-        b.close()
-        assert blas_threads() == 2
-
-    def test_concurrent_entries_stress(self, blas_threads):
-        # 4 threads entering and leaving the limit on a short switch interval:
-        # a lost update of the depth count would restore 2 while a thread is
-        # inside, or leave 1 behind.
-        limit = sampling_mod._ONE_BLAS_THREAD
-        seen, errors = [], []
-
-        def enter_and_leave():
-            try:
-                for _ in range(2000):
-                    with limit:
-                        seen.append(blas_threads())
-            except Exception as exc:  # reported below, after the join
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=enter_and_leave) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and not errors
-        assert seen == [1] * 8000
-        assert blas_threads() == 2
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
-    def test_found_among_the_mapped_libraries(self, blas_threads, monkeypatch):
-        # without a wheel's numpy.libs directory the loaded library is found
-        # through /proc/self/maps, and sets the count the direct pair reads
-        real = os.listdir
-
-        def listdir(path):
-            if os.path.basename(os.path.normpath(path)) == "numpy.libs":
-                raise FileNotFoundError(path)
-            return real(path)
-
-        monkeypatch.setattr(os, "listdir", listdir)
-        api = sampling_mod._find_openblas()
-        assert api is not None
-        get, set_ = api
-        set_(1)
-        assert blas_threads() == 1
-        set_(2)
-        assert get() == 2
-
-    def test_without_openblas_the_stream_runs_unchanged(self, monkeypatch):
-        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (300, 300, 300)), 1.5)
-        rng = RngSpec(seed=47)
-        limited = moment_report_streamed(frame, 5000, rng, workers=2)
-        monkeypatch.setattr(sampling_mod, "_find_openblas", lambda: None)
-        monkeypatch.setattr(sampling_mod, "_ONE_BLAS_THREAD", sampling_mod._BlasThreadLimit())
-        assert moment_report_streamed(frame, 5000, rng, workers=2) == limited
-        assert sampling_mod._ONE_BLAS_THREAD._api is None
 
 
 class TestSphere:
@@ -600,8 +492,8 @@ class TestGradientNorm:
             psi = gen.standard_normal(9) + 1j * gen.standard_normal(9)
             psi /= np.linalg.norm(psi)
             p = np.abs(psi) ** 2
-            e1 = float(np.dot(p, levels))
-            e2 = float(np.dot(p, levels ** 2))
+            e1 = float(_dot(p, levels))
+            e2 = float(_dot(p, levels ** 2))
             assert gradient_norm(spec, psi) == 2 * math.sqrt(max(e2 - e1 * e1, 0.0))
 
 
@@ -822,6 +714,27 @@ class TestShellScreen:
         if case == "short-last-chunk" and proposal == "uniform":
             assert warned and warned[0][0] is LowAcceptanceWarning
 
+    @pytest.mark.parametrize("case,proposal", [("n60", "uniform"), ("n60", "gaussian"),
+                                               ("short-last-chunk", "uniform")])
+    def test_blocks_of_7_rows_equal_the_full_chunk_screen(self, monkeypatch, case, proposal):
+        rows = []
+
+        def spy(gen, out):
+            rows.append(out.shape[0])
+            return _complex_normals(gen, out)
+
+        monkeypatch.setattr(sampling_mod, "_complex_normals", spy)
+        monkeypatch.setattr(sampling_mod, "_NORM_BLOCK_SCALARS", 7 * 2 * SCREEN_CASES[case][0].n)
+        batch, warned = self._sample(case, proposal, 2)
+        assert max(rows) == 7
+        monkeypatch.setattr(sampling_mod, "_ShellScreen", ReferenceShellScreen)
+        monkeypatch.setattr(sampling_mod, "_NORM_BLOCK_SCALARS", WHOLE_CHUNK_BLOCKS)
+        want, want_warned = self._sample(case, proposal, 2)
+        assert batch.states.tobytes() == want.states.tobytes()
+        assert batch.weights.tobytes() == want.weights.tobytes()
+        assert batch.meta == want.meta
+        assert warned == want_warned
+
     @pytest.mark.parametrize("spec,energy,proposal", [
         (spin_spectrum(10), 3.0, "gaussian"),
         (SPEC60, 1.8, "uniform"),
@@ -834,7 +747,7 @@ class TestShellScreen:
         frame = harmonic_frame(spec, energy) if proposal == "gaussian" else None
         levels = spec.expand()
         rows = chunk_layout(10**9, spec.n)[0]
-        screen = sampling_mod._ShellScreen(levels, energy, 0.01, frame, rows)
+        screen = sampling_mod._ShellScreen(levels, energy, 0.01, frame)
         buf = np.empty((rows, spec.n, 2))
         worst = 0.0
         for chunk in range(8):

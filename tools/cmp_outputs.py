@@ -9,8 +9,12 @@ Every command below runs once per tree, each in a subprocess whose working
 directory holds the same input files under the same relative paths, so the
 paths recorded in the outputs agree.  For each command the tool compares the
 exit code, stdout, stderr and every file the command wrote, and prints one
-line per file that differs or exists on one side only, then a summary.  It
-exits 1 when anything differs.
+line per file that differs or exists on one side only, then a summary.  For
+a differing JSON or CSV file (stdout included) whose numbers sit in the same
+places on both sides, the line also gives how many numbers differ and the
+largest relative change |a - b| / max(|a|, |b|) among them, with where it
+sits: a JSON path, whose list entries holding a "name" go by that name, or
+a CSV row and column.  It exits 1 when anything differs.
 
 Warning lines on stderr start with the source location of the ``warn`` call
 (``path/cli.py:298: LowAcceptanceWarning: ...``); that prefix is dropped
@@ -57,6 +61,9 @@ all.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -139,7 +146,6 @@ def commands() -> dict[str, list[str]]:
             "--energy", "1.5", "--count", "0", "--seed", "7",
             "--out-dir", f"out/verify-{experiment}-count0",
         ]
-    # a one-worker stream used to round p @ levels on two OpenBLAS threads
     for tag in ("w1", "w2"):
         cmds[f"verify-moments-n1024-{tag}"] = [
             "verify", "--experiment", "moments", "--spectrum", "in/s1024.json",
@@ -301,6 +307,61 @@ def files_under(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def numbers(rel: str, data: bytes) -> dict[str, float] | None:
+    """The numbers of a CSV or JSON file keyed by where they sit, or None for
+    a file that is neither."""
+    text = data.decode(errors="replace")
+    found: dict[str, float] = {}
+    if rel.endswith(".csv"):
+        header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
+        for r, row in enumerate(rows, 1):
+            for c, cell in enumerate(row):
+                with contextlib.suppress(ValueError):
+                    found[f"row {r}, {header[c] if c < len(header) else c}"] = float(cell)
+        return found
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        return None
+
+    def walk(node, path: str) -> None:
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                label = value.get("name", i) if isinstance(value, dict) else i
+                walk(value, f"{path}[{label}]")
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            found[path or "."] = float(node)
+
+    walk(obj, "")
+    return found
+
+
+def largest_change(rel: str, a: bytes, b: bytes) -> str:
+    """How many numbers of a differing JSON or CSV file differ and the largest
+    relative change among them, or "" when the files' numbers cannot be
+    paired by place."""
+    na, nb = numbers(rel, a), numbers(rel, b)
+    if na is None or nb is None or na.keys() != nb.keys():
+        return ""
+    changes = []
+    for key, x in na.items():
+        y = nb[key]
+        if math.isnan(x) or math.isnan(y):
+            if math.isnan(x) != math.isnan(y):
+                changes.append((math.inf, key))
+        elif x != y:
+            change = abs(x - y) / max(abs(x), abs(y))
+            changes.append((change if math.isfinite(change) else math.inf, key))
+    if not changes:
+        return " (no number differs)"
+    worst, key = max(changes)
+    return (f" ({len(changes)} of {len(na)} numbers differ, largest relative change "
+            f"{worst:.2g} at {key})")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.stderr.write(__doc__)
@@ -328,7 +389,7 @@ def main(argv: list[str]) -> int:
         if rel not in parent or rel not in change:
             differ.append(f"ONLY IN {'change' if rel not in parent else 'parent'}: {rel}")
         elif parent[rel] != change[rel]:
-            differ.append(f"DIFFERS: {rel}")
+            differ.append(f"DIFFERS: {rel}{largest_change(rel, parent[rel], change[rel])}")
     for line in differ:
         print(line)
     total = len(parent.keys() | change.keys())
