@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError
 from .spectrum import (
+    _SHIFT_TOL,
     EnergyFrame,
     Spectrum,
     _checked_dim,
@@ -122,12 +123,6 @@ def flip_for_high_energy(spectrum: Spectrum, energy: float) -> tuple[Spectrum, f
     return spectrum.negated(), -energy
 
 
-def _feasibility(frame: EnergyFrame, epsilon: float) -> tuple[float, float]:
-    """Return (denominator, minimum feasible epsilon) at the solved shift."""
-    ratio = frame.e_prime / frame.e_prime_quad
-    return 1.0 - (ratio / epsilon) ** 2, ratio
-
-
 def _tail_constant(frame: EnergyFrame) -> float:
     """The tail-rate constant c = 3 E'_min / (32 E') of a solved frame."""
     return 3.0 * frame.e_prime_min / (32.0 * frame.e_prime)
@@ -148,7 +143,8 @@ def constants_for(
     :func:`check_energy_window` (the constants themselves do not need it).
     """
     frame = epsilon_shift_solve(spectrum, energy, epsilon, dim=dim)
-    denom, min_eps = _feasibility(frame, epsilon)
+    min_eps = frame.e_prime / frame.e_prime_quad  # the ratio E'/E'_Q
+    denom = 1.0 - (min_eps / epsilon) ** 2
     if denom <= 0.0:
         raise InfeasibleError(
             f"epsilon {epsilon} is too small: constant a requires epsilon > {min_eps}",
@@ -187,6 +183,33 @@ def tail_bound(constants: ConcentrationConstants, t: float) -> float:
     return _exp_or_inf(tail_log_bound(constants, t))
 
 
+def _log_floor(cand: ConcentrationConstants, t: float, eps: float) -> float:
+    """A lower bound, less a margin, on the log tail bound at ``t`` of ``eps``
+    if feasible, from a feasible ``cand``: -inf unless eps >= cand.epsilon.
+
+    The multiplier m grows with eps and the residual m E_H(x) - (E+x) with x
+    and m, so the exact shifts obey s' <= s.  For E <= e_max, a's denominator
+    is at most 1, (e_max+s)/(E+s) falls and c = 3(e_min+s)/(32(E+s)) rises
+    with s: log bound(eps) >= log 3040 + 1.5 log n + 2 eps sqrt(n) + G(s),
+    G(s) = 2 log((e_max+s)/(E+s)) - c n T^2, T = t - 1/(4n).  The solver stops
+    at |r| <= tol E' on a slope r' = m E_H^2/E_Q^2 - 1 >= m - 1, so a computed
+    shift lies within delta = 2 tol E'/(m-1) of its root (the 2 covers the
+    level sums' rounding), and eps has a delta no larger than cand's.  The
+    margin is |G'(s)| 2 delta plus 64 ulp of the terms' magnitudes.
+    """
+    frame, n = cand.frame, cand.n
+    m = (1.0 + 1.0 / n) * (1.0 + cand.epsilon / math.sqrt(n))
+    if eps < cand.epsilon or frame.energy > frame.base.e_max or m <= 1.0:
+        return -math.inf
+    ntt = n * (t - 1.0 / (4.0 * n)) ** 2
+    log_a = math.log(3040.0) + 2.0 * math.log(frame.e_prime_max / frame.e_prime)
+    terms = (log_a, 1.5 * math.log(n), -cand.c * ntt, 2.0 * eps * math.sqrt(n))
+    # |G'(s)| E' = 2 (e_max - E)/E'_max + (3/32 - c) n T^2
+    slope = 2.0 * (frame.base.e_max - frame.energy) / frame.e_prime_max + (3 / 32 - cand.c) * ntt
+    margin = slope * 4.0 * _SHIFT_TOL / (m - 1.0) + 64.0 * math.ulp(sum(map(abs, terms)))
+    return sum(terms) - margin
+
+
 def optimize_epsilon(
     spectrum: Spectrum,
     energy: float,
@@ -196,10 +219,11 @@ def optimize_epsilon(
 ) -> ConcentrationConstants:
     """Grid scan for the feasible epsilon minimizing the tail bound at ``t``.
 
-    The bound couples to epsilon through the shift solve, so a robust scan
-    is used instead of smooth optimization.  Ties keep the earliest grid
-    point; an all-infeasible grid raises with a per-point report.  Every
-    solve shares the level sums memoised on ``spectrum``.
+    The bound couples to epsilon through the shift solve, so a robust scan is
+    used instead of smooth optimization.  Ties keep the earliest grid point;
+    an all-infeasible grid raises with a per-point report.  Every solve shares
+    the level sums memoised on ``spectrum``.  A point that cannot win, by the
+    last feasible solve's :func:`_log_floor`, is not solved.
     """
     if len(grid) == 0:
         raise DomainError("epsilon grid must be nonempty")
@@ -207,16 +231,20 @@ def optimize_epsilon(
     _checked_dim(spectrum, dim)
     best: ConcentrationConstants | None = None
     best_log = math.inf
+    last: ConcentrationConstants | None = None  # the last feasible solve
     failures: dict[float, str] = {}
-    for eps in grid:
+    for eps in map(float, grid):
+        if last is not None and _log_floor(last, t, eps) > best_log:
+            continue
         try:
-            cand = constants_for(spectrum, energy, float(eps), dim=dim)
+            cand = constants_for(spectrum, energy, eps, dim=dim)
         except (InfeasibleError, DomainError) as exc:
-            failures[float(eps)] = str(exc)
+            failures[eps] = str(exc)
             continue
         log_value = tail_log_bound(cand, t)
         if log_value < best_log:
             best, best_log = cand, log_value
+        last = cand
     if best is None:
         raise InfeasibleError(
             "no feasible epsilon in grid", grid=list(map(float, grid)), failures=failures

@@ -20,6 +20,7 @@ process may run on (also for ``spins`` and ``sample --mode oracle``).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -40,7 +41,8 @@ from .sampling import (
     sample_gaussian_ensemble,
     sample_sphere,
 )
-from .spectrum import compute_means, harmonic_frame, harmonic_shift_solve, epsilon_shift_solve
+from .spectrum import (_SHIFT_TOL, compute_means, epsilon_shift_solve, harmonic_frame,
+                       harmonic_shift_solve)
 
 DEFAULT_EPSILON_GRID = tuple(0.5 * k for k in range(1, 17))  # 0.5, 1.0, ..., 8.0
 DEFAULT_T_VALUES = tuple(0.1 * k for k in range(1, 21))
@@ -118,8 +120,8 @@ _SPINS = {"m": _NEEDED, "alpha": _NEEDED, "gamma": _NEEDED, "eta": None}
 _SOLVE = {"spectrum": _NEEDED, "energy": _NEEDED}
 _READS = {
     "means": {"spectrum": _NEEDED},
-    "shift": {**_SOLVE, "tol": 1e-12},
-    "shift --epsilon": {**_SOLVE, "epsilon": _NEEDED, "dim": None, "tol": 1e-12},
+    "shift": {**_SOLVE, "tol": _SHIFT_TOL},
+    "shift --epsilon": {**_SOLVE, "epsilon": _NEEDED, "dim": None, "tol": _SHIFT_TOL},
     "bounds": {**_SOLVE, "epsilon_grid": DEFAULT_EPSILON_GRID, "t_values": DEFAULT_T_VALUES,
                "dim": None, "out_dir": None},
     "bounds --epsilon": {**_SOLVE, "epsilon": _NEEDED, "t_values": DEFAULT_T_VALUES,
@@ -160,6 +162,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache  # one parser per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mee",

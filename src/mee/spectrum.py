@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _MAX_ITER = 200
+# The shift solvers stop at a residual of at most this times |E + x|.
+_SHIFT_TOL = 1e-12
 
 # einsum subscripts of the matrix product of a and b, by (a.ndim, b.ndim).
 _DOT_SUBSCRIPTS = {(1, 1): "i,i->", (2, 1): "ij,j->i", (1, 2): "i,ij->j"}
@@ -106,20 +108,25 @@ class Spectrum:
             weights = np.ones(n) / n
         else:
             given = tuple(degs)
+            try:  # int64 whole numbers whose sum cannot overflow take one NumPy pass
+                ints = np.array(given)
+            except (TypeError, ValueError, OverflowError):  # ragged
+                ints = np.array(None)
+            fast = ints.ndim == 1 and ints.dtype.kind == "i" and ints.max() <= 2**62 // ints.size
             try:
-                degs = tuple(map(int, given))
+                degs = tuple(ints.tolist()) if fast else tuple(map(int, given))
             except (TypeError, ValueError, OverflowError):  # None, NaN, inf
                 degs = None
-            if degs != given:
+            if not fast and degs != given:
                 raise DomainError("degeneracies must be whole numbers")
+            low, n = (ints.min(), int(ints.sum())) if fast else (min(degs), sum(degs))
             if len(degs) != len(levels):
                 raise DomainError("degeneracies must match levels in length")
-            if min(degs) < 1:
+            if low < 1:
                 raise DomainError("degeneracies must be positive integers")
-            n = sum(degs)
             if n > sys.float_info.max:
                 raise DomainError("the degeneracies sum beyond the float range")
-            weights = np.asarray(degs, dtype=float)
+            weights = ints.astype(float) if fast else np.asarray(degs, dtype=float)
             weights = weights / weights.sum()
         arr.flags.writeable = False
         weights.flags.writeable = False
@@ -400,7 +407,7 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
         )
 
 
-def harmonic_shift_solve(spectrum: Spectrum, energy: float, tol: float = 1e-12) -> float:
+def harmonic_shift_solve(spectrum: Spectrum, energy: float, tol: float = _SHIFT_TOL) -> float:
     """Shift D such that the harmonic mean of {E_k + D} equals E + D.
 
     Requires E_min <= E < E_A; the solution is unique unless all levels are
@@ -429,7 +436,7 @@ def epsilon_shift_solve(
     spectrum: Spectrum,
     energy: float,
     epsilon: float,
-    tol: float = 1e-12,
+    tol: float = _SHIFT_TOL,
     dim: int | None = None,
 ) -> EnergyFrame:
     """Solve E' = (1 + 1/n)(1 + eps/sqrt(n)) * E'_H(s) for the shift s.

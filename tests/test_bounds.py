@@ -3,12 +3,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mee import (
     DomainError,
     InfeasibleError,
+    NumericalError,
     Spectrum,
     check_energy_window,
     compute_means,
@@ -21,8 +22,11 @@ from mee import (
     tail_log10_bound,
     epsilon_shift_solve,
 )
-from mee.bounds import tail_log_bound
+import mee.bounds
+from mee.bounds import _log_floor, tail_log_bound
 from mee.cli import DEFAULT_EPSILON_GRID
+from mee.errors import MeeError
+from mee.spectrum import _SHIFT_TOL
 from conftest import random_spectrum, record_level_sums
 
 EX1 = Spectrum((1.0, 2.0, 3.0), (2731, 2731, 2731))  # n = 8193
@@ -320,13 +324,21 @@ class TestSharedLevelSums:
                 best, best_log = cand, log_value
         assert repr(got.to_json()) == repr(best.to_json())
 
-    def test_later_grid_solves_reuse_the_bracket_points(self):
+    def test_later_grid_solves_reuse_the_bracket_points(self, monkeypatch):
         spec, energy = random_spectrum(11, 200)
         grid = list(DEFAULT_EPSILON_GRID)
         shared = record_level_sums(spec)
+        solved = []
+
+        def logging_constants_for(spectrum, energy, epsilon, dim=None):
+            solved.append(epsilon)
+            return constants_for(spectrum, energy, epsilon, dim=dim)
+
+        monkeypatch.setattr(mee.bounds, "constants_for", logging_constants_for)
         optimize_epsilon(spec, energy, 2.0, grid)
+        assert 2 <= len(solved) < len(grid) and solved == grid[: len(solved)]
         asked = []
-        for eps in grid:
+        for eps in solved:
             fresh = _fresh(spec)
             log = record_level_sums(fresh)
             try:
@@ -334,7 +346,7 @@ class TestSharedLevelSums:
             except InfeasibleError:
                 pass
             asked.append(log.asked)
-        # the same residual sequence as solving each point on its own ...
+        # the same residual sequence as solving each solved point on its own ...
         assert shared.asked == [x for points in asked for x in points]
         # ... and each distinct shift summed once, in first-seen order
         assert shared.evaluated == list(dict.fromkeys(shared.asked))
@@ -342,7 +354,150 @@ class TestSharedLevelSums:
         # so the second and later solves sum neither of them again
         assert all(points[:2] == asked[0][:2] for points in asked)
         assert shared.evaluated.count(asked[0][0]) == 1
-        assert len(shared.evaluated) <= len(shared.asked) - 2 * (len(grid) - 1)
+        assert len(shared.evaluated) <= len(shared.asked) - 2 * (len(solved) - 1)
+
+
+class TestGridPruning:
+    """The scan skips grid points that its lower bound shows cannot win;
+    the result must be that of solving every point."""
+
+    @staticmethod
+    def exhaustive(spec, energy, t, grid, dim=None, unsolved=()):
+        """The scan that solves every grid point, or the error it raises; a
+        point whose solve raises one of ``unsolved`` is passed over."""
+        best, best_log, failures = None, math.inf, {}
+        try:
+            for eps in grid:
+                try:
+                    cand = constants_for(spec, energy, float(eps), dim=dim)
+                except (InfeasibleError, DomainError) as exc:
+                    failures[float(eps)] = str(exc)
+                    continue
+                except unsolved:
+                    continue
+                log_value = tail_log_bound(cand, t)
+                if log_value < best_log:
+                    best, best_log = cand, log_value
+        except Exception as exc:  # noqa: BLE001 - compared with the scan's error
+            return type(exc), str(exc)
+        if best is None:
+            return InfeasibleError, "no feasible epsilon in grid", failures
+        return repr(best.to_json())
+
+    @staticmethod
+    def scanned(spec, energy, t, grid, dim=None):
+        try:
+            return repr(optimize_epsilon(spec, energy, t, grid, dim=dim).to_json())
+        except InfeasibleError as exc:
+            if "failures" not in exc.details:
+                return type(exc), str(exc)
+            return type(exc), str(exc), exc.details["failures"]
+        except Exception as exc:  # noqa: BLE001
+            return type(exc), str(exc)
+
+    def check(self, spec, energy, t, grid, dim=None):
+        """The pruned scan gives what solving every point gives.  Near e_min a
+        shift solve can miss its tolerance (NumericalError); the exhaustive
+        scan then stops there, while the pruned scan may skip that point, so
+        it may instead give the best of the points that converge."""
+        got = self.scanned(spec, energy, t, grid, dim)
+        want = self.exhaustive(_fresh(spec), energy, t, grid, dim)
+        if want[0] is NumericalError and got != want:
+            want = self.exhaustive(_fresh(spec), energy, t, grid, dim, NumericalError)
+            assert isinstance(got, str)
+        assert got == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        levels=st.lists(st.integers(0, 40), min_size=2, max_size=6),
+        degs=st.lists(st.integers(1, 10**6), min_size=6, max_size=6),
+        fraction=st.one_of(st.floats(0.05, 1.2), st.sampled_from([1e-12, 1e-6, 1e-3])),
+        t=st.floats(0.0, 3.0),
+        dim=st.one_of(st.none(), st.sampled_from([2, 1000, 10**6, 10**9, 10**12, 10**15])),
+        grid=st.one_of(
+            st.just(list(DEFAULT_EPSILON_GRID)),
+            st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0, 40.0]),
+                     min_size=1, max_size=12),
+        ),
+    )
+    @example(levels=[8, 8], degs=[3] * 6, fraction=0.5, t=2.0, dim=None,
+             grid=list(DEFAULT_EPSILON_GRID))
+    def test_pruned_scan_equals_the_exhaustive_scan(self, levels, degs, fraction, t, dim, grid):
+        spec = Spectrum(tuple(float(x) / 4.0 for x in levels), tuple(degs[: len(levels)]))
+        means = compute_means(spec)
+        # fractions above 1 put E above E_A; an all-equal spectrum gets e_min + fraction
+        energy = spec.e_min + fraction * (max(means.e_arith, spec.e_min + 1.0) - spec.e_min)
+        self.check(spec, energy, t, grid, dim)
+
+    @pytest.mark.parametrize("dim", [None, 10**15])
+    @pytest.mark.parametrize("grid", [
+        [0.5 * k for k in range(1, 51)], [0.5 * k for k in range(50, 0, -1)],
+        [3.0, 1.0, 3.0, 8.0, 2.0, 2.0, 0.5],
+    ], ids=["fine", "descending", "unsorted-repeat"])
+    def test_small_spectra_match_the_exhaustive_scan(self, grid, dim):
+        spec = Spectrum((1.0, 2.0, 3.0))
+        for t in (0.0, 0.1, 1.2, 3.0):
+            self.check(spec, 1.4, t, grid, dim)
+
+    def test_a_skipped_point_is_not_solved(self):
+        # E' ~ 7e-5 at E ~ 2: rounding in E + x keeps some solves from their
+        # tolerance, and one of them is a point the scan skips
+        spec, energy = Spectrum((2.0, 8.25), (255049, 239800)), 2.0000343858412313
+        args = (energy, 2.853244762836068, DEFAULT_EPSILON_GRID, 10**6)
+        assert self.exhaustive(_fresh(spec), *args)[0] is NumericalError
+        assert self.scanned(spec, *args) == self.exhaustive(spec, *args, NumericalError)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        levels=st.lists(st.integers(0, 40), min_size=2, max_size=5),
+        degs=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+        fraction=st.floats(0.01, 2.0),
+        t=st.floats(0.0, 3.0),
+        dim=st.sampled_from([None, 2, 3, 10, 1000, 10**6]),
+        epsilons=st.lists(st.floats(0.1, 20.0), min_size=2, max_size=2),
+    )
+    def test_floor_is_below_the_bound(self, levels, degs, fraction, t, dim, epsilons):
+        # fractions above 1 put E above e_max, where no floor is known
+        spec = Spectrum(tuple(float(x) / 4.0 for x in levels), tuple(degs[: len(levels)]))
+        energy = spec.e_min + fraction * max(spec.e_max - spec.e_min, 1.0)
+        try:
+            ref, cand = (constants_for(spec, energy, eps, dim=dim) for eps in epsilons)
+        except MeeError:
+            return
+        floor = _log_floor(ref, t, cand.epsilon)
+        if cand.epsilon < ref.epsilon or energy > spec.e_max:
+            assert floor == -math.inf
+        assert floor <= tail_log_bound(cand, t)
+
+    @pytest.mark.parametrize("size", [2, 5, 40])
+    @pytest.mark.parametrize("dim", [None, 10**6, 10**12])
+    def test_computed_shifts_lie_within_delta_of_the_root(self, size, dim):
+        # the distance _log_floor's margin allows for, without its factor 2
+        levels = tuple(np.random.default_rng(size).uniform(0.0, 10.0, size).tolist())
+        spec = Spectrum(levels)
+        energy = spec.e_min + 0.6 * (compute_means(spec).e_arith - spec.e_min)
+        for eps in (1.0, 2.0, 8.0):
+            frame = epsilon_shift_solve(spec, energy, eps, dim=dim)
+            n = frame.dim
+            root = mp_constants(levels, energy, eps, n)[0]
+            m = (1.0 + 1.0 / n) * (1.0 + eps / math.sqrt(n))
+            assert abs(frame.shift - root) <= _SHIFT_TOL * frame.e_prime / (m - 1.0)
+
+    def test_no_point_is_skipped_where_the_margin_exceeds_the_step(self, epsilon_solves):
+        # at n = 1e15 the solver's tolerance moves c n T^2 by more than a grid
+        # step moves 2 eps sqrt(n)
+        spec, energy = random_spectrum(11, 2000)
+        got = optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID, dim=10**15)
+        assert len(epsilon_solves) == len(DEFAULT_EPSILON_GRID)
+        want = self.exhaustive(_fresh(spec), energy, 2.0, DEFAULT_EPSILON_GRID, 10**15)
+        assert repr(got.to_json()) == want
+
+    def test_default_grid_solves_few_points(self, epsilon_solves):
+        spec, energy = random_spectrum(11, 2000)
+        got = optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
+        assert len(epsilon_solves) <= 5
+        want = self.exhaustive(_fresh(spec), energy, 2.0, DEFAULT_EPSILON_GRID)
+        assert repr(got.to_json()) == want
 
 
 class TestMedianWindow:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mee
-from mee.cli import run
+from mee.cli import build_parser, run
 from mee.io import load_spectrum
 from mee.sampling import RngSpec, default_shell_width, oracle_manifold_sample
 
@@ -1099,3 +1099,27 @@ def test_module_entry_point(spectrum_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["means"]["n"] == 8193
+
+
+def test_runs_in_one_process_match_runs_alone(capsys, small_spectrum_file):
+    # the parser is built once per process and shared by every run in it
+    runs = [
+        ["shift", "--spectrum", small_spectrum_file, "--energy", "x"],
+        ["bounds", "--spectrum", small_spectrum_file, "--energy", "1.5"],
+        ["bounds", "--spectrum", small_spectrum_file, "--energy", "1.5", "--eta", "0.1"],
+        ["means", "--spectrum", small_spectrum_file],
+        ["verify", "--experiment", "moments", "--spectrum", small_spectrum_file,
+         "--energy", "1.5", "--count", "300", "--seed", "3", "--workers", "1"],
+    ]
+    together = []
+    for argv in runs:
+        code = run(argv)
+        captured = capsys.readouterr()
+        together.append((code, captured.out.encode(), captured.err.encode()))
+    assert build_parser() is build_parser()
+    alone = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "mee", *argv], capture_output=True)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in together] == [2, 0, 2, 0, 0]
+    assert together == alone

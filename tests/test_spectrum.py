@@ -77,6 +77,41 @@ class TestSpectrum:
         with pytest.raises(DomainError, match="degeneracies must be whole numbers"):
             Spectrum((1.0, 2.0), (bad, 1))
 
+    @pytest.mark.parametrize("make", [list, np.array, lambda d: tuple(map(np.int64, d))],
+                             ids=["ints", "int64-array", "int64-scalars"])
+    def test_integer_degeneracies_are_python_ints(self, make):
+        s = Spectrum((1.0, 2.0, 3.0), make([4, 1, 2**40]))
+        assert s.degeneracies == (4, 1, 2**40)
+        assert all(type(d) is int for d in s.degeneracies) and type(s.n) is int
+        assert s.n == 2**40 + 5
+        dg = np.array([4.0, 1.0, 2.0**40])
+        assert s._weights_arr.tobytes() == (dg / dg.sum()).tobytes()
+
+    @pytest.mark.parametrize("degs,want", [
+        # past 2**62 / len an int64 sum could wrap: read as Python ints
+        ((2**62, 1, 1), (2**62, 1, 1)),
+        ((2**61, 2**61, 2**61), (2**61, 2**61, 2**61)),
+        (np.array([2**62, 2**62, 2**62]), (2**62, 2**62, 2**62)),
+        ((True, 2, 3), (1, 2, 3)),
+        ((True, True, True), (1, 1, 1)),
+        ((2.0, 1, 1), (2, 1, 1)),
+        ((math.nan, 1, 1), "whole numbers"),
+        ((None, 1, 1), "whole numbers"),
+        ((1, 2), "match levels in length"),
+        (np.array([0, 1, 2]), "positive integers"),
+        ((-2**63, 2, 3), "positive integers"),
+    ])
+    def test_degeneracies_keep_their_results_and_errors(self, degs, want):
+        if isinstance(want, str):
+            with pytest.raises(DomainError, match=f"degeneracies must .*{want}"):
+                Spectrum((1.0, 2.0, 3.0), degs)
+            return
+        s = Spectrum((1.0, 2.0, 3.0), degs)
+        assert s.degeneracies == want and all(type(d) is int for d in s.degeneracies)
+        assert s.n == sum(want) and type(s.n) is int
+        dg = np.asarray(want, dtype=float)
+        assert s._weights_arr.tobytes() == (dg / dg.sum()).tobytes()
+
     def test_json_round_trip(self):
         s = Spectrum((1.0, 2.5), (2, 3))
         assert Spectrum.from_json(s.to_json()) == s

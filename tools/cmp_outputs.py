@@ -31,12 +31,14 @@ spectrum with negative levels and on {1, 2, 3} + 1e6, where the Gaussian
 proposal's shift solve fails, a partial oracle batch, a
 weighted oracle dump large enough for the writer to split it into row parts
 and a Gaussian dump just under that size),
-``bounds`` (``constants.json``, ``tail.csv``), ``canonical.json``, the
+``bounds`` (``constants.json``, ``tail.csv``; also a 50-point grid on {1, 2,
+3} whose best point comes after the first feasible one), ``canonical.json``, the
 error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
 ``verify`` and that of an all-infeasible ``bounds --epsilon-grid``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
 --count 0``.  ``means``, ``shift``,
-``bounds`` (the default grid, an unsorted grid with a repeated value, and
-``--epsilon``) and ``canonical`` also run on larger inputs drawn from a
+``bounds`` (the default grid, an unsorted grid with a repeated value, a
+descending grid, the default grid at ``--dim`` 10^15, where the scan skips no
+point, and ``--epsilon``) and ``canonical`` also run on larger inputs drawn from a
 fixed seed: 20 000 random levels with degeneracies 1-19,
 a bipartite spectrum of integer levels whose combined spectrum collapses
 12 000 sums into a few dozen grouped levels, and a 3 x 30 000 bipartite
@@ -56,7 +58,7 @@ four leave out a flag the run needs (``verify --experiment moments`` without
 without ``--energy`` and ``spins`` without ``--m``).  Four runs check a
 domain error: ``verify --experiment moments --tolerance-sigmas nan`` and
 ``shift --epsilon 2`` at a 401-digit ``--dim``, and two ``bounds`` runs
-without ``--epsilon`` at ``--dim`` 0 and 1.  73 commands and 258 files in
+without ``--epsilon`` at ``--dim`` 0 and 1.  76 commands and 273 files in
 all.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
@@ -259,6 +261,20 @@ def commands() -> dict[str, list[str]]:
     cmds["large-bounds-grid-unsorted"] = ["bounds", *large, "--energy", "3.5",
                                           "--epsilon-grid", "8,0.5,2,2,4,1",
                                           "--out-dir", "out/large-bounds-grid-unsorted"]
+    # the scan skips no point at n = 1e15, where the solver's tolerance
+    # outweighs a grid step
+    cmds["large-bounds-dim-1e15"] = ["bounds", *large, "--energy", "3.5",
+                                     "--dim", "1000000000000000",
+                                     "--out-dir", "out/large-bounds-dim-1e15"]
+    # best at 1.5, after the first feasible point and before the skipped ones
+    cmds["bounds-grid-fine"] = ["bounds", "--spectrum", "in/s60.json", "--energy", "1.8",
+                                "--epsilon-grid", ",".join(f"{0.1 * k:.1f}" for k in range(1, 51)),
+                                "--t-values", "0.6,1.2", "--out-dir", "out/bounds-grid-fine"]
+    # no point lies above an earlier solved one, so none is skipped
+    cmds["large-bounds-grid-descending"] = ["bounds", *large, "--energy", "3.5",
+                                            "--epsilon-grid",
+                                            ",".join(str(0.5 * k) for k in range(16, 0, -1)),
+                                            "--out-dir", "out/large-bounds-grid-descending"]
     cmds["bip-int-canonical"] = ["canonical", "--bipartite", "in/bip-int.json",
                                  "--energy", "15", "--epsilon", "2",
                                  "--out-dir", "out/bip-int-canonical"]
