@@ -18,12 +18,9 @@ from .canonical import BipartiteSpectrum, DensityMatrix, delta_deviation, rho_c_
 from .errors import DomainError
 from .sampling import (
     RngSpec,
-    _block_rows,
-    _chunk_task,
+    _chunk_stream,
     _gaussian_draw,
     _map_ordered,
-    _row_norms,
-    chunk_layout,
     oracle_manifold_sample,
 )
 from .spectrum import EnergyFrame, Spectrum, _dot, harmonic_frame
@@ -196,14 +193,12 @@ def _gaussian_stream(
     drawn and reduced in row blocks of its chunks on ``workers`` threads;
     ``reduce`` must not keep a view of its argument.  With ``finish``, each
     array is instead that of ``finish(*arrays)`` of each chunk's arrays,
-    concatenated in chunk order (see :func:`_chunk_task`)."""
+    concatenated in chunk order (see :func:`_chunk_stream`)."""
     draw = _gaussian_draw(frame)
     if count < 1:
         raise DomainError("cannot estimate from an empty sample")
-    layout = chunk_layout(count, frame.dim)
-    rows = _block_rows(frame.dim, layout[0])
-    task = _chunk_task(rng, draw, reduce, rows, frame.dim, finish)
-    results = list(_map_ordered(task, enumerate(layout), workers))
+    task, items = _chunk_stream(rng, draw, reduce, count, frame.dim, finish)
+    results = list(_map_ordered(task, items, workers))
     return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
@@ -213,7 +208,7 @@ def _gaussian_stream(
 
 def _reduced_states(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Reduced state psi^A of each normalized state of a (count, dim_a*dim_b) block."""
-    psi = psi / _row_norms(psi)[:, None]
+    psi = psi / np.linalg.norm(psi, axis=1)[:, None]
     psi = psi.reshape(-1, dim_a, dim_b)
     return np.einsum("mak,mbk->mab", psi, psi.conj())
 
@@ -330,7 +325,7 @@ def _tail_curve(
 def _first_coordinate(states: np.ndarray) -> tuple[np.ndarray]:
     """Re(psi_1) of each state after normalization, without a normalized copy
     of the batch."""
-    return ((states[:, 0] / _row_norms(states)).real,)
+    return ((states[:, 0] / np.linalg.norm(states, axis=1)).real,)
 
 
 def tail_report(

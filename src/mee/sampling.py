@@ -39,8 +39,8 @@ __all__ = [
 # Scalars (real normal variates) per generation chunk; the layout depends
 # only on this constant, count and n, never on worker count.
 _CHUNK_SCALARS = 1 << 22
-# Real scalars per row block (1 MB of float64): streams draw and reduce each
-# chunk in blocks of about this size, and _row_norms normalizes in them.
+# Real scalars per row block (1 MB of float64): streams and materialized
+# batches draw each chunk in blocks of about this size.
 _NORM_BLOCK_SCALARS = 1 << 17
 
 
@@ -171,25 +171,28 @@ def _block_rows(n: int, chunk_rows: int) -> int:
     return min(max(_NORM_BLOCK_SCALARS // (2 * n), 1), chunk_rows)
 
 
-def _chunk_task(rng: RngSpec, draw: Callable, reduce: Callable, rows: int, n: int,
-                finish: Callable | None = None) -> Callable:
-    """The :func:`_map_ordered` task ``(chunk, size) -> tuple of arrays`` of
-    every chunk stream.
+def _chunk_stream(rng: RngSpec, draw: Callable, reduce: Callable, count: int, n: int,
+                  finish: Callable | None = None) -> tuple[Callable, list[tuple[int, int]]]:
+    """The chunk stream of ``count`` states in C^n: a :func:`_map_ordered`
+    task ``(chunk, size) -> tuple of arrays`` and its items, the
+    ``(chunk, size)`` pairs of ``chunk_layout(count, n)``.
 
     Chunk ``chunk`` comes from one ``rng.generator(chunk)``, drawn and reduced
-    in blocks of ``rows`` states (the last block of a chunk may be shorter):
-    ``draw(gen, out)`` fills a float64 ``(rows, n, 2)`` block ``out`` with the
-    generator's next normals, as :func:`_complex_normals` does, and returns
-    the block's states; ``reduce(states)`` returns a tuple of arrays with one
-    leading row per state (of the states it keeps, for the shell oracle), and
-    must not keep a view of ``states``.  Each array is concatenated over the
-    chunk's blocks, and the task returns ``finish(*arrays)``, or the arrays
-    without ``finish``: the step that must see the whole chunk at once, run
-    in the worker so that no more than a chunk's reductions are held per
-    item.  Consecutive blocks continue one generator, so the states are
-    those of a whole-chunk draw bit for bit.  Each thread reuses one block
-    buffer while the task lives.
+    in blocks of :func:`_block_rows` states (the last block of a chunk may be
+    shorter): ``draw(gen, out)`` fills a float64 ``(rows, n, 2)`` block
+    ``out`` with the generator's next normals, as :func:`_complex_normals`
+    does, and returns the block's states; ``reduce(states)`` returns a tuple
+    of arrays with one leading row per state (of the states it keeps, for
+    the shell oracle), and must not keep a view of ``states``.  Each array is
+    concatenated over the chunk's blocks, and the task returns
+    ``finish(*arrays)``, or the arrays without ``finish``: the step that must
+    see the whole chunk at once, run in the worker so that no more than a
+    chunk's reductions are held per item.  Consecutive blocks continue one
+    generator, so the states are those of a whole-chunk draw bit for bit.
+    Each thread reuses one block buffer while the task lives.
     """
+    items = list(enumerate(chunk_layout(count, n)))
+    rows = _block_rows(n, items[0][1]) if items else 1
     local = threading.local()
 
     def task(item: tuple[int, int]) -> tuple[np.ndarray, ...]:
@@ -202,28 +205,23 @@ def _chunk_task(rng: RngSpec, draw: Callable, reduce: Callable, rows: int, n: in
         arrays = tuple(np.concatenate(arrays) for arrays in zip(*parts))
         return arrays if finish is None else finish(*arrays)
 
-    return task
+    return task, items
 
 
 def _draw_batch(rng: RngSpec, draw: Callable, count: int, n: int) -> np.ndarray:
     """The (count, n) batch, each chunk of the layout drawn into its own rows
-    by ``draw(rng.generator(chunk), rows)`` (see :func:`_chunk_task`)."""
+    in blocks of :func:`_block_rows` states by ``draw(rng.generator(chunk),
+    block)`` (see :func:`_chunk_stream`)."""
     states = np.empty((count, n), dtype=complex)
     rows = states.view(np.float64).reshape(count, n, 2)
-    for chunk, size in enumerate(chunk_layout(count, n)):
-        draw(rng.generator(chunk), rows[:size])
+    layout = chunk_layout(count, n)
+    block = _block_rows(n, layout[0]) if layout else 1
+    for chunk, size in enumerate(layout):
+        gen = rng.generator(chunk)
+        for lo in range(0, size, block):
+            draw(gen, rows[lo : min(lo + block, size)])
         rows = rows[size:]
     return states
-
-
-def _row_norms(states: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(states, axis=1)`` bit for bit, over row blocks, so its
-    two complex temporaries are block-sized instead of chunk-sized."""
-    rows = _block_rows(states.shape[1], max(states.shape[0], 1))
-    norms = np.empty(states.shape[0])
-    for lo in range(0, states.shape[0], rows):
-        norms[lo : lo + rows] = np.linalg.norm(states[lo : lo + rows], axis=1)
-    return norms
 
 
 def default_shell_width(spectrum: Spectrum) -> float:
@@ -295,7 +293,7 @@ def sample_sphere(n: int, count: int, rng: RngSpec) -> SampleBatch:
 
     def draw(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
         psi = _complex_normals(gen, out)
-        psi /= _row_norms(psi)[:, None]
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
         return psi
 
     return SampleBatch(
@@ -332,17 +330,17 @@ def gradient_norm(spectrum: Spectrum, state: np.ndarray) -> float:
 
 
 class _ShellScreen:
-    """The shell oracle's test of one row block of raw normals ``z`` (a
+    """The shell oracle's exact test of one row block of raw normals ``z`` (a
     complex ``(rows, n)`` view, as :func:`_complex_normals` draws it): the
-    proposals whose exact energy lies in the shell, as unit states, and
-    their log-weights.
+    proposals whose energy lies in the shell, as unit states, and their
+    log-weights.
 
-    The proposals are sigma * z, with sigma the Gaussian proposal's
-    :func:`_gaussian_sigmas` (``frame``) or 1 for the uniform one.  A cheap
-    screen on z picks the candidate rows; only those are scaled and given the
-    exact test.  Every reduction sums each row on its own in a fixed order,
-    so a row gets the same bits in a block of any size and among any other
-    candidates: the result is that of the exact test of every row.
+    The proposals are sigma * z, scaled in place, with sigma the Gaussian
+    proposal's :func:`_gaussian_sigmas` (``frame``) or 1 for the uniform one.
+    Every row of the block gets |psi|^2, its row sum and its energy; every
+    reduction sums each row on its own in a fixed order, so a row gets the
+    same bits in a block of any size: the result is that of the exact test
+    of every whole chunk.
     """
 
     def __init__(self, levels: np.ndarray, energy: float, eta: float,
@@ -353,36 +351,16 @@ class _ShellScreen:
         self.eta = eta
         self.frame = frame
         self.sig = None if frame is None else _gaussian_sigmas(frame)
-        w = np.ones(levels.size) if self.sig is None else self.sig * self.sig
-        # one entry per real scalar of a state (Re, Im): w_k and w_k E_k
-        self.w0 = np.repeat(w, 2)
-        self.w1 = np.repeat(w * levels, 2)
-        # Rounding bound, with u = eps/2, L = max|E_k| and a_k = w_k |z_k|^2
-        # exactly, so that a row's energy is e = sum E_k a_k / sum a_k, |e| <= L.
-        # The screen's 2n terms carry up to 3 (m0) or 4 (m1) roundings and its
-        # dot products 2n more; m0's terms are nonnegative and m1's error is
-        # at most that of sum |E_k| a_k <= L sum a_k, so m1/m0 is within
-        # (4n + 8)uL of e.  The exact test's |sigma z_k|^2 carry a few
-        # roundings and its row sum and dot product n each, so its energy is
-        # within about (2n + 12)uL of e.  The two differ by at most
-        # (6n + 20)uL, less than this slack of 16(n + 2)uL at every n, so no
-        # row the exact test accepts is screened out.
-        self.slack = 8.0 * (levels.size + 2) * np.finfo(float).eps * float(np.max(np.abs(levels)))
-
-    def approx_energies(self, z: np.ndarray) -> np.ndarray:
-        """m1/m0 of every row of ``z``, with m0 = sum w_k |z_k|^2 and
-        m1 = sum w_k E_k |z_k|^2 (w = sigma^2)."""
-        sq = np.square(z.view(np.float64))
-        return _dot(sq, self.w1) / _dot(sq, self.w0)
 
     def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        near = np.abs(self.approx_energies(z) - self.energy) < self.eta + self.slack
-        raw = z[near]
+        raw = z
         if self.sig is not None:
             raw *= self.sig
-        p = np.abs(raw) ** 2
+        p = np.abs(raw)
+        p *= p
         nrm2 = p.sum(axis=1)
-        e1 = _dot(p, self.levels) / nrm2
+        e1 = _dot(p, self.levels)
+        e1 /= nrm2
         # normalize and weight only the rows in the shell
         mask = np.abs(e1 - self.energy) < self.eta
         raw, p, e1, nrm2 = raw[mask], p[mask], e1[mask], nrm2[mask]
@@ -423,22 +401,18 @@ def oracle_manifold_sample(
 
     ``eta=None`` means :func:`default_shell_width` and ``max_draws=None``
     means ``200 * count``.  Proposal chunks of ``chunk_layout(max_draws, n)``
-    are drawn and screened on ``workers`` threads (default: the CPUs
+    are drawn and tested on ``workers`` threads (default: the CPUs
     available) and taken in layout order until ``count`` states are accepted;
     chunks drawn ahead of that point are discarded, so the batch does not
     depend on ``workers``.
 
-    Each chunk is drawn by :func:`_chunk_task`, in row blocks of about 1 MB
-    of normals, and each block is screened in two stages.  Straight from the
-    unscaled normals z, two sums per row give m0 = sum w_k |z_k|^2 and
-    m1 = sum w_k E_k |z_k|^2 (w = sigma^2 of the Gaussian proposal, 1 for
-    the uniform one); rows with |m1/m0 - E| < eta + slack are candidates,
-    where the slack 8 (n + 2) eps max|E_k| exceeds the worst-case rounding
-    gap between m1/m0 and the exact energy.  Only the candidates are scaled
-    and get the exact |psi|^2, row sums and energies, and the rows in the
-    shell are normalized and weighted.  No array the size of a chunk is made,
-    and as each row is reduced on its own in a fixed order, the states and
-    weights are those of the exact test of every whole chunk, bit for bit.
+    Each chunk is drawn by :func:`_chunk_stream`, in row blocks of about 1 MB
+    of normals, and every block gets the exact test: its rows are scaled to
+    proposals, their |psi|^2, row sums and energies are formed, and the rows
+    in the shell are normalized and weighted.  No array the size of a chunk
+    is made, and as each row is reduced on its own in a fixed order, the
+    states and weights are those of the exact test of every whole chunk, bit
+    for bit.
     """
     if eta is None:
         eta = default_shell_width(spectrum)
@@ -461,17 +435,15 @@ def oracle_manifold_sample(
 
     n = spectrum.n
     frame = harmonic_frame(spectrum, energy) if proposal == "gaussian" else None
-    layout = chunk_layout(max_draws, n)
-    rows = _block_rows(n, layout[0])
     screen = _ShellScreen(spectrum.expand(), energy, eta, frame)
-    task = _chunk_task(rng, _complex_normals, screen, rows, n)
+    task, items = _chunk_stream(rng, _complex_normals, screen, max_draws, n)
 
     accepted: list[np.ndarray] = []
     logw: list[np.ndarray] = []
     n_accepted = 0
     n_drawn = 0
-    with closing(_map_ordered(task, enumerate(layout), workers)) as stream:
-        for size, (psi_acc, lw) in zip(layout, stream):
+    with closing(_map_ordered(task, items, workers)) as stream:
+        for (_, size), (psi_acc, lw) in zip(items, stream):
             n_drawn += size
             accepted.append(psi_acc)
             logw.append(lw)

@@ -6,9 +6,9 @@ parametrization for three-level manifold moments, and closed forms where
 two-level algebra permits.  The ``grouped_calls`` fixture counts how often
 the library groups a level list, and ``epsilon_solves`` how often it solves
 the epsilon shift.  ``record_level_sums`` logs the shift solver's level-sum
-memo of one spectrum.  ``ReferenceShellScreen`` is the shell oracle's
-one-stage screen of a whole chunk, which the two-stage screen must match bit
-for bit.
+memo of one spectrum.  ``ReferenceShellScreen`` is the shell oracle's exact
+test of a whole chunk, which the oracle's test of each row block must match
+bit for bit.
 """
 from __future__ import annotations
 
@@ -127,7 +127,7 @@ def bisect_shift(levels, weights, energy, multiplier=1.0, iters=200):
 
 class ReferenceShellScreen:
     """Drop-in for ``mee.sampling._ShellScreen``: the exact test on every row
-    of a block, with no cheap pre-screen.  It scales the whole block of raw
+    of a block, written independently.  It scales the whole block of raw
     normals, takes |psi|^2, row sums and energies of all rows, keeps those
     within ``eta`` of ``energy``, and normalizes and weights them.  With the
     block budget ``mee.sampling._NORM_BLOCK_SCALARS`` at least a chunk, each

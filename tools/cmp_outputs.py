@@ -23,12 +23,13 @@ warning class and message still do.
 
 The list covers the ``verify`` reports of every experiment at ``--workers``
 1, 2 and the default (plus the tail ``curve.csv``), a moments report at
-``--workers`` 1 and 2 whose last chunk is 517 states, the ``spins`` alias, the
-``sample`` CSV and record in every mode (Gaussian and sphere over three
-chunks with a short last one, both oracle proposals with an explicit and
-with the default ``--eta`` and ``--max-draws``, both oracle proposals on a
-spectrum with negative levels and on {1, 2, 3} + 1e6, where the Gaussian
-proposal's shift solve fails, a partial oracle batch, a
+``--workers`` 1 and 2 whose last chunk is 517 states, a spins report at
+m = 10 (n = 1024, where the shell oracle tests blocks of 64 rows), the
+``spins`` alias, the ``sample`` CSV and record in every mode (Gaussian and
+sphere over three chunks with a short last one, both oracle proposals with
+an explicit and with the default ``--eta`` and ``--max-draws``, both oracle
+proposals on a spectrum with negative levels and on {1, 2, 3} + 1e6, where
+the Gaussian proposal's shift solve fails, a partial oracle batch, a
 weighted oracle dump large enough for the writer to split it into row parts
 and a Gaussian dump just under that size),
 ``bounds`` (``constants.json``, ``tail.csv``; also a 50-point grid on {1, 2,
@@ -58,7 +59,7 @@ four leave out a flag the run needs (``verify --experiment moments`` without
 without ``--energy`` and ``spins`` without ``--m``).  Four runs check a
 domain error: ``verify --experiment moments --tolerance-sigmas nan`` and
 ``shift --epsilon 2`` at a 401-digit ``--dim``, and two ``bounds`` runs
-without ``--epsilon`` at ``--dim`` 0 and 1.  76 commands and 273 files in
+without ``--epsilon`` at ``--dim`` 0 and 1.  77 commands and 277 files in
 all.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
@@ -166,6 +167,10 @@ def commands() -> dict[str, list[str]]:
     ]
     cmds["spins"] = ["spins", "--m", "6", "--alpha", "0.3", "--gamma", "0.4",
                      "--count", "200", "--seed", "3", "--out-dir", "out/spins"]
+    # the spins-m10 benchmark workload's shape: n = 1024, oracle blocks of 64 rows
+    cmds["verify-spins-m10"] = ["verify", "--experiment", "spins", "--m", "10", "--alpha", "0.3",
+                                "--gamma", "0.4", "--count", "40", "--seed", "7",
+                                "--out-dir", "out/verify-spins-m10"]
     samples = {
         "gaussian": ["--spectrum", "in/s900.json", "--energy", "1.5", "--count", "4661"],
         "sphere": ["--spectrum", "in/s900.json", "--count", "4661"],
