@@ -376,7 +376,8 @@ def tail_report(
 
 def _moment_chunk(psi: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-state ||psi||^2 and <psi|H'|psi> of a block of states."""
-    p = np.abs(psi) ** 2
+    p = np.abs(psi)
+    p *= p
     return p.sum(axis=1), _dot(p, levels)
 
 

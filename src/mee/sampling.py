@@ -230,32 +230,30 @@ def default_shell_width(spectrum: Spectrum) -> float:
     return 0.02 * (spectrum.e_max - spectrum.e_min) / math.sqrt(spectrum.n)
 
 
-def _gaussian_sigmas(frame: EnergyFrame) -> np.ndarray:
-    """Per-component standard deviation sqrt(E'/(2 n E'_k)) for Re and Im parts."""
-    return np.sqrt(frame.e_prime / (2.0 * frame.dim * frame.expanded_levels))
-
-
 def _complex_normals(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill a float64 (rows, n, 2) ``out`` with the next normals of ``gen``:
     interleaved (re, im), returned as a complex (rows, n) view."""
     return gen.standard_normal(out=out).view(np.complex128)[..., 0]
 
 
-def gaussian_chunk(frame: EnergyFrame, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+def gaussian_chunk(scale: np.ndarray, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """States of one block of a chunk: Re and Im of each component drawn
-    independently with density proportional to exp(-n E'_k x^2 / E').
+    independently with density proportional to exp(-n E'_k x^2 / E'), as
+    normals times ``scale``, the (n, 2) sigmas sqrt(E'/(2 n E'_k)) of
+    :func:`_gaussian_draw`.
 
     ``gen`` is the chunk's generator, and successive calls draw successive
     rows of the chunk.  The states are a view into ``out`` (see
     :func:`_complex_normals`), valid until its rows are filled again.
     """
     psi = _complex_normals(gen, out)
-    psi *= _gaussian_sigmas(frame)
+    out *= scale
     return psi
 
 
 def _gaussian_draw(frame: EnergyFrame) -> Callable:
-    """``draw(gen, out)`` of the Gaussian ensemble over ``frame``."""
+    """``draw(gen, out)`` of the Gaussian ensemble over ``frame``: every
+    Gaussian state and proposal is drawn by :func:`gaussian_chunk`."""
     if frame.dim != frame.base.n:
         raise DomainError("gaussian sampling needs a frame over the full expanded spectrum")
     if not frame.is_harmonic():
@@ -263,7 +261,9 @@ def _gaussian_draw(frame: EnergyFrame) -> Callable:
             "gaussian sampling requires the pure harmonic shift "
             f"(E'_H = {frame.e_prime_harm}, E' = {frame.e_prime})"
         )
-    return lambda gen, out: gaussian_chunk(frame, gen, out)
+    sig = np.sqrt(frame.e_prime / (2.0 * frame.dim * frame.expanded_levels))
+    scale = np.repeat(sig, 2).reshape(-1, 2)
+    return lambda gen, out: gaussian_chunk(scale, gen, out)
 
 
 def sample_gaussian_ensemble(frame: EnergyFrame, count: int, rng: RngSpec) -> SampleBatch:
@@ -330,32 +330,25 @@ def gradient_norm(spectrum: Spectrum, state: np.ndarray) -> float:
 
 
 class _ShellScreen:
-    """The shell oracle's exact test of one row block of raw normals ``z`` (a
-    complex ``(rows, n)`` view, as :func:`_complex_normals` draws it): the
-    proposals whose energy lies in the shell, as unit states, and their
-    log-weights.
+    """The shell oracle's exact test of one row block of proposals (a complex
+    ``(rows, n)`` view, as the oracle's draw returns it): the proposals whose
+    energy lies in the shell, as unit states, and their log-weights, plus
+    n log(e1 + shift) for the Gaussian proposal (``shift`` None: uniform).
 
-    The proposals are sigma * z, scaled in place, with sigma the Gaussian
-    proposal's :func:`_gaussian_sigmas` (``frame``) or 1 for the uniform one.
     Every row of the block gets |psi|^2, its row sum and its energy; every
     reduction sums each row on its own in a fixed order, so a row gets the
     same bits in a block of any size: the result is that of the exact test
     of every whole chunk.
     """
 
-    def __init__(self, levels: np.ndarray, energy: float, eta: float,
-                 frame: EnergyFrame | None):
+    def __init__(self, levels: np.ndarray, energy: float, eta: float, shift: float | None):
         self.levels = levels
         self.levels_sq = levels ** 2
         self.energy = energy
         self.eta = eta
-        self.frame = frame
-        self.sig = None if frame is None else _gaussian_sigmas(frame)
+        self.shift = shift
 
-    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raw = z
-        if self.sig is not None:
-            raw *= self.sig
+    def __call__(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = np.abs(raw)
         p *= p
         nrm2 = p.sum(axis=1)
@@ -369,8 +362,8 @@ class _ShellScreen:
         keep = grad > 0.0
         psi_acc = raw[keep] / np.sqrt(nrm2[keep, None])
         lw = np.log(grad[keep])
-        if self.frame is not None:
-            lw = lw + self.levels.size * np.log(e1[keep] + self.frame.shift)
+        if self.shift is not None:
+            lw = lw + self.levels.size * np.log(e1[keep] + self.shift)
         return psi_acc, lw
 
 
@@ -406,13 +399,14 @@ def oracle_manifold_sample(
     chunks drawn ahead of that point are discarded, so the batch does not
     depend on ``workers``.
 
-    Each chunk is drawn by :func:`_chunk_stream`, in row blocks of about 1 MB
-    of normals, and every block gets the exact test: its rows are scaled to
-    proposals, their |psi|^2, row sums and energies are formed, and the rows
-    in the shell are normalized and weighted.  No array the size of a chunk
-    is made, and as each row is reduced on its own in a fixed order, the
-    states and weights are those of the exact test of every whole chunk, bit
-    for bit.
+    Each chunk is drawn by :func:`_chunk_stream` with the sampler's own draw
+    (:func:`_gaussian_draw`, or raw :func:`_complex_normals` for the sphere),
+    in row blocks of about 1 MB of normals, and every block gets the exact
+    test: the proposals' |psi|^2, row sums and energies are formed, and the
+    rows in the shell are normalized and weighted.  No array the size of a
+    chunk is made, and as each row is reduced on its own in a fixed order,
+    the states and weights are those of the exact test of every whole chunk,
+    bit for bit.
     """
     if eta is None:
         eta = default_shell_width(spectrum)
@@ -433,10 +427,11 @@ def oracle_manifold_sample(
     if proposal not in ("uniform", "gaussian"):
         raise DomainError(f"unknown proposal {proposal!r}")
 
-    n = spectrum.n
     frame = harmonic_frame(spectrum, energy) if proposal == "gaussian" else None
-    screen = _ShellScreen(spectrum.expand(), energy, eta, frame)
-    task, items = _chunk_stream(rng, _complex_normals, screen, max_draws, n)
+    shift = None if frame is None else frame.shift
+    draw = _complex_normals if frame is None else _gaussian_draw(frame)
+    screen = _ShellScreen(spectrum.expand(), energy, eta, shift)
+    task, items = _chunk_stream(rng, draw, screen, max_draws, spectrum.n)
 
     accepted: list[np.ndarray] = []
     logw: list[np.ndarray] = []

@@ -127,21 +127,21 @@ def bisect_shift(levels, weights, energy, multiplier=1.0, iters=200):
 
 class ReferenceShellScreen:
     """Drop-in for ``mee.sampling._ShellScreen``: the exact test on every row
-    of a block, written independently.  It scales the whole block of raw
-    normals, takes |psi|^2, row sums and energies of all rows, keeps those
-    within ``eta`` of ``energy``, and normalizes and weights them.  With the
-    block budget ``mee.sampling._NORM_BLOCK_SCALARS`` at least a chunk, each
-    block is a whole chunk and this is the exact test of every chunk.  Its
-    sums over levels are those of production, ``mee.spectrum._dot``, so that
-    the two can be compared bit for bit."""
+    of a block of proposals, written independently.  It takes |psi|^2, row
+    sums and energies of all rows, keeps those within ``eta`` of ``energy``,
+    and normalizes and weights them, adding n log(e1 + shift) to the
+    log-weights of the Gaussian proposal (``shift`` not None).  Like the
+    production screen it only tests: the oracle's draw makes the proposals.
+    With the block budget ``mee.sampling._NORM_BLOCK_SCALARS`` at least a
+    chunk, each block is a whole chunk and this is the exact test of every
+    chunk.  Its sums over levels are those of production,
+    ``mee.spectrum._dot``, so that the two can be compared bit for bit."""
 
-    def __init__(self, levels, energy, eta, frame):
-        self.levels, self.energy, self.eta, self.frame = levels, energy, eta, frame
+    def __init__(self, levels, energy, eta, shift):
+        self.levels, self.energy, self.eta, self.shift = levels, energy, eta, shift
 
     def __call__(self, raw):
-        levels, energy, frame = self.levels, self.energy, self.frame
-        if frame is not None:
-            raw *= np.sqrt(frame.e_prime / (2.0 * frame.dim * frame.expanded_levels))
+        levels, energy, shift = self.levels, self.energy, self.shift
         p = np.abs(raw) ** 2
         nrm2 = p.sum(axis=1)
         e1 = _dot(p, levels) / nrm2
@@ -154,8 +154,8 @@ class ReferenceShellScreen:
         keep = grad > 0.0
         psi_acc = raw[mask][keep] / np.sqrt(nrm2[keep, None])
         lw = np.log(grad[keep])
-        if frame is not None:
-            lw = lw + levels.size * np.log(e1[keep] + frame.shift)
+        if shift is not None:
+            lw = lw + levels.size * np.log(e1[keep] + shift)
         return psi_acc, lw
 
 

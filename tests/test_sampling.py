@@ -37,6 +37,7 @@ from mee.experiments import (
 from mee.sampling import (
     _chunk_stream,
     _complex_normals,
+    _gaussian_draw,
     _map_ordered,
     chunk_layout,
     gaussian_chunk,
@@ -163,15 +164,16 @@ class TestDrawBuffers:
         layout = chunk_layout(2500, frame.dim)
         assert len(layout) == 3 and layout[-1] < layout[0]
         buf = np.empty((layout[0], frame.dim, 2))
+        draw = _gaussian_draw(frame)
         for i, size in enumerate(layout):
-            fresh = gaussian_chunk(frame, rng.generator(i), np.empty((size, frame.dim, 2)))
-            into = gaussian_chunk(frame, rng.generator(i), buf[:size])
+            fresh = draw(rng.generator(i), np.empty((size, frame.dim, 2)))
+            into = draw(rng.generator(i), buf[:size])
             assert np.shares_memory(into, buf)
             assert into.shape == fresh.shape
             assert into.tobytes() == fresh.tobytes()
             # successive blocks of one generator continue the chunk's draw
             gen = rng.generator(i)
-            blocks = [gaussian_chunk(frame, gen, buf[:rows]).copy() for rows in (48, 5, size - 53)]
+            blocks = [draw(gen, buf[:rows]).copy() for rows in (48, 5, size - 53)]
             assert np.concatenate(blocks).tobytes() == fresh.tobytes()
             raw = _complex_normals(rng.generator(i), buf[:size])
             alone = _complex_normals(rng.generator(i), np.empty((size, frame.dim, 2)))
@@ -240,9 +242,9 @@ class TestRowBlocks:
         n = 900 if experiment == "reduced-dm" else 1024
         rows = []
 
-        def spy(frame, gen, out):
+        def spy(scale, gen, out):
             rows.append(out.shape[0])
-            return gaussian_chunk(frame, gen, out)
+            return gaussian_chunk(scale, gen, out)
 
         monkeypatch.setattr(sampling_mod, "gaussian_chunk", spy)
         blocked = self._run(experiment, workers)
@@ -674,6 +676,38 @@ class TestOracleWorkers:
                 self._draws(monkeypatch, workers=workers, **kwargs)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+
+    def test_gaussian_proposals_are_drawn_by_gaussian_chunk(self, monkeypatch):
+        """Every Gaussian proposal block comes from ``gaussian_chunk``: the
+        blocks' rows add up to the draws the oracle reports, and they are each
+        chunk's normals times sigma_k = sqrt(E'/(2 n E'_k)).  The uniform
+        proposal never calls it."""
+        blocks = []
+
+        def spy(scale, gen, out):
+            psi = gaussian_chunk(scale, gen, out)
+            blocks.append(psi.copy())
+            return psi
+
+        monkeypatch.setattr(sampling_mod, "gaussian_chunk", spy)
+        n = self.SPEC.n
+        rng = RngSpec(seed=31)
+        max_draws = chunk_layout(10**9, n)[0] + 100
+        with pytest.warns(LowAcceptanceWarning, match=f" in {max_draws} draws "):
+            oracle_manifold_sample(self.SPEC, 1.8, 0.02, 10**6, max_draws, rng,
+                                   proposal="gaussian", workers=1)
+        assert len(blocks) > 2
+        assert sum(b.shape[0] for b in blocks) == max_draws
+        frame = harmonic_frame(self.SPEC, 1.8)
+        sig = np.sqrt(frame.e_prime / (2.0 * n * frame.expanded_levels))
+        want = [
+            GENERATOR(rng, i).standard_normal((size, n, 2)).view(np.complex128)[..., 0] * sig
+            for i, size in enumerate(chunk_layout(max_draws, n))
+        ]
+        assert np.concatenate(blocks).tobytes() == np.concatenate(want).tobytes()
+        blocks.clear()
+        oracle_manifold_sample(self.SPEC, 1.8, 0.02, 100, None, rng, workers=1)
+        assert blocks == []
 
 
 SPEC60 = Spectrum((1.0, 2.0, 3.0), (20, 20, 20))  # oracle chunks of 34952 proposals
