@@ -14,12 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, NumericalError
 from .spectrum import (
     _SHIFT_TOL,
     EnergyFrame,
     Spectrum,
+    _arith_mean,
     _checked_dim,
+    _multiplier,
     _require_finite_energy,
     compute_means,
     epsilon_shift_solve,
@@ -103,13 +105,12 @@ def check_energy_window(spectrum: Spectrum, energy: float, dim: int | None = Non
     n = _checked_dim(spectrum, dim)
     if n < 2:
         raise DomainError("the energy window test needs dimension n >= 2")
-    means = compute_means(spectrum)
     margin = (
-        means.e_arith
-        - math.pi * (means.e_max - means.e_min) / math.sqrt(2.0 * (n - 1))
+        _arith_mean(spectrum)
+        - math.pi * (spectrum.e_max - spectrum.e_min) / math.sqrt(2.0 * (n - 1))
         - energy
     )
-    return WindowCheck(ok=(margin >= 0.0 and energy > means.e_min), margin=margin)
+    return WindowCheck(ok=(margin >= 0.0 and energy > spectrum.e_min), margin=margin)
 
 
 def flip_for_high_energy(spectrum: Spectrum, energy: float) -> tuple[Spectrum, float]:
@@ -144,15 +145,15 @@ def constants_for(
     """
     frame = epsilon_shift_solve(spectrum, energy, epsilon, dim=dim)
     min_eps = frame.e_prime / frame.e_prime_quad  # the ratio E'/E'_Q
-    denom = 1.0 - (min_eps / epsilon) ** 2
-    if denom <= 0.0:
+    ratio = min_eps / epsilon
+    if ratio >= 1.0:  # exactly where 1 - ratio^2 <= 0, whose square may overflow
         raise InfeasibleError(
             f"epsilon {epsilon} is too small: constant a requires epsilon > {min_eps}",
             epsilon=epsilon,
             min_feasible_epsilon=min_eps,
             shift=frame.shift,
         )
-    a = 3040.0 * frame.e_prime_max ** 2 / (frame.e_prime ** 2 * denom)
+    a = 3040.0 * frame.e_prime_max ** 2 / (frame.e_prime ** 2 * (1.0 - ratio ** 2))
     return ConcentrationConstants(frame=frame, epsilon=epsilon, a=a, c=_tail_constant(frame))
 
 
@@ -198,7 +199,7 @@ def _log_floor(cand: ConcentrationConstants, t: float, eps: float) -> float:
     margin is |G'(s)| 2 delta plus 64 ulp of the terms' magnitudes.
     """
     frame, n = cand.frame, cand.n
-    m = (1.0 + 1.0 / n) * (1.0 + cand.epsilon / math.sqrt(n))
+    m = _multiplier(cand.epsilon, n)
     if eps < cand.epsilon or frame.energy > frame.base.e_max or m <= 1.0:
         return -math.inf
     ntt = n * (t - 1.0 / (4.0 * n)) ** 2
@@ -208,6 +209,12 @@ def _log_floor(cand: ConcentrationConstants, t: float, eps: float) -> float:
     slope = 2.0 * (frame.base.e_max - frame.energy) / frame.e_prime_max + (3 / 32 - cand.c) * ntt
     margin = slope * 4.0 * _SHIFT_TOL / (m - 1.0) + 64.0 * math.ulp(sum(map(abs, terms)))
     return sum(terms) - margin
+
+
+def _infeasible_by_means(eps: float, n: int) -> bool:
+    """Whether eps <= m (1 - 1e-9) at n, a point that :func:`optimize_epsilon`
+    shows infeasible without a solve."""
+    return eps <= _multiplier(eps, n) * (1.0 - 1e-9)
 
 
 def optimize_epsilon(
@@ -224,31 +231,62 @@ def optimize_epsilon(
     an all-infeasible grid raises with a per-point report.  Every solve shares
     the level sums memoised on ``spectrum``.  A point that cannot win, by the
     last feasible solve's :func:`_log_floor`, is not solved.
+
+    Nor, unless no point is feasible, is a point with eps <= m (1 - 1e-9),
+    m = (1 + 1/n)(1 + eps/sqrt(n)): it is infeasible, as is every eps <= 1 on
+    any spectrum.  The solver stops at |m E'_H - E'| <= tol E', so E'/E'_H >=
+    m/(1 + tol), and E'_Q <= E'_H (power means), so E'/E'_Q >= m/(1 + tol)
+    > eps.  The stopping test and the constants see the same rounded E' and
+    E'_k, so the margin need only cover tol = 1e-12 and the rounding of the
+    level sums.  Such points are solved, in grid order, only to report an
+    all-infeasible grid, or before a later point's NumericalError is raised,
+    so that the error raised is the first in grid order.  The result and the
+    errors are those of solving every point, except that a passed-over point
+    whose solve would not converge no longer stops a scan with a feasible
+    point.
     """
     if len(grid) == 0:
         raise DomainError("epsilon grid must be nonempty")
     _require_finite_energy(energy)  # these two would fail every grid point alike
-    _checked_dim(spectrum, dim)
+    n = _checked_dim(spectrum, dim)
+    points = list(map(float, grid))
+    messages: list[str | None] = [None] * len(points)  # why each failing solve failed
+    passed: list[int] = []  # indices of the points shown infeasible, not yet solved
+
+    def solve(i: int) -> ConcentrationConstants | None:
+        try:
+            return constants_for(spectrum, energy, points[i], dim=dim)
+        except (InfeasibleError, DomainError) as exc:
+            messages[i] = str(exc)
+            return None
+
     best: ConcentrationConstants | None = None
     best_log = math.inf
     last: ConcentrationConstants | None = None  # the last feasible solve
-    failures: dict[float, str] = {}
-    for eps in map(float, grid):
+    for i, eps in enumerate(points):
+        if _infeasible_by_means(eps, n):
+            passed.append(i)
+            continue
         if last is not None and _log_floor(last, t, eps) > best_log:
             continue
         try:
-            cand = constants_for(spectrum, energy, eps, dim=dim)
-        except (InfeasibleError, DomainError) as exc:
-            failures[eps] = str(exc)
+            cand = solve(i)
+        except NumericalError:
+            for j in passed:
+                solve(j)
+            raise
+        if cand is None:
             continue
         log_value = tail_log_bound(cand, t)
         if log_value < best_log:
             best, best_log = cand, log_value
         last = cand
     if best is None:
-        raise InfeasibleError(
-            "no feasible epsilon in grid", grid=list(map(float, grid)), failures=failures
-        )
+        for i in passed:
+            solve(i)
+        # in grid order; a repeated point keeps its first place
+        failures = {eps: msg for eps, msg in zip(points, messages) if msg is not None}
+        raise InfeasibleError("no feasible epsilon in grid", grid=points, failures=failures)
     return best
 
 

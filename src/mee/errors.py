@@ -27,7 +27,8 @@ class InfeasibleError(MeeError):
 
 
 class NumericalError(MeeError, RuntimeError):
-    """An iterative routine failed to converge to the requested tolerance."""
+    """An iterative routine failed to converge to the requested tolerance, or
+    a quantity it needs lies beyond the float range."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

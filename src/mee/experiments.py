@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import ConcentrationConstants, _tail_constant, constants_for, tail_bound
 from .canonical import BipartiteSpectrum, DensityMatrix, delta_deviation, rho_c_bipartite
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .sampling import (
     RngSpec,
     _chunk_stream,
@@ -394,11 +394,17 @@ def moment_report_streamed(
     batch and do not depend on ``workers``."""
     if not 0.0 < tolerance_sigmas < math.inf:  # else every sigmas verdict is fixed
         raise DomainError(f"tolerance_sigmas must be finite and positive, got {tolerance_sigmas}")
+    n = frame.dim
+    e_prime = frame.e_prime
+    try:  # before the stream, so that no state is drawn for a report it cannot check
+        var_h_ref = e_prime ** 2 / n
+    except OverflowError:
+        raise NumericalError(
+            f"the reference variance E'^2/n overflows the float range at E' = {e_prime}"
+        ) from None
     levels = frame.expanded_levels
     reduce = lambda psi: _moment_chunk(psi, levels)
     norm2, hq = _gaussian_stream(frame, count, rng, reduce, workers)
-    n = frame.dim
-    e_prime = frame.e_prime
     var_norm_ref = float(((e_prime / levels) ** 2).sum()) / n ** 2
     mean_norm, se_norm = subbatch_mean_error(norm2)
     mean_h, se_h = subbatch_mean_error(hq)
@@ -411,7 +417,7 @@ def moment_report_streamed(
         Measured("mean_norm_sq", mean_norm, se_norm, 1.0, "sigmas", tolerance_sigmas),
         Measured("mean_shifted_energy", mean_h, se_h, e_prime, "sigmas", tolerance_sigmas),
         Measured(
-            "var_shifted_energy", sample_var(hq), None, e_prime ** 2 / n, "relative", _VAR_RTOL
+            "var_shifted_energy", sample_var(hq), None, var_h_ref, "relative", _VAR_RTOL
         ),
         Measured("var_norm_sq", sample_var(norm2), None, var_norm_ref, "relative", _VAR_RTOL),
     )

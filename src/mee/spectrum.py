@@ -229,14 +229,19 @@ def compute_means(spectrum: Spectrum) -> Means:
     """
     lv = spectrum._levels_arr
     w = spectrum._weights_arr
-    e_arith = float(_dot(w, lv))
     e_harm = None
     e_quad = None
     if spectrum.e_min > 0.0:
         inv = w / lv
         e_harm = float(1.0 / inv.sum())
         e_quad = float((inv / lv).sum() ** -0.5)
-    return Means(spectrum.e_min, spectrum.e_max, e_arith, e_harm, e_quad, spectrum.n)
+    return Means(spectrum.e_min, spectrum.e_max, _arith_mean(spectrum), e_harm, e_quad, spectrum.n)
+
+
+def _arith_mean(spectrum: Spectrum) -> float:
+    """The degeneracy-weighted arithmetic mean E_A, the one mean that the
+    energy windows need."""
+    return float(_dot(spectrum._weights_arr, spectrum._levels_arr))
 
 
 @dataclass(frozen=True)
@@ -301,7 +306,13 @@ class EnergyFrame:
 
     @cached_property
     def e_prime_quad(self) -> float:
-        return float(_dot(self.weights, self.shifted_levels ** -2.0) ** -0.5)
+        inv_sq = _dot(self.weights, self.shifted_levels ** -2.0)
+        if inv_sq == 0.0:
+            raise NumericalError(
+                f"E'_Q is beyond the float range: every 1/E'_k^2 underflows at "
+                f"min E'_k = {self.e_prime_min}"
+            )
+        return float(inv_sq ** -0.5)
 
     def is_harmonic(self) -> bool:
         """True when E' equals the shifted harmonic mean to relative tolerance 1e-8."""
@@ -332,6 +343,11 @@ def _checked_dim(spectrum: Spectrum, dim: int | None) -> int:
     if dim < 1:
         raise DomainError("dimension must be positive")
     return int(dim)
+
+
+def _multiplier(epsilon: float, n: int) -> float:
+    """The epsilon solve's multiplier m = (1 + 1/n)(1 + eps/sqrt(n))."""
+    return (1.0 + 1.0 / n) * (1.0 + epsilon / math.sqrt(n))
 
 
 def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float) -> float:
@@ -421,14 +437,14 @@ def harmonic_shift_solve(spectrum: Spectrum, energy: float, tol: float = _SHIFT_
         raise DomainError(
             f"all levels equal {spectrum.e_min}; no shift can match energy {energy}"
         )
-    means = compute_means(spectrum)
-    if not (means.e_min <= energy < means.e_arith):
+    e_arith = _arith_mean(spectrum)
+    if not (spectrum.e_min <= energy < e_arith):
         raise DomainError(
-            f"energy {energy} outside [E_min, E_A) = [{means.e_min}, {means.e_arith})"
+            f"energy {energy} outside [E_min, E_A) = [{spectrum.e_min}, {e_arith})"
         )
-    if energy == means.e_min:
+    if energy == spectrum.e_min:
         # Degenerate endpoint: the lowest shifted level is exactly zero.
-        return -means.e_min
+        return -spectrum.e_min
     return _shift_root(spectrum, energy, 1.0, tol)
 
 
@@ -454,7 +470,7 @@ def epsilon_shift_solve(
         raise DomainError(
             f"energy {energy} must exceed the lowest level {spectrum.e_min}"
         )
-    multiplier = (1.0 + 1.0 / n) * (1.0 + epsilon / math.sqrt(n))
+    multiplier = _multiplier(epsilon, n)
     if math.isinf(multiplier):
         raise DomainError(f"epsilon {epsilon} is too large: the multiplier overflows at n = {n}")
     if spectrum.all_equal:

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mee import (
@@ -23,10 +23,10 @@ from mee import (
     epsilon_shift_solve,
 )
 import mee.bounds
-from mee.bounds import _log_floor, tail_log_bound
+from mee.bounds import _infeasible_by_means, _log_floor, tail_log_bound
 from mee.cli import DEFAULT_EPSILON_GRID
 from mee.errors import MeeError
-from mee.spectrum import _SHIFT_TOL
+from mee.spectrum import _SHIFT_TOL, _multiplier
 from conftest import random_spectrum, record_level_sums
 
 EX1 = Spectrum((1.0, 2.0, 3.0), (2731, 2731, 2731))  # n = 8193
@@ -255,9 +255,23 @@ class TestOptimizeEpsilon:
         assert k.epsilon == best_eps
 
     def test_all_infeasible_reports(self):
-        with pytest.raises(InfeasibleError) as err:
-            optimize_epsilon(EX1, 1.5, 1.0, [0.5, 1.0])
-        assert set(err.value.details["failures"]) == {0.5, 1.0}
+        # the messages, order and folded repeats of solving every point
+        s123 = Spectrum((1.0, 2.0, 3.0))
+        for spec, grid, dim in [
+            (EX1, [0.5, 1.0], None),
+            (s123, [0.5, 1e-5, 3.0], None),
+            (s123, [8, 0.5, 2, 2, 4, 1], None),
+            (s123, [0.5, 8, 1, 8], None),  # 8 is solved first, reported second
+            (EX1, list(DEFAULT_EPSILON_GRID), 2),  # every point passed over, then solved
+        ]:
+            with pytest.raises(InfeasibleError) as err:
+                optimize_epsilon(_fresh(spec), 1.5, 1.0, grid, dim=dim)
+            kind, message, failures = TestGridPruning.exhaustive(
+                _fresh(spec), 1.5, 1.0, grid, dim
+            )
+            assert (kind, message) == (InfeasibleError, str(err.value))
+            assert list(err.value.details["failures"].items()) == list(failures.items())
+            assert err.value.details["grid"] == [float(eps) for eps in grid]
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):
@@ -326,7 +340,8 @@ class TestSharedLevelSums:
 
     def test_later_grid_solves_reuse_the_bracket_points(self, monkeypatch):
         spec, energy = random_spectrum(11, 200)
-        grid = list(DEFAULT_EPSILON_GRID)
+        # 0.5 and 1.0 are passed over; at least 3.0, 2.0 and 1.5 are solved
+        grid = [3.0, 0.5, 2.0, 1.0, 1.5, 8.0]
         shared = record_level_sums(spec)
         solved = []
 
@@ -336,7 +351,8 @@ class TestSharedLevelSums:
 
         monkeypatch.setattr(mee.bounds, "constants_for", logging_constants_for)
         optimize_epsilon(spec, energy, 2.0, grid)
-        assert 2 <= len(solved) < len(grid) and solved == grid[: len(solved)]
+        kept = [eps for eps in grid if not _infeasible_by_means(eps, spec.n)]
+        assert 2 <= len(solved) < len(grid) and solved == kept[: len(solved)]
         asked = []
         for eps in solved:
             fresh = _fresh(spec)
@@ -398,8 +414,10 @@ class TestGridPruning:
     def check(self, spec, energy, t, grid, dim=None):
         """The pruned scan gives what solving every point gives.  Near e_min a
         shift solve can miss its tolerance (NumericalError); the exhaustive
-        scan then stops there, while the pruned scan may skip that point, so
-        it may instead give the best of the points that converge."""
+        scan then stops there, while the pruned scan may skip that point, by
+        its floor or, when another point is feasible, by the power-mean
+        certificate, so it may instead give the best of the points that
+        converge."""
         got = self.scanned(spec, energy, t, grid, dim)
         want = self.exhaustive(_fresh(spec), energy, t, grid, dim)
         if want[0] is NumericalError and got != want:
@@ -447,6 +465,29 @@ class TestGridPruning:
         assert self.exhaustive(_fresh(spec), *args)[0] is NumericalError
         assert self.scanned(spec, *args) == self.exhaustive(spec, *args, NumericalError)
 
+    def test_a_point_passed_over_is_not_solved(self):
+        # the certificate passes over 0.5, whose solve misses its tolerance
+        spec, energy = Spectrum((2.0, 8.25), (255049, 239800)), 2.00004265795188
+        with pytest.raises(NumericalError):
+            constants_for(_fresh(spec), energy, 0.5)
+        args = (energy, 2.0, DEFAULT_EPSILON_GRID, None)
+        assert self.exhaustive(_fresh(spec), *args)[0] is NumericalError
+        assert self.scanned(spec, *args) == self.exhaustive(spec, *args, NumericalError)
+        self.check(_fresh(spec), *args)
+
+    def test_the_first_point_that_does_not_converge_is_raised(self):
+        # 0.5 (passed over) and 1.5 (solved) both miss their tolerance, with
+        # different residuals; solving every point stops at 0.5
+        spec, energy = Spectrum((2.0, 8.25), (255049, 239800)), 2.0000346736850454
+        residuals = []
+        for eps in (0.5, 1.5):
+            with pytest.raises(NumericalError) as err:
+                constants_for(_fresh(spec), energy, eps)
+            residuals.append(err.value.residual)
+        with pytest.raises(NumericalError) as err:
+            optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
+        assert err.value.residual == residuals[0] != residuals[1]
+
     @settings(deadline=None, max_examples=300)
     @given(
         levels=st.lists(st.integers(0, 40), min_size=2, max_size=5),
@@ -488,7 +529,9 @@ class TestGridPruning:
         # step moves 2 eps sqrt(n)
         spec, energy = random_spectrum(11, 2000)
         got = optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID, dim=10**15)
-        assert len(epsilon_solves) == len(DEFAULT_EPSILON_GRID)
+        # 0.5 and 1.0 lie below the multiplier, so only the certificate passes over them
+        above = [eps for eps in DEFAULT_EPSILON_GRID if eps > _multiplier(eps, 10**15)]
+        assert len(epsilon_solves) == len(above) == 14
         want = self.exhaustive(_fresh(spec), energy, 2.0, DEFAULT_EPSILON_GRID, 10**15)
         assert repr(got.to_json()) == want
 
@@ -497,6 +540,63 @@ class TestGridPruning:
         got = optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
         assert len(epsilon_solves) <= 5
         want = self.exhaustive(_fresh(spec), energy, 2.0, DEFAULT_EPSILON_GRID)
+        assert repr(got.to_json()) == want
+
+
+class TestPowerMeanCertificate:
+    """The scan passes over every eps <= m (1 - 1e-9) without solving it;
+    such a point must fail to solve on every spectrum, energy and dimension."""
+
+    @staticmethod
+    def largest_passed_over(n):
+        """The largest eps the scan passes over at n, by bisection, or None
+        where it passes over every eps (n = 2)."""
+        lo, hi = 0.0, 1.0
+        while _infeasible_by_means(hi, n):
+            lo, hi = hi, 2.0 * hi
+            if hi > 1e300:
+                return None
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _infeasible_by_means(mid, n) else (lo, mid)
+        return lo
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        levels=st.lists(st.integers(0, 40), min_size=2, max_size=6),
+        degs=st.lists(st.integers(1, 10**6), min_size=6, max_size=6),
+        fraction=st.one_of(st.floats(0.05, 1.2), st.sampled_from([1e-12, 1e-6, 1e-3])),
+        dim=st.one_of(st.none(), st.integers(2, 10**15)),
+        eps=st.one_of(st.floats(-10.0, 0.0), st.floats(0.0, 2.0), st.floats(2.0, 100.0)),
+        inside=st.one_of(st.none(), st.floats(0.0, 1e-6)),
+    )
+    @example(levels=[8, 8], degs=[3] * 6, fraction=0.5, dim=10**15, eps=1.0, inside=0.0)
+    @example(levels=[8, 8], degs=[3] * 6, fraction=0.5, dim=None, eps=1.0, inside=0.0)
+    @example(levels=[0, 4, 40], degs=[1] * 6, fraction=1e-12, dim=None, eps=0.0, inside=None)
+    def test_a_passed_over_point_never_solves(self, levels, degs, fraction, dim, eps, inside):
+        spec = Spectrum(tuple(float(x) / 4.0 for x in levels), tuple(degs[: len(levels)]))
+        means = compute_means(spec)
+        energy = spec.e_min + fraction * (max(means.e_arith, spec.e_min + 1.0) - spec.e_min)
+        n = spec.n if dim is None else dim
+        edge = self.largest_passed_over(n)
+        if inside is not None and edge is not None:
+            eps = edge * (1.0 - inside)  # at or just below the edge, the tightest case
+        assume(_infeasible_by_means(eps, n))
+        with pytest.raises((InfeasibleError, DomainError, NumericalError)):
+            constants_for(spec, energy, eps, dim=dim)
+
+    def test_default_grid_never_solves_half_or_one(self, monkeypatch):
+        spec, energy = random_spectrum(3, 10_000)
+        solved = []
+
+        def logging_constants_for(spectrum, energy, epsilon, dim=None):
+            solved.append(epsilon)
+            return constants_for(spectrum, energy, epsilon, dim=dim)
+
+        monkeypatch.setattr(mee.bounds, "constants_for", logging_constants_for)
+        got = optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
+        assert solved and not {0.5, 1.0} & set(solved)
+        want = TestGridPruning.exhaustive(_fresh(spec), energy, 2.0, DEFAULT_EPSILON_GRID)
         assert repr(got.to_json()) == want
 
 

@@ -1091,6 +1091,29 @@ def test_stderr_holds_one_record_or_nothing(tmp_path, small_spectrum_file, argv,
         assert record["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds"],
+        ["verify", "--experiment", "tail", "--epsilon", "2", "--count", "10", "--seed", "1"],
+        ["verify", "--experiment", "moments", "--count", "10", "--seed", "1"],
+    ],
+    ids=["bounds", "verify-tail", "verify-moments"],
+)
+def test_levels_beyond_the_squares_range_leave_one_record(capsys, recwarn, tmp_path, argv):
+    # E'^2 and 1/E'_k^2 leave the float range: a NumericalError, not a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"levels": [1e200, 2e200, 3e200]}))
+    code = run([*argv, "--spectrum", str(path), "--energy", "1.5e200"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    record = json.loads(captured.err, parse_constant=_reject_constant)
+    assert record["error"] == "NumericalError"
+    assert "float range" in record["message"]
+    assert not recwarn.list
+
+
 def test_module_entry_point(spectrum_file):
     proc = subprocess.run(
         [sys.executable, "-m", "mee", "means", "--spectrum", spectrum_file],

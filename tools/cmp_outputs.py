@@ -38,8 +38,10 @@ error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
 ``verify`` and that of an all-infeasible ``bounds --epsilon-grid``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
 --count 0``.  ``means``, ``shift``,
 ``bounds`` (the default grid, an unsorted grid with a repeated value, a
-descending grid, the default grid at ``--dim`` 10^15, where the scan skips no
-point, and ``--epsilon``) and ``canonical`` also run on larger inputs drawn from a
+descending grid, the default grid at ``--dim`` 10^15, where the floor skips no
+point, the default grid at ``--dim`` 2, where every point is passed over as
+infeasible and then solved for the all-infeasible report, and ``--epsilon``)
+and ``canonical`` also run on larger inputs drawn from a
 fixed seed: 20 000 random levels with degeneracies 1-19,
 a bipartite spectrum of integer levels whose combined spectrum collapses
 12 000 sums into a few dozen grouped levels, and a 3 x 30 000 bipartite
@@ -59,7 +61,7 @@ four leave out a flag the run needs (``verify --experiment moments`` without
 without ``--energy`` and ``spins`` without ``--m``).  Four runs check a
 domain error: ``verify --experiment moments --tolerance-sigmas nan`` and
 ``shift --epsilon 2`` at a 401-digit ``--dim``, and two ``bounds`` runs
-without ``--epsilon`` at ``--dim`` 0 and 1.  77 commands and 277 files in
+without ``--epsilon`` at ``--dim`` 0 and 1.  78 commands and 280 files in
 all.  It takes a minute or two, mostly the CSV writes.
 """
 from __future__ import annotations
@@ -266,16 +268,19 @@ def commands() -> dict[str, list[str]]:
     cmds["large-bounds-grid-unsorted"] = ["bounds", *large, "--energy", "3.5",
                                           "--epsilon-grid", "8,0.5,2,2,4,1",
                                           "--out-dir", "out/large-bounds-grid-unsorted"]
-    # the scan skips no point at n = 1e15, where the solver's tolerance
-    # outweighs a grid step
+    # the floor skips no point at n = 1e15, where the solver's tolerance
+    # outweighs a grid step; the power-mean certificate passes over 0.5 and 1
     cmds["large-bounds-dim-1e15"] = ["bounds", *large, "--energy", "3.5",
                                      "--dim", "1000000000000000",
                                      "--out-dir", "out/large-bounds-dim-1e15"]
+    # at n = 2 no point is feasible: each is passed over, then solved for the report
+    cmds["large-bounds-dim-2"] = ["bounds", *large, "--energy", "3.5", "--dim", "2",
+                                  "--out-dir", "out/large-bounds-dim-2"]
     # best at 1.5, after the first feasible point and before the skipped ones
     cmds["bounds-grid-fine"] = ["bounds", "--spectrum", "in/s60.json", "--energy", "1.8",
                                 "--epsilon-grid", ",".join(f"{0.1 * k:.1f}" for k in range(1, 51)),
                                 "--t-values", "0.6,1.2", "--out-dir", "out/bounds-grid-fine"]
-    # no point lies above an earlier solved one, so none is skipped
+    # no point lies above an earlier solved one, so the floor skips none
     cmds["large-bounds-grid-descending"] = ["bounds", *large, "--energy", "3.5",
                                             "--epsilon-grid",
                                             ",".join(str(0.5 * k) for k in range(16, 0, -1)),
