@@ -153,7 +153,17 @@ def constants_for(
             min_feasible_epsilon=min_eps,
             shift=frame.shift,
         )
-    a = 3040.0 * frame.e_prime_max ** 2 / (frame.e_prime ** 2 * (1.0 - ratio ** 2))
+    # a Python float's ** raises OverflowError where a NumPy float's gives inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            a = 3040.0 * frame.e_prime_max ** 2 / (frame.e_prime ** 2 * (1.0 - ratio ** 2))
+        except OverflowError:
+            a = math.inf
+    if not math.isfinite(a):
+        raise NumericalError(
+            f"constant a is beyond the float range at E'_max = {frame.e_prime_max} "
+            f"and E' = {frame.e_prime}"
+        )
     return ConcentrationConstants(frame=frame, epsilon=epsilon, a=a, c=_tail_constant(frame))
 
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own solver/sampler code
 paths: plain bisection for shift equations, quadrature over an explicit
-parametrization for three-level manifold moments, and closed forms where
-two-level algebra permits.  The ``grouped_calls`` fixture counts how often
+parametrization for three-level manifold moments (and, in log space, for
+the occupations at any degeneracy), and closed forms where two-level
+algebra permits.  The ``grouped_calls`` fixture counts how often
 the library groups a level list, and ``epsilon_solves`` how often it solves
 the epsilon shift.  ``record_level_sums`` logs the shift solver's level-sum
 memo of one spectrum.  ``ReferenceShellScreen`` is the shell oracle's exact
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import settings
-from scipy import integrate
+from scipy import integrate, optimize
 
 import mee.bounds
 import mee.canonical
@@ -123,6 +124,47 @@ def bisect_shift(levels, weights, energy, multiplier=1.0, iters=200):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def three_level_occupations(levels, degeneracies, energy):
+    """Exact manifold means of the block occupations x_j = sum_{k in j} |psi_k|^2
+    of a 3-level spectrum, by 1-D quadrature in log space.
+
+    On {sum x_j = 1, sum E_j x_j = E} the occupations are Dirichlet(d)
+    restricted to the plane, times the coarea factor, the gradient norm
+    g(x) = 2 sqrt(sum E_j^2 x_j - E^2).  For 3 levels the plane cuts the
+    simplex in a segment x(t) = p0 + t d, so the means are ratios of 1-D
+    integrals of prod x_j^(d_j - 1) g(x).  The density is evaluated as
+    exp(log density - its peak) and the peak is a breakpoint of the
+    quadrature, so that any degeneracy works, also where the density is a
+    narrow spike.
+    """
+    lv = np.asarray(levels, dtype=float)
+    dg = np.asarray(degeneracies, dtype=float)
+    d = np.array([lv[1] - lv[2], lv[2] - lv[0], lv[0] - lv[1]])
+    p0, *_ = np.linalg.lstsq(np.array([np.ones(3), lv]), np.array([1.0, float(energy)]),
+                             rcond=None)
+    t_lo = max(-pk / dk for pk, dk in zip(p0, d) if dk > 0)
+    t_hi = min(-pk / dk for pk, dk in zip(p0, d) if dk < 0)
+
+    def log_density(t):
+        x = np.maximum(p0 + t * d, 0.0)
+        with np.errstate(divide="ignore"):
+            powers = np.where(dg > 1.0, (dg - 1.0) * np.log(x), 0.0)
+            return powers.sum() + 0.5 * np.log(max(lv * lv @ x - energy * energy, 0.0))
+
+    peak = optimize.minimize_scalar(lambda t: -log_density(t), bounds=(t_lo, t_hi),
+                                    method="bounded", options={"xatol": 1e-12}).x
+    top = log_density(peak)
+
+    def weight(t, k=None):
+        w = np.exp(log_density(t) - top)
+        return w if k is None else w * (p0[k] + t * d[k])
+
+    rule = dict(points=[peak], epsabs=0.0, epsrel=1e-12, limit=500)
+    z, _ = integrate.quad(weight, t_lo, t_hi, **rule)
+    return np.array([integrate.quad(weight, t_lo, t_hi, args=(k,), **rule)[0] / z
+                     for k in range(3)])
 
 
 class ReferenceShellScreen:

@@ -10,6 +10,7 @@ from mee import (
     DomainError,
     InfeasibleError,
     NumericalError,
+    EnergyFrame,
     Spectrum,
     check_energy_window,
     compute_means,
@@ -181,6 +182,34 @@ class TestConstants:
             elif eps < threshold * (1 - 1e-9):
                 with pytest.raises(InfeasibleError):
                     constants_for(spec, energy, eps)
+
+
+    @pytest.mark.parametrize("as_float", [False, True], ids=["numpy-shift", "float-shift"])
+    def test_overflowing_a_is_a_numerical_error(self, monkeypatch, recwarn, as_float):
+        # E'_max^2 overflows: a NumPy shift gives inf with warnings, a Python
+        # float's ** raises OverflowError, and both must end as one error
+        spec = Spectrum((1e157, 2e157, 3e157), (2731, 2731, 2731))
+        if as_float:
+            solve = mee.bounds.epsilon_shift_solve
+
+            def float_shift(*args, **kwargs):
+                frame = solve(*args, **kwargs)
+                return EnergyFrame(frame.base, frame.energy, float(frame.shift), frame.dim)
+
+            monkeypatch.setattr(mee.bounds, "epsilon_shift_solve", float_shift)
+        with pytest.raises(NumericalError, match="^constant a is beyond the float range"):
+            constants_for(spec, 1.5e157, 2.0)
+        with pytest.raises(NumericalError, match="^constant a is beyond the float range"):
+            optimize_epsilon(spec, 1.5e157, 0.5, DEFAULT_EPSILON_GRID)
+        assert not recwarn.list
+
+    def test_large_finite_a_keeps_its_value(self):
+        # at 1e150 the product 3040 E'_max^2 stays in range: a is the formula's value
+        k = constants_for(Spectrum((1e150, 2e150, 3e150), (2731, 2731, 2731)), 1.5e150, 2.0)
+        f = k.frame
+        ratio = f.e_prime / f.e_prime_quad / 2.0
+        assert k.a == 3040.0 * f.e_prime_max ** 2 / (f.e_prime ** 2 * (1.0 - ratio ** 2))
+        assert math.isfinite(k.a)
 
 
 class TestTailBound:
@@ -395,7 +424,7 @@ class TestGridPruning:
                 if log_value < best_log:
                     best, best_log = cand, log_value
         except Exception as exc:  # noqa: BLE001 - compared with the scan's error
-            return type(exc), str(exc)
+            return type(exc), str(exc), getattr(exc, "residual", None)
         if best is None:
             return InfeasibleError, "no feasible epsilon in grid", failures
         return repr(best.to_json())
@@ -409,7 +438,7 @@ class TestGridPruning:
                 return type(exc), str(exc)
             return type(exc), str(exc), exc.details["failures"]
         except Exception as exc:  # noqa: BLE001
-            return type(exc), str(exc)
+            return type(exc), str(exc), getattr(exc, "residual", None)
 
     def check(self, spec, energy, t, grid, dim=None):
         """The pruned scan gives what solving every point gives.  Near e_min a

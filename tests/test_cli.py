@@ -1114,6 +1114,31 @@ def test_levels_beyond_the_squares_range_leave_one_record(capsys, recwarn, tmp_p
     assert not recwarn.list
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds"],
+        ["bounds", "--epsilon", "2"],
+        ["verify", "--experiment", "tail", "--epsilon", "2", "--count", "10", "--seed", "1"],
+    ],
+    ids=["bounds", "bounds-epsilon", "verify-tail"],
+)
+def test_overflowing_constant_a_leaves_one_record(capsys, recwarn, tmp_path, argv):
+    # E'_max^2 overflows in a alone: one NumericalError, not "a": null
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"levels": [1e157, 2e157, 3e157], "degeneracies": [2731] * 3}))
+    code = run([*argv, "--spectrum", str(path), "--energy", "1.5e157",
+                "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    record = json.loads(captured.err, parse_constant=_reject_constant)
+    assert record["error"] == "NumericalError"
+    assert record["message"].startswith("constant a is beyond the float range")
+    assert not recwarn.list
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point(spectrum_file):
     proc = subprocess.run(
         [sys.executable, "-m", "mee", "means", "--spectrum", spectrum_file],

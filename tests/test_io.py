@@ -1,5 +1,5 @@
-"""The CSV writer: the same bytes at any part count, serial under the split
-threshold, and clean failure when a forked part fails."""
+"""The CSV writer: every cell is its ``repr``, whatever notation orjson would
+give it, and a failed write leaves one error record and no partial file."""
 import json
 import os
 import subprocess
@@ -7,14 +7,25 @@ import sys
 import threading
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mee.io
 from mee.cli import run
-from mee.io import SPLIT_CELLS, load_spectrum, write_csv
+from mee.io import load_spectrum, write_csv
 from mee.sampling import RngSpec, oracle_manifold_sample
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+# the cells whose repr orjson writes in another notation (or as null), and
+# the nearest ones it writes alike
+SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e-4,
+    float(np.nextafter(1e-4, np.inf)), float(np.nextafter(1e-4, -np.inf)),
+    9999999999999998.0, -9999999999999998.0, 1e16, -1e16, 1.7976931348623157e308,
+    float("nan"), float("inf"), float("-inf"),
+]
 
 
 def serial_bytes(header, table) -> bytes:
@@ -23,102 +34,95 @@ def serial_bytes(header, table) -> bytes:
     return "".join(line + "\r\n" for line in lines).encode()
 
 
+def check_written(tmp_path, table, name="t.csv") -> None:
+    """Write ``table`` into a new subdirectory and compare with its repr bytes."""
+    header = [f"c{k}" for k in range(table.shape[1])]
+    out = tmp_path / "sub" / name
+    write_csv(out, header, table)
+    assert out.read_bytes() == serial_bytes(header, table)
+
+
 def weighted_table(rows: int = 601, dim: int = 60, seed: int = 3):
     """An odd number of rows of interleaved amplitudes plus a weight column,
-    above the split threshold, with the cells whose repr is special."""
+    with the special cells in its first rows."""
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((rows, 2 * dim))
-    states[0, :6] = [0.0, -0.0, 5e-324, 1e16, 0.1, -2.5e-8]
+    states[0, : len(SPECIAL)] = SPECIAL
+    states[mee.io._BLOCK_ROWS, -len(SPECIAL) :] = SPECIAL  # the second block's first row
     table = np.column_stack((states, rng.exponential(size=rows)))
     header = [f"{part}{k}" for k in range(dim) for part in ("re", "im")] + ["weight"]
-    assert table.size >= SPLIT_CELLS
     return header, table
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Pids of the children ``os.fork`` started, seen from this process."""
-    pids = []
-    real = os.fork
-
-    def counted():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
+def test_special_cells_are_their_repr(tmp_path):
+    # every pair of special cells side by side, over more rows than a block
+    grid = np.array([[a, b] for a in SPECIAL for b in SPECIAL])
+    assert len(grid) > 2 * mee.io._BLOCK_ROWS
+    check_written(tmp_path, grid)
+    check_written(tmp_path, grid.reshape(-1, len(SPECIAL)), "wide.csv")
+    check_written(tmp_path, np.array(SPECIAL)[:, None], "column.csv")
 
 
-def no_children_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (0, 0), (40, 0)])
+def test_empty_and_single_cell_tables(tmp_path, shape):
+    table = np.full(shape, 1e-5)
+    check_written(tmp_path, table)
 
 
-@needs_fork
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_same_bytes_at_any_part_count(tmp_path, monkeypatch, forks, workers):
-    monkeypatch.setattr(mee.io, "_default_workers", lambda: workers)
+def test_large_table_is_its_repr(tmp_path):
     header, table = weighted_table()
-    out = tmp_path / "sub" / "t.csv"
+    out = tmp_path / "t.csv"
     write_csv(out, header, table)
     assert out.read_bytes() == serial_bytes(header, table)
-    assert len(forks) == workers - 1
-    assert sorted(p.name for p in out.parent.iterdir()) == ["t.csv"]
-    assert no_children_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
-@needs_fork
-def test_weighted_oracle_dump_at_any_part_count(capsys, tmp_path, monkeypatch, forks):
+@settings(deadline=None, max_examples=200)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                  elements=st.floats()))
+def test_any_float_table_is_its_repr(table):
+    header = [f"c{k}" for k in range(table.shape[1])]
+    lines = [mee.io._format_block(table[lo : lo + mee.io._BLOCK_ROWS])
+             for lo in range(0, len(table), mee.io._BLOCK_ROWS)]
+    assert (",".join(header) + "\r\n").encode() + b"".join(lines) == serial_bytes(header, table)
+
+
+def test_orjson_writes_repr_digits_inside_the_plain_range():
+    """About 10^6 doubles in [1e-4, 1e16), both signs, drawn as random bit
+    patterns (so every binade and every digit count shows up) and as the
+    neighbours of each power of ten: orjson's text is their repr.  This is
+    what the writer's fast path rests on, so it guards an orjson upgrade."""
+    rng = np.random.default_rng(27)
+    lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+    bits = rng.integers(lo, hi, size=1_000_000, dtype=np.int64)
+    powers = np.array([10.0 ** k for k in range(-4, 16)])
+    near = np.concatenate([powers + k * np.spacing(powers) for k in range(-3, 4)])
+    values = np.concatenate((bits.view(np.float64), near[(near >= 1e-4) & (near < 1e16)]))
+    values[::2] *= -1.0
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    assert text == ("[" + ",".join(map(repr, values.tolist())) + "]").encode()
+
+
+def test_weighted_oracle_dump_is_its_repr(capsys, tmp_path):
     spec = tmp_path / "s60.json"
     spec.write_text(json.dumps({"levels": [1.0, 2.0, 3.0], "degeneracies": [20, 20, 20]}))
     batch = oracle_manifold_sample(load_spectrum(spec), 1.8, 0.05, 601, None, RngSpec(seed=4))
     header = [f"{part}{k}" for k in range(60) for part in ("re", "im")] + ["weight"]
     want = serial_bytes(header, np.column_stack((batch.states.view(np.float64), batch.weights)))
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(mee.io, "_default_workers", lambda: workers)
-        out = tmp_path / f"w{workers}.csv"
-        code = run(["sample", "--spectrum", str(spec), "--energy", "1.8", "--mode", "oracle",
-                    "--count", "601", "--eta", "0.05", "--seed", "4", "--out", str(out)])
-        assert code == 0
-        assert out.read_bytes() == want
+    out = tmp_path / "states.csv"
+    code = run(["sample", "--spectrum", str(spec), "--energy", "1.8", "--mode", "oracle",
+                "--count", "601", "--eta", "0.05", "--seed", "4", "--out", str(out)])
     capsys.readouterr()
-    assert len(forks) == 0 + 1 + 2
-
-
-def test_small_table_never_forks(tmp_path, monkeypatch):
-    def no_fork():
-        raise AssertionError("forked for a table under the threshold")
-
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    monkeypatch.setattr(mee.io, "_default_workers", lambda: 3)
-    table = np.random.default_rng(5).standard_normal((SPLIT_CELLS // 8 - 1, 8))
-    out = tmp_path / "small.csv"
-    write_csv(out, list("abcdefgh"), table)
-    assert table.size < SPLIT_CELLS
-    assert out.read_bytes() == serial_bytes(list("abcdefgh"), table)
-
-
-def test_without_fork_writes_serially(tmp_path, monkeypatch):
-    monkeypatch.delattr(os, "fork", raising=False)
-    monkeypatch.setattr(mee.io, "_default_workers", lambda: 3)
-    header, table = weighted_table()
-    out = tmp_path / "t.csv"
-    write_csv(out, header, table)
-    assert out.read_bytes() == serial_bytes(header, table)
+    assert code == 0
+    assert out.read_bytes() == want
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_pipe_output_never_forks(tmp_path, monkeypatch):
     def no_fork():
-        raise AssertionError("forked for a pipe")
+        raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    monkeypatch.setattr(mee.io, "_default_workers", lambda: 3)
     header, table = weighted_table()
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
@@ -131,19 +135,52 @@ def test_pipe_output_never_forks(tmp_path, monkeypatch):
     assert fifo.exists()
 
 
-@needs_fork
-@pytest.mark.parametrize("where", ["child", "parent"])
-def test_failed_part_is_exit_2_and_leaves_nothing(capsys, tmp_path, monkeypatch, forks, where):
-    parent = os.getpid()
-    real = mee.io._format_rows
+def _fail_on_second_block(monkeypatch):
+    """Make the second block of rows fail as a full disk would, after the
+    first block is written."""
+    real = mee.io._format_block
+    calls = []
 
-    def failing(fh, rows):
-        if (os.getpid() != parent) == (where == "child"):
+    def failing(block):
+        calls.append(len(block))
+        if len(calls) == 2:
             raise OSError("No space left on device")
-        real(fh, rows)
+        return real(block)
 
-    monkeypatch.setattr(mee.io, "_format_rows", failing)
-    monkeypatch.setattr(mee.io, "_default_workers", lambda: 3)
+    monkeypatch.setattr(mee.io, "_format_block", failing)
+    return calls
+
+
+class FailingClose:
+    """A file whose closing fails after the bytes written so far reach it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("where", ["block", "close"])
+def test_failed_write_is_exit_2_and_leaves_nothing(capsys, tmp_path, monkeypatch, where):
+    if where == "block":
+        calls = _fail_on_second_block(monkeypatch)
+    else:  # the last bytes fail as the file is flushed and closed
+        calls = []
+        real_open = mee.io.Path.open
+
+        def failing_open(self, *args, **kwargs):
+            fh = real_open(self, *args, **kwargs)
+            return FailingClose(fh) if self.name == "states.csv" else fh
+
+        monkeypatch.setattr(mee.io.Path, "open", failing_open)
     spec = tmp_path / "s60.json"
     spec.write_text(json.dumps({"levels": [1.0, 2.0, 3.0], "degeneracies": [20, 20, 20]}))
     out_dir = tmp_path / "out"
@@ -151,38 +188,47 @@ def test_failed_part_is_exit_2_and_leaves_nothing(capsys, tmp_path, monkeypatch,
                 "--count", "601", "--seed", "4", "--out", str(out_dir / "states.csv")])
     captured = capsys.readouterr()
     assert code == 2
-    assert json.loads(captured.err)["error"] == "OSError"  # one record, nothing else
+    record = json.loads(captured.err)  # one record, nothing else
+    assert record["error"] == "OSError"
+    assert "No space left on device" in record["message"]
     assert captured.out == ""
     assert list(out_dir.iterdir()) == []
-    assert len(forks) == 2
-    assert no_children_left()
+    assert calls in ([], [mee.io._BLOCK_ROWS] * 2)
 
 
-@needs_fork
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_failed_write_to_a_pipe_never_unlinks_it(tmp_path, monkeypatch):
+    _fail_on_second_block(monkeypatch)
+    header, table = weighted_table()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    with pytest.raises(OSError, match="No space left on device"):
+        write_csv(fifo, header, table)
+    reader.join(timeout=60)
+    assert fifo.exists()
+    # the header and the first block went through before the failure
+    assert serial_bytes(header, table).startswith(received[0])
+    assert received[0].count(b"\r\n") == 1 + mee.io._BLOCK_ROWS
+
+
 def test_piped_stdout_holds_one_record(tmp_path):
     """A subprocess with its stdout on a pipe: the record is printed once,
-    after the children have exited, and stderr stays empty."""
+    after the dump is written, and stderr stays empty."""
     spec = tmp_path / "s60.json"
     spec.write_text(json.dumps({"levels": [1.0, 2.0, 3.0], "degeneracies": [20, 20, 20]}))
-    dumps = {}
-    for workers in (1, 3):
-        dumps[workers] = tmp_path / f"w{workers}.csv"
-        # python -m mee with the CPU count pinned, so the parts do not depend on the host
-        script = (
-            "import runpy, mee.io; "
-            f"mee.io._default_workers = lambda: {workers}; "
-            "runpy.run_module('mee', run_name='__main__', alter_sys=True)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "sample", "--spectrum", str(spec), "--energy", "1.5",
-             "--mode", "gaussian", "--count", "601", "--seed", "4",
-             "--out", str(dumps[workers])],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0
-        assert proc.stderr == ""
-        assert proc.stdout.count('"command": "sample"') == 1
-        assert json.loads(proc.stdout)["produced"] == 601
-    assert dumps[1].read_bytes() == dumps[3].read_bytes()
+    dump = tmp_path / "states.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mee", "sample", "--spectrum", str(spec), "--energy", "1.5",
+         "--mode", "gaussian", "--count", "601", "--seed", "4", "--out", str(dump)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.count('"command": "sample"') == 1
+    assert json.loads(proc.stdout)["produced"] == 601
+    assert dump.read_bytes().count(b"\r\n") == 1 + 601

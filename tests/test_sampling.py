@@ -46,6 +46,7 @@ from mee.spectrum import _dot
 from conftest import (
     ReferenceShellScreen,
     three_level_manifold_moments,
+    three_level_occupations,
     weighted_mean_and_error,
 )
 
@@ -620,6 +621,29 @@ class TestOracle:
             oracle_manifold_sample(SPEC123, 1.5, 0.1, 0, 100, RngSpec(seed=1))
         with pytest.raises(DomainError):
             oracle_manifold_sample(SPEC123, 1.5, 0.1, 10, 100, RngSpec(seed=1), proposal="mcmc")
+
+
+class TestOccupationReference:
+    """The log-space quadrature of the 3-level block occupations, the exact
+    reference a level sampler is to be checked against."""
+
+    @pytest.mark.parametrize("degeneracies,energy,want,digits", [
+        ((1, 1, 1), 1.5, (0.6357470332, 0.2285059336, 0.1357470332), 10),
+        ((3, 2, 4), 1.7, (0.55229, 0.19542, 0.25229), 5),
+        # deep in the large-d limit, near the harmonic estimate 0.63714594
+        ((10**5,) * 3, 1.5, (0.63714592, 0.22570817, 0.13714592), 8),
+    ])
+    def test_stated_values(self, degeneracies, energy, want, digits):
+        got = three_level_occupations((1.0, 2.0, 3.0), degeneracies, energy)
+        assert np.round(got, digits).tolist() == list(want)
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("levels,energy", [((1.0, 2.0, 3.0), 1.5), ((0.4, 1.1, 2.9), 0.9)])
+    def test_degeneracy_one_is_the_fiber_volume_quadrature(self, levels, energy):
+        # the two references share no formula: a coarea factor on the simplex
+        # against a torus volume times an arc length in amplitude space
+        got = three_level_occupations(levels, (1, 1, 1), energy)
+        assert got == pytest.approx(three_level_manifold_moments(levels, energy), abs=1e-10)
 
 
 class TestOracleWorkers:

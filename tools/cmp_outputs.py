@@ -30,10 +30,11 @@ sphere over three chunks with a short last one, both oracle proposals with
 an explicit and with the default ``--eta`` and ``--max-draws``, both oracle
 proposals on a spectrum with negative levels and on {1, 2, 3} + 1e6, where
 the Gaussian proposal's shift solve fails, a partial oracle batch, a
-weighted oracle dump large enough for the writer to split it into row parts
-and a Gaussian dump just under that size),
+weighted oracle dump of 2000 x 121 cells and a Gaussian dump of 546 x 120),
 ``bounds`` (``constants.json``, ``tail.csv``; also a 50-point grid on {1, 2,
-3} whose best point comes after the first feasible one), ``canonical.json``, the
+3} whose best point comes after the first feasible one, and t-values up to 5
+on n = 900, whose ``tail.csv`` bounds run from 0.018 through 1.5e-108 to
+0.0), ``bounds`` at levels near 1e157, where the constant a overflows, ``canonical.json``, the
 error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
 ``verify`` and that of an all-infeasible ``bounds --epsilon-grid``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
 --count 0``.  ``means``, ``shift``,
@@ -61,8 +62,8 @@ four leave out a flag the run needs (``verify --experiment moments`` without
 without ``--energy`` and ``spins`` without ``--m``).  Four runs check a
 domain error: ``verify --experiment moments --tolerance-sigmas nan`` and
 ``shift --epsilon 2`` at a 401-digit ``--dim``, and two ``bounds`` runs
-without ``--epsilon`` at ``--dim`` 0 and 1.  78 commands and 280 files in
-all.  It takes a minute or two, mostly the CSV writes.
+without ``--epsilon`` at ``--dim`` 0 and 1.  80 commands and 290 files in
+all.  It takes about a minute.
 """
 from __future__ import annotations
 
@@ -96,6 +97,7 @@ INPUTS = {
     # n = 24: oracle chunks of 87381 proposals
     "in/negative.json": {"levels": [-2.0, -0.5, 1.0, 4.0], "degeneracies": [5, 7, 3, 9]},
     "in/offset.json": {"levels": [1e6 + 1, 1e6 + 2, 1e6 + 3]},
+    "in/huge-157.json": {"levels": [1e157, 2e157, 3e157], "degeneracies": [2731, 2731, 2731]},
     "in/string-levels.json": {"levels": ["1", "2", "3"]},
     "in/boolean-levels.json": {"levels": [True, False, 2]},
     "in/boolean-degeneracy.json": {"levels": [1, 2], "degeneracies": [True, 2]},
@@ -195,10 +197,10 @@ def commands() -> dict[str, list[str]]:
         # exits 1: the harmonic shift solve does not converge at this offset
         "oracle-offset-gaussian": ["--spectrum", "in/offset.json", "--energy", "1000001.5",
                                    "--count", "2000", "--proposal", "gaussian"],
-        # 2000 x 121 cells: the weighted dump is split into row parts
+        # 2000 x 121 cells, the weighted dump over many row blocks
         "oracle-split": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "2000",
                          "--eta", "0.02"],
-        # 546 x 120 cells, just under the 2^16 at which the writer splits
+        # 546 x 120 cells, a Gaussian dump whose last row block is short
         "gaussian-unsplit": ["--spectrum", "in/s60.json", "--energy", "1.8", "--count", "546"],
     }
     for mode, argv in samples.items():
@@ -207,6 +209,14 @@ def commands() -> dict[str, list[str]]:
                       "--out", f"out/{name}/states.csv"]
     cmds["bounds-grid"] = ["bounds", "--spectrum", "in/s123.json", "--energy", "1.5",
                            "--t-values", "0.1,0.2,0.4", "--out-dir", "out/bounds-grid"]
+    # bounds below 1e-4, whose repr is in exponent notation
+    cmds["bounds-tiny-tail"] = ["bounds", "--spectrum", "in/s900.json", "--energy", "1.5",
+                                "--t-values", "1.5,1.7,1.8,1.9,2,3,5",
+                                "--out-dir", "out/bounds-tiny-tail"]
+    # exits 1: E'_max^2, and so the constant a, is beyond the float range
+    cmds["bounds-overflowing-a"] = ["bounds", "--spectrum", "in/huge-157.json", "--energy",
+                                    "1.5e157", "--epsilon", "2",
+                                    "--out-dir", "out/bounds-overflowing-a"]
     cmds["bounds-epsilon"] = ["bounds", "--spectrum", "in/s123.json", "--energy", "1.5",
                               "--epsilon", "2", "--out-dir", "out/bounds-epsilon"]
     # exits 1 with failures keyed "0.5", "1e-05", "3.0": string order, not numeric
