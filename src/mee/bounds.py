@@ -238,9 +238,9 @@ def optimize_epsilon(
 
     The bound couples to epsilon through the shift solve, so a robust scan is
     used instead of smooth optimization.  Ties keep the earliest grid point;
-    an all-infeasible grid raises with a per-point report.  Every solve shares
-    the level sums memoised on ``spectrum``.  A point that cannot win, by the
-    last feasible solve's :func:`_log_floor`, is not solved.
+    an all-infeasible grid raises with a per-point report.  A point that
+    cannot win, by the last feasible solve's :func:`_log_floor`, is not
+    solved.
 
     Nor, unless no point is feasible, is a point with eps <= m (1 - 1e-9),
     m = (1 + 1/n)(1 + eps/sqrt(n)): it is infeasible, as is every eps <= 1 on

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -189,17 +188,14 @@ def _chunk_stream(rng: RngSpec, draw: Callable, reduce: Callable, count: int, n:
     see the whole chunk at once, run in the worker so that no more than a
     chunk's reductions are held per item.  Consecutive blocks continue one
     generator, so the states are those of a whole-chunk draw bit for bit.
-    Each thread reuses one block buffer while the task lives.
+    Each task draws its blocks into one buffer of its own.
     """
     items = list(enumerate(chunk_layout(count, n)))
     rows = _block_rows(n, items[0][1]) if items else 1
-    local = threading.local()
 
     def task(item: tuple[int, int]) -> tuple[np.ndarray, ...]:
         chunk, size = item
-        buf = getattr(local, "buf", None)
-        if buf is None:
-            buf = local.buf = np.empty((rows, n, 2))
+        buf = np.empty((rows, n, 2))
         gen = rng.generator(chunk)
         parts = [reduce(draw(gen, buf[: min(rows, size - lo)])) for lo in range(0, size, rows)]
         arrays = tuple(np.concatenate(arrays) for arrays in zip(*parts))

@@ -145,13 +145,6 @@ class Spectrum:
     def all_equal(self) -> bool:
         return self.e_min == self.e_max
 
-    @cached_property
-    def _level_sums(self) -> dict[float, tuple[np.float64, np.float64]]:
-        """Shift x -> (sum_k w_k/(E_k + x), sum_k w_k/(E_k + x)^2), filled by
-        the shift solver.  The sums do not depend on the solve's energy or
-        multiplier, so every solve on this spectrum evaluates each x once."""
-        return {}
-
     def expand(self) -> np.ndarray:
         """Level list with each level repeated by its degeneracy, in order."""
         return np.repeat(self._levels_arr, self.degeneracies)
@@ -356,21 +349,18 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
     r is strictly increasing for non-degenerate spectra (the harmonic-mean
     derivative identity gives r'(x) = multiplier * E_H^2/E_Q^2 - 1), so a
     sign-change bracket plus safeguarded Newton converges globally.  The
-    level sums at each x are memoised on ``spectrum``; a sum is a pure
-    function of (levels, weights, x), so the memo never changes a result.
+    first level sum is positive, so r is finite at the bracket's start
+    unless the level span or E + x overflows or that sum underflows to 0,
+    and then no nearby start gives a finite r either: such a solve raises.
     """
     levels = spectrum._levels_arr
     weights = spectrum._weights_arr
-    sums = spectrum._level_sums
     span = max(spectrum.e_max - spectrum.e_min, 1.0)
 
     def residual(x: float) -> tuple[float, float]:
-        pair = sums.get(x)
-        if pair is None:
-            shifted = levels + x
-            inv = weights / shifted
-            pair = sums[x] = (inv.sum(), (inv / shifted).sum())
-        s1, s2 = pair
+        shifted = levels + x
+        inv = weights / shifted
+        s1, s2 = inv.sum(), (inv / shifted).sum()
         r = multiplier / s1 - (energy + x)
         dr = multiplier * (s2 / (s1 * s1)) - 1.0
         return r, dr
@@ -381,9 +371,6 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
         # Start just above the harmonic-mean pole at the lowest level.
         lo = -spectrum.e_min + 1e-14 * span
         r_lo, _ = residual(lo)
-        if not math.isfinite(r_lo):
-            lo = np.nextafter(lo, math.inf)
-            r_lo, _ = residual(lo)
         hi = lo + span
         r_hi, _ = residual(hi)
         n_expand = 0

@@ -5,9 +5,9 @@ paths: plain bisection for shift equations, quadrature over an explicit
 parametrization for three-level manifold moments (and, in log space, for
 the occupations at any degeneracy), and closed forms where two-level
 algebra permits.  The ``grouped_calls`` fixture counts how often
-the library groups a level list, and ``epsilon_solves`` how often it solves
-the epsilon shift.  ``record_level_sums`` logs the shift solver's level-sum
-memo of one spectrum.  ``ReferenceShellScreen`` is the shell oracle's exact
+the library groups a level list, ``epsilon_solves`` how often it solves
+the epsilon shift, and ``shift_roots`` how often it runs the shift
+solver's root finder.  ``ReferenceShellScreen`` is the shell oracle's exact
 test of a whole chunk, which the oracle's test of each row block must match
 bit for bit.
 """
@@ -20,6 +20,7 @@ from scipy import integrate, optimize
 
 import mee.bounds
 import mee.canonical
+import mee.spectrum
 from mee import Spectrum
 from mee.spectrum import _dot
 
@@ -69,29 +70,19 @@ def epsilon_solves(monkeypatch):
     return calls
 
 
-class LevelSumLog(dict):
-    """A spectrum's level-sum memo that logs each shift the solver asks it
-    for (one per residual evaluation) and each shift it had to sum anew."""
+@pytest.fixture
+def shift_roots(monkeypatch):
+    """The (energy, multiplier) of each call of ``mee.spectrum._shift_root``,
+    the root finder of both shift solvers; each call still solves."""
+    calls: list[tuple[float, float]] = []
+    original = mee.spectrum._shift_root
 
-    def __init__(self):
-        super().__init__()
-        self.asked: list[float] = []
-        self.evaluated: list[float] = []
+    def logging(spectrum, energy, multiplier, tol):
+        calls.append((energy, multiplier))
+        return original(spectrum, energy, multiplier, tol)
 
-    def get(self, x, default=None):
-        self.asked.append(x)
-        return super().get(x, default)
-
-    def __setitem__(self, x, pair):
-        self.evaluated.append(x)
-        super().__setitem__(x, pair)
-
-
-def record_level_sums(spectrum: Spectrum) -> LevelSumLog:
-    """Install a logging memo on ``spectrum`` before its first solve."""
-    log = LevelSumLog()
-    spectrum.__dict__["_level_sums"] = log  # seeds the cached property
-    return log
+    monkeypatch.setattr(mee.spectrum, "_shift_root", logging)
+    return calls
 
 
 def random_spectrum(seed: int, size: int) -> tuple[Spectrum, float]:

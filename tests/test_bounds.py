@@ -28,7 +28,7 @@ from mee.bounds import _infeasible_by_means, _log_floor, tail_log_bound
 from mee.cli import DEFAULT_EPSILON_GRID
 from mee.errors import MeeError
 from mee.spectrum import _SHIFT_TOL, _multiplier
-from conftest import random_spectrum, record_level_sums
+from conftest import random_spectrum
 
 EX1 = Spectrum((1.0, 2.0, 3.0), (2731, 2731, 2731))  # n = 8193
 
@@ -307,30 +307,23 @@ class TestOptimizeEpsilon:
             optimize_epsilon(EX1, 1.5, 1.0, [])
 
     @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
-    def test_non_finite_energy_fails_before_the_grid(self, energy):
-        spec = Spectrum(EX1.levels, EX1.degeneracies)
-        sums = record_level_sums(spec)
+    def test_non_finite_energy_fails_before_the_grid(self, shift_roots, energy):
         with pytest.raises(DomainError, match="energy must be finite"):
-            optimize_epsilon(spec, energy, 1.0, [2.0, 3.0])
-        assert sums.asked == []
+            optimize_epsilon(EX1, energy, 1.0, [2.0, 3.0])
+        assert shift_roots == []
 
-    def test_dimension_beyond_the_float_range_fails_before_the_grid(self):
-        spec = Spectrum(EX1.levels, EX1.degeneracies)
-        sums = record_level_sums(spec)
+    def test_dimension_beyond_the_float_range_fails_before_the_grid(self, shift_roots):
         with pytest.raises(DomainError, match="float range"):
-            optimize_epsilon(spec, 1.5, 1.0, [2.0, 3.0], dim=10**400)
+            optimize_epsilon(EX1, 1.5, 1.0, [2.0, 3.0], dim=10**400)
         with pytest.raises(DomainError, match="float range"):
-            epsilon_shift_solve(spec, 1.5, 2.0, dim=10**400)
-        assert sums.asked == []
-
+            epsilon_shift_solve(EX1, 1.5, 2.0, dim=10**400)
+        assert shift_roots == []
 
     @pytest.mark.parametrize("dim", [0, -3])
-    def test_nonpositive_dimension_fails_before_the_grid(self, dim):
-        spec = Spectrum(EX1.levels, EX1.degeneracies)
-        sums = record_level_sums(spec)
+    def test_nonpositive_dimension_fails_before_the_grid(self, shift_roots, dim):
         with pytest.raises(DomainError, match="^dimension must be positive$"):
-            optimize_epsilon(spec, 1.5, 1.0, [2.0, 3.0], dim=dim)
-        assert sums.asked == []
+            optimize_epsilon(EX1, 1.5, 1.0, [2.0, 3.0], dim=dim)
+        assert shift_roots == []
 
 
 def _fresh(spec: Spectrum) -> Spectrum:
@@ -338,8 +331,8 @@ def _fresh(spec: Spectrum) -> Spectrum:
 
 
 class TestSharedLevelSums:
-    """Every shift solve on one spectrum shares its level sums; no result
-    may depend on the solves that ran before it."""
+    """No result may depend on the solves that ran before it on the same
+    spectrum: the solves share nothing."""
 
     # below 2, epsilon is infeasible on these spectra (n ~ 2000)
     @pytest.mark.parametrize(
@@ -366,40 +359,6 @@ class TestSharedLevelSums:
             if log_value < best_log:
                 best, best_log = cand, log_value
         assert repr(got.to_json()) == repr(best.to_json())
-
-    def test_later_grid_solves_reuse_the_bracket_points(self, monkeypatch):
-        spec, energy = random_spectrum(11, 200)
-        # 0.5 and 1.0 are passed over; at least 3.0, 2.0 and 1.5 are solved
-        grid = [3.0, 0.5, 2.0, 1.0, 1.5, 8.0]
-        shared = record_level_sums(spec)
-        solved = []
-
-        def logging_constants_for(spectrum, energy, epsilon, dim=None):
-            solved.append(epsilon)
-            return constants_for(spectrum, energy, epsilon, dim=dim)
-
-        monkeypatch.setattr(mee.bounds, "constants_for", logging_constants_for)
-        optimize_epsilon(spec, energy, 2.0, grid)
-        kept = [eps for eps in grid if not _infeasible_by_means(eps, spec.n)]
-        assert 2 <= len(solved) < len(grid) and solved == kept[: len(solved)]
-        asked = []
-        for eps in solved:
-            fresh = _fresh(spec)
-            log = record_level_sums(fresh)
-            try:
-                constants_for(fresh, energy, eps)
-            except InfeasibleError:
-                pass
-            asked.append(log.asked)
-        # the same residual sequence as solving each solved point on its own ...
-        assert shared.asked == [x for points in asked for x in points]
-        # ... and each distinct shift summed once, in first-seen order
-        assert shared.evaluated == list(dict.fromkeys(shared.asked))
-        # every solve opens on the same bracket start and first bracket end,
-        # so the second and later solves sum neither of them again
-        assert all(points[:2] == asked[0][:2] for points in asked)
-        assert shared.evaluated.count(asked[0][0]) == 1
-        assert len(shared.evaluated) <= len(shared.asked) - 2 * (len(solved) - 1)
 
 
 class TestGridPruning:
@@ -563,6 +522,22 @@ class TestGridPruning:
         assert len(epsilon_solves) == len(above) == 14
         want = self.exhaustive(_fresh(spec), energy, 2.0, DEFAULT_EPSILON_GRID, 10**15)
         assert repr(got.to_json()) == want
+
+    def test_solved_points_are_the_kept_points_in_grid_order(self, monkeypatch):
+        spec, energy = random_spectrum(11, 200)
+        # 0.5 and 1.0 are passed over; at least 3.0, 2.0 and 1.5 are solved
+        grid = [3.0, 0.5, 2.0, 1.0, 1.5, 8.0]
+        solved = []
+
+        def logging_constants_for(spectrum, energy, epsilon, dim=None):
+            solved.append(epsilon)
+            return constants_for(spectrum, energy, epsilon, dim=dim)
+
+        monkeypatch.setattr(mee.bounds, "constants_for", logging_constants_for)
+        got = optimize_epsilon(spec, energy, 2.0, grid)
+        kept = [eps for eps in grid if not _infeasible_by_means(eps, spec.n)]
+        assert 3 <= len(solved) < len(grid) and solved == kept[: len(solved)]
+        assert repr(got.to_json()) == self.exhaustive(_fresh(spec), energy, 2.0, grid)
 
     def test_default_grid_solves_few_points(self, epsilon_solves):
         spec, energy = random_spectrum(11, 2000)

@@ -575,7 +575,8 @@ class TestErrorPaths:
 class TestNonFiniteInputs:
     """NaN and infinite energies, epsilons and shell widths, NaN, negative or
     infinite solver tolerances and negative deviations fail with a
-    DomainError before any work they would spoil."""
+    DomainError before any work they would spoil: the named work, or, where
+    none is named, the shift solver's root finder."""
 
     @staticmethod
     def _forbid(monkeypatch, target):
@@ -587,19 +588,13 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "argv, forbidden",
         [
-            (["bounds", "--spectrum", "big", "--energy", "nan"], "mee.spectrum._shift_root"),
-            (["bounds", "--spectrum", "big", "--energy", "inf", "--epsilon", "2"],
-             "mee.spectrum._shift_root"),
-            (["canonical", "--bipartite", "bip", "--energy", "nan", "--epsilon", "2"],
-             "mee.spectrum._shift_root"),
-            (["shift", "--spectrum", "big", "--epsilon", "2", "--energy", "nan"],
-             "mee.spectrum._shift_root"),
-            (["shift", "--spectrum", "big", "--epsilon", "2", "--energy", "inf"],
-             "mee.spectrum._shift_root"),
-            (["shift", "--spectrum", "big", "--epsilon", "2", "--energy=-inf"],
-             "mee.spectrum._shift_root"),
-            (["shift", "--spectrum", "big", "--epsilon", "nan", "--energy", "1.5"],
-             "mee.spectrum._shift_root"),
+            (["bounds", "--spectrum", "big", "--energy", "nan"], None),
+            (["bounds", "--spectrum", "big", "--energy", "inf", "--epsilon", "2"], None),
+            (["canonical", "--bipartite", "bip", "--energy", "nan", "--epsilon", "2"], None),
+            (["shift", "--spectrum", "big", "--epsilon", "2", "--energy", "nan"], None),
+            (["shift", "--spectrum", "big", "--epsilon", "2", "--energy", "inf"], None),
+            (["shift", "--spectrum", "big", "--epsilon", "2", "--energy=-inf"], None),
+            (["shift", "--spectrum", "big", "--epsilon", "nan", "--energy", "1.5"], None),
             # an all-equal spectrum never reaches the root finder; it used to
             # print a null shift and exit 0
             (["shift", "--spectrum", "flat", "--epsilon", "inf", "--energy", "2.5"], None),
@@ -610,13 +605,11 @@ class TestNonFiniteInputs:
               "--eta", "nan", "--count", "5", "--seed", "1"], "mee.sampling._map_ordered"),
             # no residual meets a negative or NaN tolerance: 200 iterations
             # and a NumericalError
-            (["shift", "--spectrum", "s123", "--energy", "1.5", "--tol", "-1"],
-             "mee.spectrum._shift_root"),
+            (["shift", "--spectrum", "s123", "--energy", "1.5", "--tol", "-1"], None),
             (["shift", "--spectrum", "s123", "--energy", "1.5", "--epsilon", "2",
-              "--tol", "nan"], "mee.spectrum._shift_root"),
+              "--tol", "nan"], None),
             # every residual meets an infinite one: exit 0 with a wrong shift
-            (["shift", "--spectrum", "s123", "--energy", "1.5", "--tol", "inf"],
-             "mee.spectrum._shift_root"),
+            (["shift", "--spectrum", "s123", "--energy", "1.5", "--tol", "inf"], None),
             # a negative t fails in the bound too, but only after every chunk is drawn
             (["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
               "--count", "10", "--seed", "1", "--t-values=-0.1,0.2", "--out-dir", "out"],
@@ -628,11 +621,10 @@ class TestNonFiniteInputs:
               for sigmas in ("nan", "inf", "0", "-1")],
             # a dimension no float holds overflows the multiplier
             (["shift", "--spectrum", "big", "--energy", "1.5", "--epsilon", "2",
-              "--dim", str(10**400)], "mee.spectrum._shift_root"),
-            (["bounds", "--spectrum", "big", "--energy", "1.5", "--dim", str(10**400)],
-             "mee.spectrum._shift_root"),
+              "--dim", str(10**400)], None),
+            (["bounds", "--spectrum", "big", "--energy", "1.5", "--dim", str(10**400)], None),
             (["bounds", "--spectrum", "big", "--energy", "1.5", "--epsilon", "2",
-              "--dim", str(10**400)], "mee.spectrum._shift_root"),
+              "--dim", str(10**400)], None),
         ],
         ids=["bounds-energy-nan", "bounds-energy-inf", "canonical-energy-nan",
              "shift-energy-nan", "shift-energy-inf", "shift-energy-minus-inf",
@@ -642,7 +634,7 @@ class TestNonFiniteInputs:
              "moments-sigmas-inf", "moments-sigmas-0", "moments-sigmas-minus-1",
              "shift-huge-dim", "bounds-grid-huge-dim", "bounds-epsilon-huge-dim"],
     )
-    def test_domain_error(self, capsys, monkeypatch, tmp_path, spectrum_file,
+    def test_domain_error(self, capsys, monkeypatch, tmp_path, shift_roots, spectrum_file,
                           small_spectrum_file, bipartite_file, argv, forbidden):
         flat = tmp_path / "flat.json"
         flat.write_text(json.dumps({"levels": [2.0, 2.0, 2.0]}))
@@ -658,6 +650,8 @@ class TestNonFiniteInputs:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "DomainError"
         assert not (tmp_path / "out").exists()
+        if forbidden is None:
+            assert shift_roots == []
 
 
 # Each run with its required flags, and the flags it does not read.
@@ -714,10 +708,10 @@ _FLAG_VALUES = {
     [(case, flag) for case, (_, flags) in _UNREAD.items() for flag in flags],
     ids=[f"{case}{flag}" for case, (_, flags) in _UNREAD.items() for flag in flags],
 )
-def test_unread_flag_is_exit_2(capsys, monkeypatch, tmp_path, small_spectrum_file,
-                               bipartite_file, case, flag):
+def test_unread_flag_is_exit_2(capsys, monkeypatch, tmp_path, shift_roots,
+                               small_spectrum_file, bipartite_file, case, flag):
     for target in ("mee.sampling._map_ordered", "mee.experiments._map_ordered",
-                   "mee.spectrum._shift_root", "mee.sampling._draw_batch"):
+                   "mee.sampling._draw_batch"):
         TestNonFiniteInputs._forbid(monkeypatch, target)
     files = {"small": small_spectrum_file, "bip": bipartite_file,
              "out": str(tmp_path / "out"), "out/x.csv": str(tmp_path / "out" / "x.csv")}
@@ -729,6 +723,7 @@ def test_unread_flag_is_exit_2(capsys, monkeypatch, tmp_path, small_spectrum_fil
     err = json.loads(captured.err)
     assert err["error"] == "ParseError"
     assert err["message"].endswith(f"does not read {flag}")
+    assert shift_roots == []
     assert not (tmp_path / "out").exists()
 
 

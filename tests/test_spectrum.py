@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mee import (
     DomainError,
     EnergyFrame,
+    MeeError,
     Spectrum,
     compute_means,
+    constants_for,
     harmonic_frame,
     harmonic_shift_solve,
     epsilon_shift_solve,
 )
-from conftest import bisect_shift, random_spectrum, record_level_sums
+from conftest import bisect_shift
 
 SQRT7 = math.sqrt(7.0)
 
@@ -412,12 +414,11 @@ class TestEpsilonShift:
         ids=["energy-nan", "energy-inf", "energy-minus-inf", "epsilon-nan", "epsilon-inf"],
     )
     @pytest.mark.parametrize("levels", [(1.0, 2.0, 3.0), (2.0, 2.0)], ids=["spread", "all-equal"])
-    def test_non_finite_inputs_fail_before_the_solve(self, levels, energy, epsilon):
-        spec = Spectrum(levels)
-        sums = record_level_sums(spec)
+    def test_non_finite_inputs_fail_before_the_solve(self, shift_roots, levels, energy,
+                                                      epsilon):
         with pytest.raises(DomainError):
-            epsilon_shift_solve(spec, energy, epsilon)
-        assert sums.asked == []
+            epsilon_shift_solve(Spectrum(levels), energy, epsilon)
+        assert shift_roots == []
 
     def test_overflowing_multiplier_is_a_domain_error(self):
         # at n = 1 the multiplier 2 * (1 + 1e308) is inf; the all-equal
@@ -431,39 +432,66 @@ class TestSolverTolerance:
         "tol", [math.nan, -1.0, -1e-300, math.inf], ids=["nan", "negative", "tiny-negative", "inf"]
     )
     @pytest.mark.parametrize("levels", [(1.0, 2.0, 3.0), (2.0, 2.0)], ids=["spread", "all-equal"])
-    def test_bad_tol_fails_before_the_solve(self, levels, tol):
+    def test_bad_tol_fails_before_the_solve(self, shift_roots, levels, tol):
         spec = Spectrum(levels)
-        sums = record_level_sums(spec)
         with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
             harmonic_shift_solve(spec, 2.0, tol=tol)
         with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
             epsilon_shift_solve(spec, 2.5, 2.0, tol=tol)
-        assert sums.asked == []
+        assert shift_roots == []
 
 
-class TestSharedLevelSums:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_earlier_solves_do_not_change_a_result(self, seed):
-        spec, energy = random_spectrum(seed, 60)
-        harmonic = harmonic_shift_solve(spec, energy)
-        epsilon = epsilon_shift_solve(spec, energy, 2.0).shift
-        again = harmonic_shift_solve(spec, energy)
+class TestScaleCovariance:
+    """Scaling every level and E by 2^k scales each residual by 2^k and
+    leaves its slope as it is, so where the level span is at least 1 (the
+    bracket's span floor) both solves move by exactly 2^k."""
 
-        def fresh():
-            return Spectrum(spec.levels, spec.degeneracies)
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except MeeError as exc:
+            return type(exc)
 
-        fresh_h, fresh_e = fresh(), fresh()
-        assert harmonic.hex() == again.hex() == harmonic_shift_solve(fresh_h, energy).hex()
-        assert epsilon.hex() == epsilon_shift_solve(fresh_e, energy, 2.0).shift.hex()
-        # the pair shares its bracket points; the repeat sums nothing anew
-        assert len(spec._level_sums) < len(fresh_h._level_sums) + len(fresh_e._level_sums)
+    @settings(deadline=None, max_examples=300)
+    @given(
+        levels=st.lists(st.one_of(st.integers(0, 40).map(lambda v: v / 4.0),
+                                  st.floats(-20.0, 20.0)), min_size=2, max_size=6),
+        degs=st.lists(st.integers(1, 10**6), min_size=6, max_size=6),
+        offset=st.sampled_from([0.0, -5.0, 3.0]),
+        fraction=st.floats(0.0, 1.0, exclude_max=True),
+        epsilon=st.sampled_from([1.5, 2.0, 3.0, 8.0]),
+        dim=st.one_of(st.none(), st.sampled_from([2, 1000, 10**6, 10**12])),
+        k=st.integers(0, 60),
+    )
+    def test_powers_of_two_scale_the_shifts_exactly(self, levels, degs, offset, fraction,
+                                                    epsilon, dim, k):
+        levels = [v + offset for v in levels]
+        assume(max(levels) - min(levels) >= 1.0)
+        scale = 2.0 ** k
+        spec = Spectrum(tuple(levels), tuple(degs[: len(levels)]))
+        big = Spectrum(tuple(v * scale for v in levels), spec.degeneracies)
+        e_arith = float(np.average(levels, weights=spec.degeneracies))
+        energy = spec.e_min + fraction * (e_arith - spec.e_min)
 
-    def test_memo_belongs_to_the_instance(self):
-        spec, energy = random_spectrum(7, 60)
-        twin = Spectrum(spec.levels, spec.degeneracies)
-        assert spec == twin
-        harmonic_shift_solve(spec, energy)
-        assert spec._level_sums and not twin._level_sums
+        def solves(sp, e):
+            return (self.outcome(lambda: harmonic_shift_solve(sp, e)),
+                    self.outcome(lambda: epsilon_shift_solve(sp, e, epsilon, dim=dim).shift),
+                    self.outcome(lambda: constants_for(sp, e, epsilon, dim=dim)))
+
+        harmonic, shift, consts = solves(spec, energy)
+        big_harmonic, big_shift, big_consts = solves(big, energy * scale)
+        for small, large in ((harmonic, big_harmonic), (shift, big_shift)):
+            if isinstance(small, float):
+                assert (small * scale).hex() == large.hex()
+            else:
+                assert small is large
+        if isinstance(consts, type):
+            assert consts is big_consts
+        else:
+            assert consts.c.hex() == big_consts.c.hex()
+            # E'_Q's ** -0.5 may round the other way, so a only to a few ulp
+            assert abs(consts.a - big_consts.a) <= 4 * math.ulp(consts.a)
 
 
 class TestEnergyFrame:

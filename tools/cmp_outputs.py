@@ -62,8 +62,10 @@ four leave out a flag the run needs (``verify --experiment moments`` without
 without ``--energy`` and ``spins`` without ``--m``).  Four runs check a
 domain error: ``verify --experiment moments --tolerance-sigmas nan`` and
 ``shift --epsilon 2`` at a 401-digit ``--dim``, and two ``bounds`` runs
-without ``--epsilon`` at ``--dim`` 0 and 1.  80 commands and 290 files in
-all.  It takes about a minute.
+without ``--epsilon`` at ``--dim`` 0 and 1.  Two ``shift`` runs (harmonic
+and ``--epsilon``) on {-1e308, 1.5e308}, whose level span overflows, check
+the shift solver's NumericalError.  82 commands and 294 files in all.  It
+takes about a minute.
 """
 from __future__ import annotations
 
@@ -98,6 +100,8 @@ INPUTS = {
     "in/negative.json": {"levels": [-2.0, -0.5, 1.0, 4.0], "degeneracies": [5, 7, 3, 9]},
     "in/offset.json": {"levels": [1e6 + 1, 1e6 + 2, 1e6 + 3]},
     "in/huge-157.json": {"levels": [1e157, 2e157, 3e157], "degeneracies": [2731, 2731, 2731]},
+    # the level span overflows, so the shift solver's bracket starts at inf
+    "in/overflowing-span.json": {"levels": [-1e308, 1.5e308]},
     "in/string-levels.json": {"levels": ["1", "2", "3"]},
     "in/boolean-levels.json": {"levels": [True, False, 2]},
     "in/boolean-degeneracy.json": {"levels": [1, 2], "degeneracies": [True, 2]},
@@ -247,6 +251,11 @@ def commands() -> dict[str, list[str]]:
     cmds["verify-moments-sigmas-nan"] = ["verify", "--experiment", "moments",
                                          *VERIFY["moments"], "--seed", "7",
                                          "--tolerance-sigmas", "nan"]
+    # each exits 1 with a NumericalError: no residual is finite at the bracket
+    cmds["shift-overflowing-span"] = ["shift", "--spectrum", "in/overflowing-span.json",
+                                      "--energy", "1e308", "--epsilon", "2"]
+    cmds["shift-overflowing-span-harmonic"] = ["shift", "--spectrum",
+                                               "in/overflowing-span.json", "--energy", "1e307"]
     cmds["shift-epsilon-huge-dim"] = ["shift", "--spectrum", "in/s123.json", "--energy", "1.5",
                                       "--epsilon", "2", "--dim", str(10**400)]
     for dim in ("0", "1"):
@@ -274,7 +283,7 @@ def commands() -> dict[str, list[str]]:
                                  "--out-dir", "out/large-bounds-grid"]
     cmds["large-bounds-epsilon"] = ["bounds", *large, "--energy", "3.5", "--epsilon", "2",
                                     "--out-dir", "out/large-bounds-epsilon"]
-    # an unsorted grid with a repeat: the solves share level sums in any order
+    # an unsorted grid with a repeat, scanned in the order given
     cmds["large-bounds-grid-unsorted"] = ["bounds", *large, "--energy", "3.5",
                                           "--epsilon-grid", "8,0.5,2,2,4,1",
                                           "--out-dir", "out/large-bounds-grid-unsorted"]
