@@ -42,12 +42,13 @@ __all__ = [
     "ellipsoid_for",
 ]
 
-_EXP_OVERFLOW = 709.0  # log threshold beyond which math.exp overflows
-
 
 def _exp_or_inf(log_value: float) -> float:
-    """exp(log_value), or ``inf`` where math.exp would overflow."""
-    return math.inf if log_value > _EXP_OVERFLOW else math.exp(log_value)
+    """exp(log_value), or ``inf`` where math.exp overflows."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -153,12 +154,10 @@ def constants_for(
             min_feasible_epsilon=min_eps,
             shift=frame.shift,
         )
-    # a Python float's ** raises OverflowError where a NumPy float's gives inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            a = 3040.0 * frame.e_prime_max ** 2 / (frame.e_prime ** 2 * (1.0 - ratio ** 2))
-        except OverflowError:
-            a = math.inf
+    try:
+        a = 3040.0 * frame.e_prime_max ** 2 / (frame.e_prime ** 2 * (1.0 - ratio ** 2))
+    except OverflowError:
+        a = math.inf
     if not math.isfinite(a):
         raise NumericalError(
             f"constant a is beyond the float range at E'_max = {frame.e_prime_max} "

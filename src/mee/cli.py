@@ -34,13 +34,7 @@ from . import canonical as canonical_mod
 from . import experiments as exp_mod
 from .errors import InfeasibleError, MeeError, NumericalError, ParseError
 from .io import dumps_record, load_bipartite, load_spectrum, write_csv
-from .sampling import (
-    RngSpec,
-    _default_workers,
-    oracle_manifold_sample,
-    sample_gaussian_ensemble,
-    sample_sphere,
-)
+from .sampling import RngSpec, oracle_manifold_sample, sample_gaussian_ensemble, sample_sphere
 from .spectrum import (_SHIFT_TOL, compute_means, epsilon_shift_solve, harmonic_frame,
                        harmonic_shift_solve)
 
@@ -115,7 +109,7 @@ _FLAGS = {
 _NEEDED = object()
 _DRAW = {"seed": _env_seed, "stream": 0}
 _SAMPLE = {"spectrum": _NEEDED, "count": 1000, **_DRAW, "out": None}
-_VERIFY = {"count": 100_000, **_DRAW, "workers": _default_workers, "out_dir": None}
+_VERIFY = {"count": 100_000, **_DRAW, "workers": None, "out_dir": None}
 _SPINS = {"m": _NEEDED, "alpha": _NEEDED, "gamma": _NEEDED, "eta": None}
 _SOLVE = {"spectrum": _NEEDED, "energy": _NEEDED}
 _READS = {

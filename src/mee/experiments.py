@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import ConcentrationConstants, _tail_constant, constants_for, tail_bound
+from .bounds import _tail_constant, constants_for, tail_bound
 from .canonical import BipartiteSpectrum, DensityMatrix, delta_deviation, rho_c_bipartite
 from .errors import DomainError, NumericalError
 from .sampling import (
@@ -168,12 +168,10 @@ def subbatch_mean_error(
     else:
         weights = np.asarray(weights, dtype=float)
         mean = float(_dot(weights, values) / weights.sum())
-    parts = max(1, min(_SUB_BATCHES, values.size))
+    parts = min(_SUB_BATCHES, values.size)
     bounds = np.linspace(0, values.size, parts + 1, dtype=int)
     sub = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
         if weights is None:
             sub.append(values[lo:hi].mean())
         else:
@@ -232,7 +230,7 @@ def reduced_dm_report(
     deviation budget, not a failure.
     """
     dim_a, dim_b = bs.dim_a, bs.dim_b
-    flat = Spectrum(bs.flat_levels().tolist())
+    flat = Spectrum(bs.flat_levels())
     frame = harmonic_frame(flat, energy)
     consts = constants_for(bs.combined(), energy, epsilon)
     rho_ref = rho_c_bipartite(bs, consts.frame)
@@ -304,22 +302,17 @@ def _sorted_ts(ts: Sequence[float]) -> np.ndarray:
     ts = np.asarray(list(ts), dtype=float)
     if np.any(np.diff(ts) < 0.0):
         raise DomainError("ts must be sorted ascending")
-    if np.any(ts < 0.0):  # tail_log_bound's error, raised before any draw
-        raise DomainError("deviation t must be nonnegative")
     return ts
 
 
-def _tail_curve(
-    values: np.ndarray, ts: Sequence[float], constants: ConcentrationConstants
-) -> TailCurve:
-    """Empirical Prob{|value - median| > t} of a nonempty sample, centered at its
-    median as the bound's statement is, beside the clamped bound at each t."""
-    ts = _sorted_ts(ts)
+def _tail_curve(values: np.ndarray, ts: np.ndarray, bounds: np.ndarray) -> TailCurve:
+    """Empirical Prob{|value - median| > t} of a nonempty sample at each of
+    the sorted ``ts``, centered at its median as the bound's statement is,
+    beside the clamped ``bounds`` at those t."""
     med = float(np.median(values))
     dev = np.abs(values - med)
     freqs = np.array([np.mean(dev > t) for t in ts])
-    bnds = np.array([min(1.0, tail_bound(constants, t)) for t in ts])
-    return TailCurve(ts=ts, frequencies=freqs, median=med, bounds=bnds)
+    return TailCurve(ts=ts, frequencies=freqs, median=med, bounds=bounds)
 
 
 def _first_coordinate(states: np.ndarray) -> tuple[np.ndarray]:
@@ -343,13 +336,17 @@ def tail_report(
     Each t is reported as the empirical exceedance frequency minus the
     clamped bound, which passes when it is not positive.  Streams the batch:
     only one value per state is kept.
+
+    Each input is checked once, before the sampler's harmonic shift is
+    solved, in this order: the order of ``ts``; ``epsilon``, by the solve of
+    the constants; each t, by its clamped bound, which rejects a negative t.
     """
-    frame = harmonic_frame(spectrum, energy)
-    # before the stream, so unsorted or negative ts or a bad epsilon fail at once
     ts = _sorted_ts(ts)
     consts = constants_for(spectrum, energy, epsilon)
+    bounds = np.array([min(1.0, tail_bound(consts, t)) for t in ts])
+    frame = harmonic_frame(spectrum, energy)
     (values,) = _gaussian_stream(frame, count, rng, _first_coordinate, workers)
-    curve = _tail_curve(values, ts, consts)
+    curve = _tail_curve(values, ts, bounds)
     measured = tuple(
         Measured(f"excess_over_bound_t_{t:g}", float(freq - bound), None, 0.0, "upper")
         for t, freq, bound in zip(curve.ts, curve.frequencies, curve.bounds)

@@ -160,14 +160,12 @@ def _map_ordered(fn: Callable, items: Iterable, workers: int | None = None) -> I
                 future.cancel()
 
 
-def _block_rows(n: int, chunk_rows: int) -> int:
-    """Rows per block of a stream over C^n whose largest chunk holds
-    ``chunk_rows`` states: about ``_NORM_BLOCK_SCALARS`` numbers (at least one
-    row), and at most one chunk.  The blocks depend only on ``n`` and
-    ``chunk_rows``, and every per-row reduction gives a row the same bits in
-    a block of any size, so the streams' bytes are those of whole-chunk
-    draws."""
-    return min(max(_NORM_BLOCK_SCALARS // (2 * n), 1), chunk_rows)
+def _block_rows(n: int) -> int:
+    """Rows per block of a stream over C^n: about ``_NORM_BLOCK_SCALARS``
+    numbers, and at least one row.  The blocks depend only on ``n``, and
+    every per-row reduction gives a row the same bits in a block of any
+    size, so the streams' bytes are those of whole-chunk draws."""
+    return max(_NORM_BLOCK_SCALARS // (2 * n), 1)
 
 
 def _chunk_stream(rng: RngSpec, draw: Callable, reduce: Callable, count: int, n: int,
@@ -177,25 +175,27 @@ def _chunk_stream(rng: RngSpec, draw: Callable, reduce: Callable, count: int, n:
     ``(chunk, size)`` pairs of ``chunk_layout(count, n)``.
 
     Chunk ``chunk`` comes from one ``rng.generator(chunk)``, drawn and reduced
-    in blocks of :func:`_block_rows` states (the last block of a chunk may be
-    shorter): ``draw(gen, out)`` fills a float64 ``(rows, n, 2)`` block
-    ``out`` with the generator's next normals, as :func:`_complex_normals`
-    does, and returns the block's states; ``reduce(states)`` returns a tuple
-    of arrays with one leading row per state (of the states it keeps, for
-    the shell oracle), and must not keep a view of ``states``.  Each array is
-    concatenated over the chunk's blocks, and the task returns
+    in blocks of :func:`_block_rows` states (the last block of a chunk, or
+    its only one, may be shorter): ``draw(gen, out)`` fills a float64
+    ``(rows, n, 2)`` block ``out`` with the generator's next normals, as
+    :func:`_complex_normals` does, and returns the block's states;
+    ``reduce(states)`` returns a tuple of arrays with one leading row per
+    state (of the states it keeps, for the shell oracle), and must not keep
+    a view of ``states``.  Each array is concatenated over the chunk's
+    blocks, and the task returns
     ``finish(*arrays)``, or the arrays without ``finish``: the step that must
     see the whole chunk at once, run in the worker so that no more than a
     chunk's reductions are held per item.  Consecutive blocks continue one
     generator, so the states are those of a whole-chunk draw bit for bit.
-    Each task draws its blocks into one buffer of its own.
+    Each task draws its blocks into one buffer of its own, of min(block,
+    chunk) rows.
     """
     items = list(enumerate(chunk_layout(count, n)))
-    rows = _block_rows(n, items[0][1]) if items else 1
+    rows = _block_rows(n)
 
     def task(item: tuple[int, int]) -> tuple[np.ndarray, ...]:
         chunk, size = item
-        buf = np.empty((rows, n, 2))
+        buf = np.empty((min(rows, size), n, 2))
         gen = rng.generator(chunk)
         parts = [reduce(draw(gen, buf[: min(rows, size - lo)])) for lo in range(0, size, rows)]
         arrays = tuple(np.concatenate(arrays) for arrays in zip(*parts))
@@ -210,9 +210,8 @@ def _draw_batch(rng: RngSpec, draw: Callable, count: int, n: int) -> np.ndarray:
     block)`` (see :func:`_chunk_stream`)."""
     states = np.empty((count, n), dtype=complex)
     rows = states.view(np.float64).reshape(count, n, 2)
-    layout = chunk_layout(count, n)
-    block = _block_rows(n, layout[0]) if layout else 1
-    for chunk, size in enumerate(layout):
+    block = _block_rows(n)
+    for chunk, size in enumerate(chunk_layout(count, n)):
         gen = rng.generator(chunk)
         for lo in range(0, size, block):
             draw(gen, rows[lo : min(lo + block, size)])

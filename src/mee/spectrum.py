@@ -352,6 +352,7 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
     first level sum is positive, so r is finite at the bracket's start
     unless the level span or E + x overflows or that sum underflows to 0,
     and then no nearby start gives a finite r either: such a solve raises.
+    The root is a Python float, whichever step ends the solve.
     """
     levels = spectrum._levels_arr
     weights = spectrum._weights_arr
@@ -395,7 +396,7 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
         for _ in range(_MAX_ITER):
             r, dr = residual(x)
             if abs(r) <= tol * max(abs(energy + x), 1e-300):
-                return x
+                return float(x)
             if r > 0.0:
                 hi = x
             else:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -294,10 +295,8 @@ class TestOptimizeEpsilon:
             (EX1, list(DEFAULT_EPSILON_GRID), 2),  # every point passed over, then solved
         ]:
             with pytest.raises(InfeasibleError) as err:
-                optimize_epsilon(_fresh(spec), 1.5, 1.0, grid, dim=dim)
-            kind, message, failures = TestGridPruning.exhaustive(
-                _fresh(spec), 1.5, 1.0, grid, dim
-            )
+                optimize_epsilon(spec, 1.5, 1.0, grid, dim=dim)
+            kind, message, failures = TestGridPruning.exhaustive(spec, 1.5, 1.0, grid, dim)
             assert (kind, message) == (InfeasibleError, str(err.value))
             assert list(err.value.details["failures"].items()) == list(failures.items())
             assert err.value.details["grid"] == [float(eps) for eps in grid]
@@ -326,13 +325,10 @@ class TestOptimizeEpsilon:
         assert shift_roots == []
 
 
-def _fresh(spec: Spectrum) -> Spectrum:
-    return Spectrum(spec.levels, spec.degeneracies)
-
-
 class TestSharedLevelSums:
-    """No result may depend on the solves that ran before it on the same
-    spectrum: the solves share nothing."""
+    """The pruned scan of a 200-level spectrum gives what solving every point
+    gives (:meth:`TestGridPruning.check`).  The class name is historical: its
+    test ids are kept."""
 
     # below 2, epsilon is infeasible on these spectra (n ~ 2000)
     @pytest.mark.parametrize(
@@ -343,22 +339,7 @@ class TestSharedLevelSums:
     @pytest.mark.parametrize("seed", range(4))
     def test_grid_matches_fresh_solves(self, seed, grid):
         spec, energy = random_spectrum(seed, 200)
-        t = 0.5
-        got = optimize_epsilon(spec, energy, t, grid)
-        best, best_log = None, math.inf
-        for eps in grid:
-            try:
-                cand = constants_for(_fresh(spec), energy, eps)
-            except InfeasibleError:
-                with pytest.raises(InfeasibleError):
-                    constants_for(spec, energy, eps)
-                continue
-            # the same bits again on the spectrum the grid ran on
-            assert repr(constants_for(spec, energy, eps).to_json()) == repr(cand.to_json())
-            log_value = tail_log_bound(cand, t)
-            if log_value < best_log:
-                best, best_log = cand, log_value
-        assert repr(got.to_json()) == repr(best.to_json())
+        TestGridPruning().check(spec, energy, 0.5, grid)
 
 
 class TestGridPruning:
@@ -407,9 +388,9 @@ class TestGridPruning:
         certificate, so it may instead give the best of the points that
         converge."""
         got = self.scanned(spec, energy, t, grid, dim)
-        want = self.exhaustive(_fresh(spec), energy, t, grid, dim)
+        want = self.exhaustive(spec, energy, t, grid, dim)
         if want[0] is NumericalError and got != want:
-            want = self.exhaustive(_fresh(spec), energy, t, grid, dim, NumericalError)
+            want = self.exhaustive(spec, energy, t, grid, dim, NumericalError)
             assert isinstance(got, str)
         assert got == want
 
@@ -450,18 +431,18 @@ class TestGridPruning:
         # tolerance, and one of them is a point the scan skips
         spec, energy = Spectrum((2.0, 8.25), (255049, 239800)), 2.0000343858412313
         args = (energy, 2.853244762836068, DEFAULT_EPSILON_GRID, 10**6)
-        assert self.exhaustive(_fresh(spec), *args)[0] is NumericalError
+        assert self.exhaustive(spec, *args)[0] is NumericalError
         assert self.scanned(spec, *args) == self.exhaustive(spec, *args, NumericalError)
 
     def test_a_point_passed_over_is_not_solved(self):
         # the certificate passes over 0.5, whose solve misses its tolerance
         spec, energy = Spectrum((2.0, 8.25), (255049, 239800)), 2.00004265795188
         with pytest.raises(NumericalError):
-            constants_for(_fresh(spec), energy, 0.5)
+            constants_for(spec, energy, 0.5)
         args = (energy, 2.0, DEFAULT_EPSILON_GRID, None)
-        assert self.exhaustive(_fresh(spec), *args)[0] is NumericalError
+        assert self.exhaustive(spec, *args)[0] is NumericalError
         assert self.scanned(spec, *args) == self.exhaustive(spec, *args, NumericalError)
-        self.check(_fresh(spec), *args)
+        self.check(spec, *args)
 
     def test_the_first_point_that_does_not_converge_is_raised(self):
         # 0.5 (passed over) and 1.5 (solved) both miss their tolerance, with
@@ -470,7 +451,7 @@ class TestGridPruning:
         residuals = []
         for eps in (0.5, 1.5):
             with pytest.raises(NumericalError) as err:
-                constants_for(_fresh(spec), energy, eps)
+                constants_for(spec, energy, eps)
             residuals.append(err.value.residual)
         with pytest.raises(NumericalError) as err:
             optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
@@ -520,7 +501,7 @@ class TestGridPruning:
         # 0.5 and 1.0 lie below the multiplier, so only the certificate passes over them
         above = [eps for eps in DEFAULT_EPSILON_GRID if eps > _multiplier(eps, 10**15)]
         assert len(epsilon_solves) == len(above) == 14
-        want = self.exhaustive(_fresh(spec), energy, 2.0, DEFAULT_EPSILON_GRID, 10**15)
+        want = self.exhaustive(spec, energy, 2.0, DEFAULT_EPSILON_GRID, 10**15)
         assert repr(got.to_json()) == want
 
     def test_solved_points_are_the_kept_points_in_grid_order(self, monkeypatch):
@@ -537,13 +518,13 @@ class TestGridPruning:
         got = optimize_epsilon(spec, energy, 2.0, grid)
         kept = [eps for eps in grid if not _infeasible_by_means(eps, spec.n)]
         assert 3 <= len(solved) < len(grid) and solved == kept[: len(solved)]
-        assert repr(got.to_json()) == self.exhaustive(_fresh(spec), energy, 2.0, grid)
+        assert repr(got.to_json()) == self.exhaustive(spec, energy, 2.0, grid)
 
     def test_default_grid_solves_few_points(self, epsilon_solves):
         spec, energy = random_spectrum(11, 2000)
         got = optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
         assert len(epsilon_solves) <= 5
-        want = self.exhaustive(_fresh(spec), energy, 2.0, DEFAULT_EPSILON_GRID)
+        want = self.exhaustive(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
         assert repr(got.to_json()) == want
 
 
@@ -600,7 +581,7 @@ class TestPowerMeanCertificate:
         monkeypatch.setattr(mee.bounds, "constants_for", logging_constants_for)
         got = optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
         assert solved and not {0.5, 1.0} & set(solved)
-        want = TestGridPruning.exhaustive(_fresh(spec), energy, 2.0, DEFAULT_EPSILON_GRID)
+        want = TestGridPruning.exhaustive(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
         assert repr(got.to_json()) == want
 
 
@@ -677,3 +658,29 @@ def test_flip_involution_property(width, offset):
     # the flipped problem lands inside the low-energy regime of its spectrum
     means = compute_means(flipped)
     assert means.e_min < negated < means.e_arith
+
+
+class TestExpOrInf:
+    def test_finite_up_to_the_float_range(self):
+        # math.exp overflows above ln(max float) = 709.7827..., not at 709
+        for log_value in (709.5, 709.78):
+            assert mee.bounds._exp_or_inf(log_value) == math.exp(log_value) < math.inf
+        assert mee.bounds._exp_or_inf(709.79) == math.inf
+        assert mee.bounds._exp_or_inf(math.inf) == math.inf
+        assert mee.bounds._exp_or_inf(-math.inf) == 0.0
+        assert math.isnan(mee.bounds._exp_or_inf(math.nan))
+
+    def test_tail_bound_is_finite_below_the_float_range(self):
+        k = constants_for(EX1, 1.5, 2.0)
+        t = 0.5
+        # the a whose log bound at t is 709.5
+        k = dataclasses.replace(k, a=math.exp(709.5 - (tail_log_bound(k, t) - math.log(k.a))))
+        assert 709.0 < tail_log_bound(k, t) < 709.6
+        assert tail_bound(k, t) == math.exp(tail_log_bound(k, t)) < math.inf
+
+
+@pytest.mark.parametrize("radii", [[], [1.0, 0.0], [2.0, -1.0], [[1.0, 2.0]]],
+                         ids=["empty", "zero", "negative", "matrix"])
+def test_ellipsoid_rejects_bad_radii(radii):
+    with pytest.raises(DomainError, match="ellipsoid radii must be a nonempty positive vector"):
+        mee.bounds.Ellipsoid(radii)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from mee import (
     tail_bound,
     epsilon_shift_solve,
 )
+from mee.bounds import tail_log_bound
 
 SQRT7 = math.sqrt(7.0)
 RHO_LIMIT = np.array([(5.0 + SQRT7) / 12.0, 2.0 * (4.0 - SQRT7) / 12.0, (-1.0 + SQRT7) / 12.0])
@@ -210,6 +212,16 @@ class TestReducedDmTail:
         k = constants_for(Spectrum((1.0, 2.0, 3.0), (100,) * 3), 1.5, 2.0)
         assert reduced_dm_tail(k, 1, 0.9) == pytest.approx(2 * tail_bound(k, 0.9), rel=1e-12)
 
+    def test_finite_just_below_the_float_range(self):
+        k = constants_for(Spectrum((1.0, 2.0, 3.0), (100,) * 3), 1.5, 2.0)
+        dim_a, t = 3, 0.8
+        log_rest = math.log(dim_a * (dim_a + 1.0)) + tail_log_bound(k, t) - math.log(k.a)
+        # the a whose log bound is 709.5, below ln(max float) = 709.78
+        k = dataclasses.replace(k, a=math.exp(709.5 - log_rest))
+        got = reduced_dm_tail(k, dim_a, t)
+        assert got < math.inf
+        assert got == pytest.approx(math.exp(709.5), rel=1e-12)
+
     def test_domain(self):
         k = constants_for(Spectrum((1.0, 2.0, 3.0), (100,) * 3), 1.5, 2.0)
         with pytest.raises(DomainError):
@@ -391,3 +403,21 @@ class TestHallDensity:
             hall_radial_density(1, 0.5)
         with pytest.raises(DomainError):
             hall_radial_density(5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DensityMatrix(np.zeros((2, 3))), "must be square and nonempty"),
+        (lambda: DensityMatrix(np.zeros((0, 0))), "must be square and nonempty"),
+        (lambda: DensityMatrix(np.zeros((2, 2))).normalized(), "nonpositive trace"),
+        (lambda: DensityMatrix.from_diagonal([0.5, 0.5]).hs_distance(
+            DensityMatrix.from_diagonal([1.0])), "^dimension mismatch$"),
+        (lambda: qubit_exact_tail(3.0, 1.0, 1.5, 1, 0.1), "dim_b must be at least 2"),
+        (lambda: qubit_exponential_bound(3.0, 1.0, 1.5, 4, -0.1), "eps must be nonnegative"),
+    ],
+    ids=["not-square", "empty", "zero-trace", "hs-dimensions", "dim-b-1", "negative-eps"],
+)
+def test_error_paths(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -526,6 +526,39 @@ class TestErrorPaths:
         assert captured.out == ""
         assert issubclass(getattr(builtins, json.loads(captured.err)["error"]), OSError)
 
+    @pytest.mark.parametrize(
+        "argv, code, error, message",
+        [
+            (["bounds", "--t-values", "0.1,x"], 2, "ParseError",
+             "cannot parse float list '0.1,x'"),
+            (["bounds", "--t-values", ","], 2, "ParseError",
+             "float list ',' must hold one or more finite values"),
+            (["bounds", "--t-values", "0.1,nan"], 2, "ParseError",
+             "float list '0.1,nan' must hold one or more finite values"),
+            # the harmonic solve at levels {1, 2, 3} + 1e6 misses its tolerance
+            (["shift", "--energy", "1000001.5"], 1, "NumericalError",
+             "shift solver did not converge within 200 iterations"),
+        ],
+        ids=["t-values-garbage", "t-values-empty", "t-values-nan", "shift-residual"],
+    )
+    def test_error_record(self, capsys, tmp_path, argv, code, error, message):
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps({"levels": [1e6 + 1, 1e6 + 2, 1e6 + 3]}))
+        argv = [*argv, "--spectrum", str(path)]
+        if argv[0] == "bounds":
+            argv += ["--energy", "1000001.5"]
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err, parse_constant=_reject_constant)
+        assert record["error"] == error
+        assert message in record["message"]
+        if error == "NumericalError":
+            assert set(record) == {"error", "message", "details"}
+            assert math.isfinite(record["details"]["residual"]) and record["details"]["residual"]
+        else:
+            assert "details" not in record
+
     def test_unknown_subcommand_is_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
         captured = capsys.readouterr()
@@ -599,8 +632,7 @@ class TestNonFiniteInputs:
             # print a null shift and exit 0
             (["shift", "--spectrum", "flat", "--epsilon", "inf", "--energy", "2.5"], None),
             (["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
-              "--epsilon", "nan", "--count", "10", "--seed", "1"],
-             "mee.experiments._gaussian_stream"),
+              "--epsilon", "nan", "--count", "10", "--seed", "1"], None),
             (["sample", "--mode", "oracle", "--spectrum", "small", "--energy", "1.5",
               "--eta", "nan", "--count", "5", "--seed", "1"], "mee.sampling._map_ordered"),
             # no residual meets a negative or NaN tolerance: 200 iterations
@@ -610,7 +642,7 @@ class TestNonFiniteInputs:
               "--tol", "nan"], None),
             # every residual meets an infinite one: exit 0 with a wrong shift
             (["shift", "--spectrum", "s123", "--energy", "1.5", "--tol", "inf"], None),
-            # a negative t fails in the bound too, but only after every chunk is drawn
+            # a negative t fails in the bound, after the constants' solve, before any draw
             (["verify", "--experiment", "tail", "--spectrum", "small", "--energy", "1.5",
               "--count", "10", "--seed", "1", "--t-values=-0.1,0.2", "--out-dir", "out"],
              "mee.experiments._gaussian_stream"),
@@ -1107,6 +1139,28 @@ def test_levels_beyond_the_squares_range_leave_one_record(capsys, recwarn, tmp_p
     assert record["error"] == "NumericalError"
     assert "float range" in record["message"]
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("k", [155, 160])
+def test_overflowing_reference_variance_leaves_one_record(capsys, recwarn, monkeypatch,
+                                                           tmp_path, k):
+    # the harmonic solve ends in a Newton step here, and E'^2/n overflows
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_gaussian_stream ran")
+
+    monkeypatch.setattr("mee.experiments._gaussian_stream", forbidden)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"levels": [float(f"{d}e{k}") for d in (1, 2, 3)]}))
+    code = run(["verify", "--experiment", "moments", "--spectrum", str(path), "--energy",
+                f"1.5e{k}", "--count", "10", "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    record = json.loads(captured.err, parse_constant=_reject_constant)
+    assert record["error"] == "NumericalError"
+    assert record["message"].startswith("the reference variance E'^2/n overflows")
+    assert not recwarn.list
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -176,8 +176,7 @@ class TestEmpiricalTail:
     SPEC = Spectrum((1.0, 2.0, 3.0), (342, 341, 341))
 
     def test_constant_function_never_exceeds(self):
-        consts = constants_for(self.SPEC, 1.5, 2.0)
-        curve = _tail_curve(np.ones(200), [0.1, 0.5, 1.0], consts)
+        curve = _tail_curve(np.ones(200), np.array([0.1, 0.5, 1.0]), np.ones(3))
         assert np.all(curve.frequencies == 0.0)
 
     def test_coordinate_median_is_near_zero(self):
@@ -444,3 +443,23 @@ class TestSpinProbe:
         report = spin_concentration_probe(spec, 3000, RngSpec(seed=39))
         by_name = {m.name: m for m in report.measured}
         assert by_name["occupation_below_cut"].reference == pytest.approx(1 - 0.25 / 0.45)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Measured("x", 1.0, mode="sigmas").passed, "has mode sigmas but no reference"),
+        (lambda: Measured("x", 1.0, reference=1.0, mode="within").passed,
+         "unknown pass mode 'within'"),
+        (lambda: subbatch_mean_error([]), "cannot estimate from an empty sample"),
+    ],
+    ids=["no-reference", "unknown-mode", "empty-sample"],
+)
+def test_error_paths(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_one_value_has_no_standard_error():
+    assert subbatch_mean_error([2.5]) == (2.5, math.inf)
+    assert subbatch_mean_error([2.5], [3.0]) == (2.5, math.inf)

@@ -15,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 import mee.io
 from mee.cli import run
-from mee.io import load_spectrum, write_csv
+from mee.errors import ParseError
+from mee.io import load_bipartite, load_spectrum, write_csv
 from mee.sampling import RngSpec, oracle_manifold_sample
 
 # the cells whose repr orjson writes in another notation (or as null), and
@@ -232,3 +233,21 @@ def test_piped_stdout_holds_one_record(tmp_path):
     assert proc.stdout.count('"command": "sample"') == 1
     assert json.loads(proc.stdout)["produced"] == 601
     assert dump.read_bytes().count(b"\r\n") == 1 + 601
+
+
+@pytest.mark.parametrize(
+    "loader, obj, message",
+    [
+        (load_spectrum, [1.0, 2.0], "must contain a JSON object"),
+        (load_bipartite, "levels_a", "must contain a JSON object"),
+        (load_spectrum, {"degeneracies": [1, 1]}, "is missing the 'levels' key"),
+        (load_bipartite, {"levels_a": [1.0]}, "is missing 'levels_a'/'levels_b'"),
+        (load_bipartite, {"levels_b": [1.0]}, "is missing 'levels_a'/'levels_b'"),
+    ],
+    ids=["spectrum-list", "bipartite-string", "no-levels", "no-levels-b", "no-levels-a"],
+)
+def test_schema_errors(tmp_path, loader, obj, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=message):
+        loader(path)

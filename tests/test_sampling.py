@@ -179,7 +179,7 @@ class TestDrawBuffers:
             alone = _complex_normals(rng.generator(i), np.empty((size, frame.dim, 2)))
             assert raw.tobytes() == alone.tobytes()
 
-    def test_one_buffer_per_thread(self, monkeypatch):
+    def test_chunks_are_drawn_in_blocks_of_the_budget(self, monkeypatch):
         seen = []
 
         def draw(gen, out):
@@ -197,13 +197,24 @@ class TestDrawBuffers:
         assert all(b.dtype == np.float64 for b in seen)
 
     def test_blocks_hold_the_budget_within_one_chunk(self):
-        assert sampling_mod._block_rows(4096, 512) == 16
-        assert sampling_mod._block_rows(1024, 2048) == 64
-        assert sampling_mod._block_rows(900, 2330) == 72
-        assert sampling_mod._block_rows(60, 34952) == 1092
-        assert sampling_mod._block_rows(2**17, 16) == 1  # the budget fits no row
-        assert sampling_mod._block_rows(3, 7) == 7  # capped at the chunk
-        assert sampling_mod._block_rows(2**21, 1) == 1
+        assert sampling_mod._block_rows(4096) == 16
+        assert sampling_mod._block_rows(1024) == 64
+        assert sampling_mod._block_rows(900) == 72
+        assert sampling_mod._block_rows(60) == 1092
+        assert sampling_mod._block_rows(2**17) == 1  # the budget fits no row
+        assert sampling_mod._block_rows(2**21) == 1
+        # a chunk smaller than a block gets a buffer of the chunk's rows
+        assert sampling_mod._block_rows(3) > 7
+        seen = []
+
+        def draw(gen, out):
+            seen.append(out.base.shape)
+            return _complex_normals(gen, out)
+
+        task, items = _chunk_stream(RngSpec(seed=1), draw, lambda s: (s.real[:, 0].copy(),), 7, 3)
+        assert items == [(0, 7)]
+        task(items[0])
+        assert seen == [(7, 3, 2)]
 
 
 SPEC1024 = Spectrum((1.0, 2.0, 3.0), (342, 341, 341))  # chunks of 2048 + 517 states
@@ -372,7 +383,7 @@ class TestSphere:
         monkeypatch.setattr(sampling_mod, "_complex_normals", spy)
         sample_sphere(900, 3000, RngSpec(seed=9))
         # chunks of 2330 and 670 states, blocks of 72
-        assert max(rows) == sampling_mod._block_rows(900, 2330) == 72
+        assert max(rows) == sampling_mod._block_rows(900) == 72
         assert sum(rows) == 3000
         assert len(rows) == 33 + 10
 
@@ -817,3 +828,29 @@ class TestBatchInvariants:
         assert batch.meta["kind"] == "gaussian"
         assert batch.meta["normalized"] is False
         assert batch.meta["shift"] == frame.shift
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sampling_mod.SampleBatch(np.zeros(3), None), r"states must be a \(count, n\)"),
+        (lambda: sampling_mod.SampleBatch(np.array([[1.0, np.nan]]), None),
+         "states must be finite"),
+        (lambda: sampling_mod.SampleBatch(np.ones((2, 3)), np.ones(3)), "weights length"),
+        (lambda: sampling_mod.SampleBatch(np.ones((2, 3)), np.array([1.0, 0.0])),
+         "weights must be positive and finite"),
+        (lambda: sampling_mod.SampleBatch(np.ones((2, 3)), np.array([1.0, np.inf])),
+         "weights must be positive and finite"),
+        (lambda: chunk_layout(-1, 3), "count must be nonnegative"),
+        (lambda: sample_sphere(0, 5, RngSpec(seed=1)), "^dimension must be positive$"),
+        (lambda: gradient_norm(SPEC123, np.array([0.6, 0.8])),
+         "state has dimension 2, spectrum has 3"),
+        (lambda: oracle_manifold_sample(SPEC123, 1.5, 0.1, 5, 0, RngSpec(seed=1)),
+         "max_draws must be positive"),
+    ],
+    ids=["states-1d", "states-nan", "weights-length", "weights-zero", "weights-inf",
+         "negative-count", "sphere-dimension", "gradient-dimension", "max-draws"],
+)
+def test_error_paths(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

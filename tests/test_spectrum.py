@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mee import (
     DomainError,
     EnergyFrame,
+    InfeasibleError,
     MeeError,
     Spectrum,
     compute_means,
@@ -512,3 +513,44 @@ class TestEnergyFrame:
         frame = EnergyFrame(Spectrum((1.0, 3.0), (2, 1)), 1.5, 0.5)
         assert frame.e_prime == 2.0
         assert frame.e_prime_min == 1.5 and frame.e_prime_max == 3.5
+
+
+class TestPythonFloatShifts:
+    """Both solvers return a Python float, whichever step ends the solve: a
+    NumPy float's ** gives inf with a warning where a Python float's raises
+    OverflowError, which the constants and the moments report catch."""
+
+    CASES = [
+        ((1.0, 2.0, 3.0), 1.5),
+        ((0.5, 1.5, 4.0), 1.0),
+        ((1e155, 2e155, 3e155), 1.5e155),
+        ((1e160, 2e160, 3e160), 1.5e160),
+        ((1e170, 2e170, 3e170), 1.5e170),
+    ]
+
+    IDS = ["s123", "uneven", "1e155", "1e160", "1e170"]
+
+    @pytest.mark.parametrize("levels, energy", CASES, ids=IDS)
+    def test_harmonic_shift(self, levels, energy):
+        assert type(harmonic_shift_solve(Spectrum(levels), energy)) is float
+
+    @pytest.mark.parametrize("levels, energy", CASES, ids=IDS)
+    def test_epsilon_shift(self, levels, energy):
+        assert type(epsilon_shift_solve(Spectrum(levels), energy, 2.0, dim=10**6).shift) is float
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Spectrum((1.0, 2.0), ((1, 2), 3)), DomainError, "whole numbers"),
+        (lambda: EnergyFrame(Spectrum((1.0, 3.0)), 1.5, 0.0, dim=-1), DomainError,
+         "^frame dimension must be positive$"),
+        # E - e_min is one ulp: the linear solve's shift rounds to -e_min
+        (lambda: epsilon_shift_solve(Spectrum((3.0, 3.0)), math.nextafter(3.0, 4.0), 1.0),
+         InfeasibleError, "no positive-level shift solves the all-equal frame"),
+    ],
+    ids=["ragged-degeneracies", "frame-dimension", "all-equal-frame"],
+)
+def test_error_paths(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -34,8 +34,9 @@ weighted oracle dump of 2000 x 121 cells and a Gaussian dump of 546 x 120),
 ``bounds`` (``constants.json``, ``tail.csv``; also a 50-point grid on {1, 2,
 3} whose best point comes after the first feasible one, and t-values up to 5
 on n = 900, whose ``tail.csv`` bounds run from 0.018 through 1.5e-108 to
-0.0), ``bounds`` at levels near 1e157, where the constant a overflows, ``canonical.json``, the
-error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
+0.0), ``bounds`` at levels near 1e157, where the constant a overflows, a
+moments ``verify`` at levels near 1e155, where E'^2/n overflows,
+``canonical.json``, the error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
 ``verify`` and that of an all-infeasible ``bounds --epsilon-grid``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
 --count 0``.  ``means``, ``shift``,
 ``bounds`` (the default grid, an unsorted grid with a repeated value, a
@@ -59,12 +60,13 @@ flag they do not read (``verify --experiment moments --eta``, ``shift
 and ``sample --mode sphere --energy``) and check its exit-2 record, and
 four leave out a flag the run needs (``verify --experiment moments`` without
 ``--spectrum``, ``sample --mode gaussian`` without ``--energy``, ``shift``
-without ``--energy`` and ``spins`` without ``--m``).  Four runs check a
-domain error: ``verify --experiment moments --tolerance-sigmas nan`` and
-``shift --epsilon 2`` at a 401-digit ``--dim``, and two ``bounds`` runs
-without ``--epsilon`` at ``--dim`` 0 and 1.  Two ``shift`` runs (harmonic
+without ``--energy`` and ``spins`` without ``--m``).  Five runs check a
+domain error: ``verify --experiment moments --tolerance-sigmas nan``,
+``verify --experiment tail --epsilon nan``, ``shift --epsilon 2`` at a
+401-digit ``--dim``, and two ``bounds`` runs without ``--epsilon`` at
+``--dim`` 0 and 1.  Two ``shift`` runs (harmonic
 and ``--epsilon``) on {-1e308, 1.5e308}, whose level span overflows, check
-the shift solver's NumericalError.  82 commands and 294 files in all.  It
+the shift solver's NumericalError.  84 commands and 300 files in all.  It
 takes about a minute.
 """
 from __future__ import annotations
@@ -100,6 +102,8 @@ INPUTS = {
     "in/negative.json": {"levels": [-2.0, -0.5, 1.0, 4.0], "degeneracies": [5, 7, 3, 9]},
     "in/offset.json": {"levels": [1e6 + 1, 1e6 + 2, 1e6 + 3]},
     "in/huge-157.json": {"levels": [1e157, 2e157, 3e157], "degeneracies": [2731, 2731, 2731]},
+    # E'^2 overflows where the harmonic shift solve ends in a Newton step
+    "in/huge-155.json": {"levels": [1e155, 2e155, 3e155]},
     # the level span overflows, so the shift solver's bracket starts at inf
     "in/overflowing-span.json": {"levels": [-1e308, 1.5e308]},
     "in/string-levels.json": {"levels": ["1", "2", "3"]},
@@ -167,6 +171,17 @@ def commands() -> dict[str, list[str]]:
     cmds["verify-tail-negative-t"] = [
         "verify", "--experiment", "tail", *VERIFY["tail"], "--seed", "7",
         "--t-values=-0.1,0.2", "--out-dir", "out/verify-tail-negative-t",
+    ]
+    # exits 1 with the DomainError of the epsilon check, before any shift is solved
+    cmds["verify-tail-epsilon-nan"] = [
+        "verify", "--experiment", "tail", *VERIFY["tail"], "--seed", "7",
+        "--epsilon", "nan", "--out-dir", "out/verify-tail-epsilon-nan",
+    ]
+    # exits 1: the reference variance E'^2/n is beyond the float range
+    cmds["verify-moments-huge-155"] = [
+        "verify", "--experiment", "moments", "--spectrum", "in/huge-155.json",
+        "--energy", "1.5e155", "--count", "10", "--seed", "7",
+        "--out-dir", "out/verify-moments-huge-155",
     ]
     # exits 2 when the report directory cannot be made
     cmds["verify-out-dir-unusable"] = [
