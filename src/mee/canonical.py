@@ -223,7 +223,7 @@ def detmax_state(levels_a: Sequence[float], energy: float, tol: float = 1e-12) -
     shift = harmonic_shift_solve(spec, energy, tol)
     lv = spec.expand()
     lam = (energy + shift) / (lv.size * (lv + shift))
-    scale = max(1.0, abs(energy))
+    scale = max(abs(spec.e_min), abs(spec.e_max))
     if abs(lam.sum() - 1.0) > 1e3 * tol or abs(float(_dot(lam, lv)) - energy) > 1e3 * tol * scale:
         raise NumericalError(
             "determinant maximizer violates its constraints",

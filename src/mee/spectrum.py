@@ -299,10 +299,11 @@ class EnergyFrame:
 
     @cached_property
     def e_prime_quad(self) -> float:
-        inv_sq = _dot(self.weights, self.shifted_levels ** -2.0)
-        if inv_sq == 0.0:
+        with np.errstate(over="ignore"):
+            inv_sq = _dot(self.weights, self.shifted_levels ** -2.0)
+        if not 0.0 < inv_sq < math.inf:
             raise NumericalError(
-                f"E'_Q is beyond the float range: every 1/E'_k^2 underflows at "
+                f"E'_Q is beyond the float range: the mean of 1/E'_k^2 is {inv_sq} at "
                 f"min E'_k = {self.e_prime_min}"
             )
         return float(inv_sq ** -0.5)
@@ -349,14 +350,15 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
     r is strictly increasing for non-degenerate spectra (the harmonic-mean
     derivative identity gives r'(x) = multiplier * E_H^2/E_Q^2 - 1), so a
     sign-change bracket plus safeguarded Newton converges globally.  The
-    first level sum is positive, so r is finite at the bracket's start
-    unless the level span or E + x overflows or that sum underflows to 0,
-    and then no nearby start gives a finite r either: such a solve raises.
-    The root is a Python float, whichever step ends the solve.
+    bracket and the stopping test have no absolute floor: scaling the levels
+    and E scales them.  r is finite at the bracket's start unless the span or
+    E + x overflows or the first level sum underflows to 0; no nearby start
+    then gives a finite r either, so such a solve raises.  The root is a
+    Python float, whichever step ends the solve.
     """
     levels = spectrum._levels_arr
     weights = spectrum._weights_arr
-    span = max(spectrum.e_max - spectrum.e_min, 1.0)
+    span = spectrum.e_max - spectrum.e_min
 
     def residual(x: float) -> tuple[float, float]:
         shifted = levels + x
@@ -366,9 +368,9 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
         dr = multiplier * (s2 / (s1 * s1)) - 1.0
         return r, dr
 
-    # At the pole a level sum can divide by zero (1/inf is the residual's
-    # limit there) and the slope can be inf/inf (Newton needs a finite one).
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A level sum can divide by zero or overflow at the pole (1/inf is the
+    # residual's limit) and the slope can be inf/inf (Newton needs a finite one).
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # Start just above the harmonic-mean pole at the lowest level.
         lo = -spectrum.e_min + 1e-14 * span
         r_lo, _ = residual(lo)
@@ -395,7 +397,7 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
         x = 0.5 * (lo + hi)
         for _ in range(_MAX_ITER):
             r, dr = residual(x)
-            if abs(r) <= tol * max(abs(energy + x), 1e-300):
+            if abs(r) <= tol * abs(energy + x):
                 return float(x)
             if r > 0.0:
                 hi = x
@@ -463,7 +465,7 @@ def epsilon_shift_solve(
         raise DomainError(f"epsilon {epsilon} is too large: the multiplier overflows at n = {n}")
     if spectrum.all_equal:
         # E_H(s) = E_1 + s exactly; the residual is linear in s.
-        s = (energy - multiplier * spectrum.e_min) / (multiplier - 1.0)
+        s = (energy - spectrum.e_min) / (multiplier - 1.0) - spectrum.e_min
         if spectrum.e_min + s <= 0.0:
             raise InfeasibleError(
                 "no positive-level shift solves the all-equal frame",

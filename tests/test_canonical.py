@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+import mee.canonical
 from mee import (
     BipartiteSpectrum,
     DensityMatrix,
     DomainError,
+    NumericalError,
     Spectrum,
     constants_for,
     delta_deviation,
@@ -306,6 +308,20 @@ class TestDetmax:
             detmax_state((1.0, 2.0, 3.0), 0.5)  # below every level
         with pytest.raises(DomainError):
             detmax_state((1.0, 2.0, 3.0), 2.5)  # above the arithmetic mean
+
+    def test_below_unit_scale_is_the_unit_scale_state(self):
+        unit = 2.0 ** -64
+        got = detmax_state((unit, 2 * unit, 3 * unit), 1.5 * unit).diagonal
+        want = detmax_state((1.0, 2.0, 3.0), 1.5).diagonal
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("unit", [1.0, 2.0 ** -64], ids=["unit", "2^-64"])
+    def test_energy_check_scales_with_the_levels(self, monkeypatch, unit):
+        # an energy 1e-6 relative high passes no check of 1e-9 of the level scale
+        dot = mee.canonical._dot
+        monkeypatch.setattr(mee.canonical, "_dot", lambda a, b: dot(a, b) * (1.0 + 1e-6))
+        with pytest.raises(NumericalError, match="violates its constraints"):
+            detmax_state((unit, 2 * unit, 3 * unit), 1.5 * unit)
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf])
     def test_bad_tol_is_a_domain_error(self, tol):

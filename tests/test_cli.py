@@ -1118,20 +1118,33 @@ def test_stderr_holds_one_record_or_nothing(tmp_path, small_spectrum_file, argv,
         assert record["error"] == "ParseError"
 
 
+_BEYOND_SQUARES = {
+    "bounds": ["bounds"],
+    "verify-tail": ["verify", "--experiment", "tail", "--epsilon", "2", "--count", "10",
+                    "--seed", "1"],
+    "verify-moments": ["verify", "--experiment", "moments", "--count", "10", "--seed", "1"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, unit",
     [
-        ["bounds"],
-        ["verify", "--experiment", "tail", "--epsilon", "2", "--count", "10", "--seed", "1"],
-        ["verify", "--experiment", "moments", "--count", "10", "--seed", "1"],
+        *(pytest.param(argv, 1e200, id=name) for name, argv in _BEYOND_SQUARES.items()),
+        # the shifts solve, and every 1/E'_k^2 overflows in the constants
+        pytest.param(_BEYOND_SQUARES["bounds"], 1e-200, id="bounds-1e-200"),
+        pytest.param(_BEYOND_SQUARES["verify-tail"], 1e-200, id="verify-tail-1e-200"),
+        pytest.param(_BEYOND_SQUARES["verify-moments"], 1e-200, id="verify-moments-1e-200",
+                     marks=pytest.mark.xfail(strict=True, reason=(
+                         "E'^2/n underflows to 0 and the report fails after its draws "
+                         "with a DomainError (ROADMAP item 9)"))),
     ],
-    ids=["bounds", "verify-tail", "verify-moments"],
 )
-def test_levels_beyond_the_squares_range_leave_one_record(capsys, recwarn, tmp_path, argv):
+def test_levels_beyond_the_squares_range_leave_one_record(capsys, recwarn, tmp_path, argv,
+                                                          unit):
     # E'^2 and 1/E'_k^2 leave the float range: a NumericalError, not a traceback
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"levels": [1e200, 2e200, 3e200]}))
-    code = run([*argv, "--spectrum", str(path), "--energy", "1.5e200"])
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps({"levels": [unit, 2 * unit, 3 * unit]}))
+    code = run([*argv, "--spectrum", str(path), "--energy", repr(1.5 * unit)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -1186,6 +1199,58 @@ def test_overflowing_constant_a_leaves_one_record(capsys, recwarn, tmp_path, arg
     assert record["message"].startswith("constant a is beyond the float range")
     assert not recwarn.list
     assert not (tmp_path / "out").exists()
+
+
+def _scale_sweep_argv(name: str, tmp_path, unit: float) -> list[str]:
+    """One run of the scale sweep, on {1, 2, 3}*unit with degeneracies 30 or on
+    the bipartite {1, 2}*unit x ({0} * 20 + {unit})."""
+    spectrum = tmp_path / "spectrum.json"
+    spectrum.write_text(json.dumps({"levels": [unit, 2 * unit, 3 * unit],
+                                    "degeneracies": [30] * 3}))
+    bipartite = tmp_path / "bipartite.json"
+    bipartite.write_text(json.dumps({"levels_a": [unit, 2 * unit],
+                                     "levels_b": [0.0] * 20 + [unit]}))
+    solve = ["--spectrum", str(spectrum), "--energy", repr(1.5 * unit)]
+    pair = ["--bipartite", str(bipartite), "--energy", repr(1.3 * unit)]
+    draw = ["--count", "10", "--seed", "1", "--workers", "1"]
+    return {
+        "means": ["means", "--spectrum", str(spectrum)],
+        "shift": ["shift", *solve],
+        "shift-epsilon": ["shift", *solve, "--epsilon", "3"],
+        "bounds": ["bounds", *solve],
+        "canonical": ["canonical", *pair, "--epsilon", "2"],
+        "sample-gaussian": ["sample", "--mode", "gaussian", *solve, "--count", "5",
+                            "--seed", "1"],
+        "verify-moments": ["verify", "--experiment", "moments", *solve, *draw],
+        "verify-tail": ["verify", "--experiment", "tail", *solve, *draw],
+        "verify-reduced-dm": ["verify", "--experiment", "reduced-dm", *pair, *draw],
+    }[name]
+
+
+_SCALE_SWEEP = [
+    pytest.param(name, k, id=f"{name}-2^-{k}", marks=pytest.mark.xfail(strict=True, reason=(
+        "compute_means' sum of w/E_k^2 overflows with a RuntimeWarning below 2^-512 "
+        "(ROADMAP item 9)")) if name == "means" and k > 512 else ())
+    for name in ("means", "shift", "shift-epsilon", "bounds", "canonical", "sample-gaussian",
+                 "verify-moments", "verify-tail", "verify-reduced-dm")
+    for k in range(0, 1021, 60)
+]
+
+
+@pytest.mark.parametrize("name, k", _SCALE_SWEEP)
+def test_spectra_at_any_scale_leave_one_record(capsys, recwarn, tmp_path, name, k):
+    # the shift solver has no absolute floor: every shift solves down to 2^-1020,
+    # and the other runs exit 0 or fail with one record where a sum leaves the
+    # float range
+    code = run(_scale_sweep_argv(name, tmp_path, 2.0 ** -k))
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert (captured.out if code else captured.err) == ""
+    record = json.loads(captured.err if code else captured.out, parse_constant=_reject_constant)
+    assert isinstance(record, dict)
+    if name.startswith("shift"):
+        assert code == 0
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
 def test_module_entry_point(spectrum_file):

@@ -17,6 +17,7 @@ from mee import (
     harmonic_shift_solve,
     epsilon_shift_solve,
 )
+from mee.spectrum import _multiplier
 from conftest import bisect_shift
 
 SQRT7 = math.sqrt(7.0)
@@ -427,6 +428,20 @@ class TestEpsilonShift:
         with pytest.raises(DomainError, match="overflows"):
             epsilon_shift_solve(Spectrum((2.0, 2.0)), 2.5, 1e308, dim=1)
 
+    def test_all_equal_shift_keeps_the_gap_to_the_last_bit(self):
+        # E - e and m - 1 are exact, so (E - e)/(m - 1) is E'_min rounded
+        # once; the shift may add at most the rounding of s + e, one ulp of e
+        energy = 3.000000000001
+        frame = epsilon_shift_solve(Spectrum((3.0, 3.0)), energy, 2.0, dim=10**6)
+        exact = (energy - 3.0) / (_multiplier(2.0, 10**6) - 1.0)
+        assert abs(frame.e_prime_min - exact) <= math.ulp(3.0)
+
+    def test_all_equal_shift_two_ulp_above_the_level(self):
+        # (E - e)/(m - 1) is 0.76 ulp of e, so E'_min rounds to one ulp, not 0
+        energy = math.nextafter(math.nextafter(3.0, 4.0), 4.0)
+        frame = epsilon_shift_solve(Spectrum((3.0, 3.0)), energy, 2.0)
+        assert frame.e_prime_min == math.ulp(3.0)
+
 
 class TestSolverTolerance:
     @pytest.mark.parametrize(
@@ -444,8 +459,9 @@ class TestSolverTolerance:
 
 class TestScaleCovariance:
     """Scaling every level and E by 2^k scales each residual by 2^k and
-    leaves its slope as it is, so where the level span is at least 1 (the
-    bracket's span floor) both solves move by exactly 2^k."""
+    leaves its slope as it is, and the bracket and the stopping test scale
+    with the levels, so wherever the scaling is exact both solves move by
+    exactly 2^k."""
 
     @staticmethod
     def outcome(call):
@@ -463,17 +479,23 @@ class TestScaleCovariance:
         fraction=st.floats(0.0, 1.0, exclude_max=True),
         epsilon=st.sampled_from([1.5, 2.0, 3.0, 8.0]),
         dim=st.one_of(st.none(), st.sampled_from([2, 1000, 10**6, 10**12])),
-        k=st.integers(0, 60),
+        k=st.integers(-400, 60),
     )
     def test_powers_of_two_scale_the_shifts_exactly(self, levels, degs, offset, fraction,
                                                     epsilon, dim, k):
         levels = [v + offset for v in levels]
-        assume(max(levels) - min(levels) >= 1.0)
         scale = 2.0 ** k
         spec = Spectrum(tuple(levels), tuple(degs[: len(levels)]))
         big = Spectrum(tuple(v * scale for v in levels), spec.degeneracies)
         e_arith = float(np.average(levels, weights=spec.degeneracies))
         energy = spec.e_min + fraction * (e_arith - spec.e_min)
+        # the scaled problem is the same one: no input leaves the normal range,
+        # and on either side no 1/E'_k^2 overflows, which needs the bracket's
+        # start, 1e-14 of the span above the pole, to stay above 2^-506
+        span = spec.e_max - spec.e_min
+        assume(all(abs(v) * scale >= 2.0 ** -960
+                   for v in (*levels, energy, e_arith - spec.e_min) if v != 0.0))
+        assume(span == 0.0 or span * min(scale, 1.0) >= 2.0 ** -460)
 
         def solves(sp, e):
             return (self.outcome(lambda: harmonic_shift_solve(sp, e)),
@@ -545,8 +567,8 @@ class TestPythonFloatShifts:
         (lambda: Spectrum((1.0, 2.0), ((1, 2), 3)), DomainError, "whole numbers"),
         (lambda: EnergyFrame(Spectrum((1.0, 3.0)), 1.5, 0.0, dim=-1), DomainError,
          "^frame dimension must be positive$"),
-        # E - e_min is one ulp: the linear solve's shift rounds to -e_min
-        (lambda: epsilon_shift_solve(Spectrum((3.0, 3.0)), math.nextafter(3.0, 4.0), 1.0),
+        # E - e_min is one ulp: at epsilon 8 the linear solve's shift rounds to -e_min
+        (lambda: epsilon_shift_solve(Spectrum((3.0, 3.0)), math.nextafter(3.0, 4.0), 8.0),
          InfeasibleError, "no positive-level shift solves the all-equal frame"),
     ],
     ids=["ragged-degeneracies", "frame-dimension", "all-equal-frame"],

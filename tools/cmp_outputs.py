@@ -66,8 +66,12 @@ domain error: ``verify --experiment moments --tolerance-sigmas nan``,
 401-digit ``--dim``, and two ``bounds`` runs without ``--epsilon`` at
 ``--dim`` 0 and 1.  Two ``shift`` runs (harmonic
 and ``--epsilon``) on {-1e308, 1.5e308}, whose level span overflows, check
-the shift solver's NumericalError.  84 commands and 300 files in all.  It
-takes about a minute.
+the shift solver's NumericalError.  Levels in joules ({1, 2, 3} x
+1.602176634e-19, n = 900) run ``shift`` (harmonic and ``--epsilon``),
+``bounds``, a moments ``verify`` and a Gaussian ``sample``, all below unit
+scale; {0.01, 0.02, 0.03} runs the harmonic ``shift`` on a level span below
+1, and {3, 3} an ``--epsilon`` shift 1e-12 above its one level at ``--dim``
+10^6.  91 commands and 325 files in all.  It takes about a minute.
 """
 from __future__ import annotations
 
@@ -104,6 +108,11 @@ INPUTS = {
     "in/huge-157.json": {"levels": [1e157, 2e157, 3e157], "degeneracies": [2731, 2731, 2731]},
     # E'^2 overflows where the harmonic shift solve ends in a Newton step
     "in/huge-155.json": {"levels": [1e155, 2e155, 3e155]},
+    # levels in joules: every shift solve runs below unit scale
+    "in/joules.json": {"levels": [1.602176634e-19 * d for d in (1, 2, 3)],
+                       "degeneracies": [300, 300, 300]},
+    "in/small-span.json": {"levels": [0.01, 0.02, 0.03], "degeneracies": [300, 300, 300]},
+    "in/all-equal.json": {"levels": [3.0, 3.0]},
     # the level span overflows, so the shift solver's bracket starts at inf
     "in/overflowing-span.json": {"levels": [-1e308, 1.5e308]},
     "in/string-levels.json": {"levels": ["1", "2", "3"]},
@@ -290,6 +299,21 @@ def commands() -> dict[str, list[str]]:
     cmds["shift-harmonic"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5"]
     cmds["shift-epsilon"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5",
                              "--epsilon", "2"]
+    joules = ["--spectrum", "in/joules.json", "--energy", repr(1.5 * 1.602176634e-19)]
+    cmds["joules-shift-harmonic"] = ["shift", *joules]
+    cmds["joules-shift-epsilon"] = ["shift", *joules, "--epsilon", "2"]
+    cmds["joules-bounds"] = ["bounds", *joules, "--out-dir", "out/joules-bounds"]
+    cmds["joules-verify-moments"] = ["verify", "--experiment", "moments", *joules,
+                                     "--count", "6000", "--seed", "7",
+                                     "--out-dir", "out/joules-verify-moments"]
+    cmds["joules-sample-gaussian"] = ["sample", "--mode", "gaussian", *joules, "--count", "50",
+                                      "--seed", "5",
+                                      "--out", "out/joules-sample-gaussian/states.csv"]
+    # a level span below 1
+    cmds["small-span-shift"] = ["shift", "--spectrum", "in/small-span.json", "--energy", "0.015"]
+    # E is 1e-12 above the one level: the all-equal closed form
+    cmds["all-equal-shift-epsilon"] = ["shift", "--spectrum", "in/all-equal.json", "--epsilon",
+                                       "2", "--energy", "3.000000000001", "--dim", "1000000"]
     large = ["--spectrum", "in/large.json"]
     cmds["large-means"] = ["means", *large]
     cmds["large-shift-harmonic"] = ["shift", *large, "--energy", "3.5"]
