@@ -32,11 +32,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import canonical as canonical_mod
 from . import experiments as exp_mod
-from .errors import InfeasibleError, MeeError, NumericalError, ParseError
+from .errors import MeeError, ParseError
 from .io import dumps_record, load_bipartite, load_spectrum, write_csv
 from .sampling import RngSpec, oracle_manifold_sample, sample_gaussian_ensemble, sample_sphere
-from .spectrum import (_SHIFT_TOL, compute_means, epsilon_shift_solve, harmonic_frame,
-                       harmonic_shift_solve)
+from .spectrum import _SHIFT_TOL, compute_means, epsilon_shift_solve, harmonic_shift_solve
 
 DEFAULT_EPSILON_GRID = tuple(0.5 * k for k in range(1, 17))  # 0.5, 1.0, ..., 8.0
 DEFAULT_T_VALUES = tuple(0.1 * k for k in range(1, 21))
@@ -286,7 +285,7 @@ def _cmd_sample(args: argparse.Namespace, config: dict) -> None:
     if args.mode == "sphere":
         batch = sample_sphere(spectrum.n, args.count, rng)
     elif args.mode == "gaussian":
-        batch = sample_gaussian_ensemble(harmonic_frame(spectrum, args.energy), args.count, rng)
+        batch = sample_gaussian_ensemble(spectrum, args.energy, args.count, rng)
     else:
         batch = oracle_manifold_sample(
             spectrum, args.energy, args.eta, args.count, args.max_draws, rng,
@@ -309,9 +308,9 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> None:
     rng = RngSpec(seed=args.seed, stream=args.stream)
     tables = []
     if args.experiment == "moments":
-        frame = harmonic_frame(load_spectrum(args.spectrum), args.energy)
         report = exp_mod.moment_report_streamed(
-            frame, args.count, rng, tolerance_sigmas=args.tolerance_sigmas, workers=workers
+            load_spectrum(args.spectrum), args.energy, args.count, rng,
+            tolerance_sigmas=args.tolerance_sigmas, workers=workers,
         )
     elif args.experiment == "reduced-dm":
         report, _ = exp_mod.reduced_dm_report(
@@ -355,10 +354,9 @@ _HANDLERS = {
 
 def _error_record(exc: Exception) -> str:
     record = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, InfeasibleError):
-        record["details"] = exc.details
-    if isinstance(exc, NumericalError) and exc.residual is not None:
-        record["details"] = {"residual": exc.residual}
+    details = getattr(exc, "details", None)  # an OSError has none
+    if details:
+        record["details"] = details
     return dumps_record(record)
 
 

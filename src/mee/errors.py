@@ -3,7 +3,13 @@ from __future__ import annotations
 
 
 class MeeError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  ``details`` holds diagnostic
+    quantities (bracket endpoints, residuals, minimum feasible epsilon, ...)
+    for machine-readable error reports, if the raise names any."""
+
+    def __init__(self, message: str, **details):
+        super().__init__(message)
+        self.details = details
 
 
 class DomainError(MeeError, ValueError):
@@ -15,24 +21,12 @@ class ParseError(MeeError):
 
 
 class InfeasibleError(MeeError):
-    """No admissible solution exists for the requested parameters.
-
-    ``details`` holds diagnostic quantities (bracket endpoints, residuals,
-    minimum feasible epsilon, ...) for machine-readable error reports.
-    """
-
-    def __init__(self, message: str, **details):
-        super().__init__(message)
-        self.details = details
+    """No admissible solution exists for the requested parameters."""
 
 
 class NumericalError(MeeError, RuntimeError):
     """An iterative routine failed to converge to the requested tolerance, or
     a quantity it needs lies beyond the float range."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class LowAcceptanceWarning(UserWarning):

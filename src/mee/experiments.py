@@ -379,7 +379,8 @@ def _moment_chunk(psi: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def moment_report_streamed(
-    frame: EnergyFrame,
+    spectrum: Spectrum,
+    energy: float,
     count: int,
     rng: RngSpec,
     tolerance_sigmas: float = 5.0,
@@ -388,17 +389,22 @@ def moment_report_streamed(
     """Check the four Gaussian moment identities on ``count`` states streamed
     from :func:`sample_gaussian_ensemble`'s chunks: means and variances of
     ||psi||^2 and <psi|H'|psi>.  The numbers equal those of the materialized
-    batch and do not depend on ``workers``."""
+    batch and do not depend on ``workers``.  No state is drawn for a report
+    that fails a check."""
+    frame = harmonic_frame(spectrum, energy)
     if not 0.0 < tolerance_sigmas < math.inf:  # else every sigmas verdict is fixed
         raise DomainError(f"tolerance_sigmas must be finite and positive, got {tolerance_sigmas}")
     n = frame.dim
     e_prime = frame.e_prime
-    try:  # before the stream, so that no state is drawn for a report it cannot check
+    try:
         var_h_ref = e_prime ** 2 / n
     except OverflowError:
+        var_h_ref = math.inf
+    if not 0.0 < var_h_ref < math.inf:
+        flows = "underflows" if var_h_ref == 0.0 else "overflows"
         raise NumericalError(
-            f"the reference variance E'^2/n overflows the float range at E' = {e_prime}"
-        ) from None
+            f"the reference variance E'^2/n {flows} the float range at E' = {e_prime}"
+        )
     levels = frame.expanded_levels
     reduce = lambda psi: _moment_chunk(psi, levels)
     norm2, hq = _gaussian_stream(frame, count, rng, reduce, workers)
@@ -421,8 +427,8 @@ def moment_report_streamed(
     return ExperimentReport(
         name="moments",
         inputs={
-            "spectrum": frame.base.to_json(),
-            "energy": frame.energy,
+            "spectrum": spectrum.to_json(),
+            "energy": energy,
             "shift": frame.shift,
             "count": count,
             "rng": rng.to_json(),
@@ -531,7 +537,7 @@ def spin_concentration_probe(
     floor = 1.0 - spec.alpha / spec.gamma
     kappa_ceiling = 2.0 / floor * n ** (binary_entropy(spec.gamma) + math.log2(spec.m) / spec.m)
 
-    frame = harmonic_frame(spectrum, energy)
+    frame = EnergyFrame(spectrum, energy, batch.meta["shift"])  # the proposal's harmonic shift
     c_reference = (3.0 / 32.0) * 2.0 ** -spec.m / (1.0 - 2.0 * spec.alpha)
 
     w = batch.weights / batch.weights.sum()

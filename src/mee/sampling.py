@@ -247,29 +247,25 @@ def gaussian_chunk(scale: np.ndarray, gen: np.random.Generator, out: np.ndarray)
 
 
 def _gaussian_draw(frame: EnergyFrame) -> Callable:
-    """``draw(gen, out)`` of the Gaussian ensemble over ``frame``: every
-    Gaussian state and proposal is drawn by :func:`gaussian_chunk`."""
-    if frame.dim != frame.base.n:
-        raise DomainError("gaussian sampling needs a frame over the full expanded spectrum")
-    if not frame.is_harmonic():
-        raise DomainError(
-            "gaussian sampling requires the pure harmonic shift "
-            f"(E'_H = {frame.e_prime_harm}, E' = {frame.e_prime})"
-        )
+    """``draw(gen, out)`` of the Gaussian ensemble over the harmonic ``frame``:
+    every Gaussian state and proposal is drawn by :func:`gaussian_chunk`."""
     sig = np.sqrt(frame.e_prime / (2.0 * frame.dim * frame.expanded_levels))
     scale = np.repeat(sig, 2).reshape(-1, 2)
     return lambda gen, out: gaussian_chunk(scale, gen, out)
 
 
-def sample_gaussian_ensemble(frame: EnergyFrame, count: int, rng: RngSpec) -> SampleBatch:
-    """Approximate sampler of the fixed-expectation ensemble.
+def sample_gaussian_ensemble(
+    spectrum: Spectrum, energy: float, count: int, rng: RngSpec
+) -> SampleBatch:
+    """Approximate sampler of the fixed-expectation ensemble at energy E.
 
-    Requires a harmonically shifted frame (E'_H = E'); the output states are
-    intentionally *not* normalized -- their norm fluctuates around one with
-    Var ||psi||^2 = (1/n^2) sum (E'/E'_k)^2, and expectation values follow
-    the Gaussian moment identities.  Consumers that need exact unit vectors
-    divide each row by its norm.
+    The states are drawn at the pure harmonic shift (E'_H = E'), solved
+    here.  They are intentionally *not* normalized -- their norm fluctuates
+    around one with Var ||psi||^2 = (1/n^2) sum (E'/E'_k)^2, and expectation
+    values follow the Gaussian moment identities.  Consumers that need exact
+    unit vectors divide each row by its norm.
     """
+    frame = harmonic_frame(spectrum, energy)
     states = _draw_batch(rng, _gaussian_draw(frame), count, frame.dim)
     meta = {
         "kind": "gaussian",

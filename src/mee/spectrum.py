@@ -219,6 +219,8 @@ def compute_means(spectrum: Spectrum) -> Means:
 
     The inverse-quadratic mean is (mean of E_k^-2)^(-1/2); together with the
     harmonic mean it satisfies e_min <= e_quad <= e_harm <= e_arith <= e_max.
+    Where the mean of E_k^-2 overflows (levels below about 2^-512), e_quad is
+    e_min (mean of (e_min/E_k)^2)^(-1/2), whose terms are at most 1.
     """
     lv = spectrum._levels_arr
     w = spectrum._weights_arr
@@ -227,7 +229,12 @@ def compute_means(spectrum: Spectrum) -> Means:
     if spectrum.e_min > 0.0:
         inv = w / lv
         e_harm = float(1.0 / inv.sum())
-        e_quad = float((inv / lv).sum() ** -0.5)
+        with np.errstate(over="ignore"):
+            inv_sq = (inv / lv).sum()
+        if inv_sq == math.inf:
+            e_quad = float(spectrum.e_min * (w * (spectrum.e_min / lv) ** 2).sum() ** -0.5)
+        else:
+            e_quad = float(inv_sq ** -0.5)
     return Means(spectrum.e_min, spectrum.e_max, _arith_mean(spectrum), e_harm, e_quad, spectrum.n)
 
 
@@ -307,10 +314,6 @@ class EnergyFrame:
                 f"min E'_k = {self.e_prime_min}"
             )
         return float(inv_sq ** -0.5)
-
-    def is_harmonic(self) -> bool:
-        """True when E' equals the shifted harmonic mean to relative tolerance 1e-8."""
-        return abs(self.e_prime_harm - self.e_prime) <= 1e-8 * abs(self.e_prime)
 
 
 def _require_finite_energy(energy: float) -> None:

@@ -22,7 +22,6 @@ from mee import (
     binary_entropy,
     constants_for,
     detmax_state,
-    harmonic_frame,
     harmonic_shift_solve,
     hall_radial_density,
     oracle_manifold_sample,
@@ -120,9 +119,8 @@ def test_criterion_03_shift_solver():
 def test_criterion_04_gaussian_moments():
     """n = 4096, 1e5 samples: means at 5 sigma, variances within 10%."""
     spec = Spectrum((1.0, 2.0, 3.0), (1366, 1365, 1365))
-    frame = harmonic_frame(spec, 1.5)
     t0 = time.perf_counter()
-    rep = moment_report_streamed(frame, 100_000, RngSpec(seed=408))
+    rep = moment_report_streamed(spec, 1.5, 100_000, RngSpec(seed=408))
     elapsed = time.perf_counter() - t0
     by_name = {m.name: m for m in rep.measured}
     ok = all(
@@ -145,7 +143,7 @@ def test_criterion_05_oracle_vs_gaussian():
     count = 10_000
     batch_eta = oracle_manifold_sample(spec, 1.5, eta, count, 5 * 10**6, rng_o)
     batch_half = oracle_manifold_sample(spec, 1.5, eta / 2.0, count, 10**7, rng_h)
-    gauss = sample_gaussian_ensemble(harmonic_frame(spec, 1.5), count, rng_g)
+    gauss = sample_gaussian_ensemble(spec, 1.5, count, rng_g)
     p_eta = np.abs(batch_eta.states) ** 2
     p_half = np.abs(batch_half.states) ** 2
     p_gauss = np.abs(gauss.states) ** 2

@@ -452,10 +452,10 @@ class TestGridPruning:
         for eps in (0.5, 1.5):
             with pytest.raises(NumericalError) as err:
                 constants_for(spec, energy, eps)
-            residuals.append(err.value.residual)
+            residuals.append(err.value.details["residual"])
         with pytest.raises(NumericalError) as err:
             optimize_epsilon(spec, energy, 2.0, DEFAULT_EPSILON_GRID)
-        assert err.value.residual == residuals[0] != residuals[1]
+        assert err.value.details["residual"] == residuals[0] != residuals[1]
 
     @settings(deadline=None, max_examples=300)
     @given(

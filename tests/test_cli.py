@@ -1133,10 +1133,7 @@ _BEYOND_SQUARES = {
         # the shifts solve, and every 1/E'_k^2 overflows in the constants
         pytest.param(_BEYOND_SQUARES["bounds"], 1e-200, id="bounds-1e-200"),
         pytest.param(_BEYOND_SQUARES["verify-tail"], 1e-200, id="verify-tail-1e-200"),
-        pytest.param(_BEYOND_SQUARES["verify-moments"], 1e-200, id="verify-moments-1e-200",
-                     marks=pytest.mark.xfail(strict=True, reason=(
-                         "E'^2/n underflows to 0 and the report fails after its draws "
-                         "with a DomainError (ROADMAP item 9)"))),
+        pytest.param(_BEYOND_SQUARES["verify-moments"], 1e-200, id="verify-moments-1e-200"),
     ],
 )
 def test_levels_beyond_the_squares_range_leave_one_record(capsys, recwarn, tmp_path, argv,
@@ -1154,10 +1151,11 @@ def test_levels_beyond_the_squares_range_leave_one_record(capsys, recwarn, tmp_p
     assert not recwarn.list
 
 
-@pytest.mark.parametrize("k", [155, 160])
+@pytest.mark.parametrize("k", [155, 160, -200])
 def test_overflowing_reference_variance_leaves_one_record(capsys, recwarn, monkeypatch,
                                                            tmp_path, k):
-    # the harmonic solve ends in a Newton step here, and E'^2/n overflows
+    # the harmonic solve ends in a Newton step here, and E'^2/n overflows, or
+    # at 1e-200 underflows to 0
     def forbidden(*args, **kwargs):
         raise AssertionError("_gaussian_stream ran")
 
@@ -1171,7 +1169,8 @@ def test_overflowing_reference_variance_leaves_one_record(capsys, recwarn, monke
     assert captured.out == ""
     record = json.loads(captured.err, parse_constant=_reject_constant)
     assert record["error"] == "NumericalError"
-    assert record["message"].startswith("the reference variance E'^2/n overflows")
+    flows = "overflows" if k > 0 else "underflows"
+    assert record["message"].startswith(f"the reference variance E'^2/n {flows}")
     assert not recwarn.list
     assert not (tmp_path / "out").exists()
 
@@ -1228,9 +1227,7 @@ def _scale_sweep_argv(name: str, tmp_path, unit: float) -> list[str]:
 
 
 _SCALE_SWEEP = [
-    pytest.param(name, k, id=f"{name}-2^-{k}", marks=pytest.mark.xfail(strict=True, reason=(
-        "compute_means' sum of w/E_k^2 overflows with a RuntimeWarning below 2^-512 "
-        "(ROADMAP item 9)")) if name == "means" and k > 512 else ())
+    pytest.param(name, k, id=f"{name}-2^-{k}")
     for name in ("means", "shift", "shift-epsilon", "bounds", "canonical", "sample-gaussian",
                  "verify-moments", "verify-tail", "verify-reduced-dm")
     for k in range(0, 1021, 60)

@@ -121,8 +121,8 @@ class TestEstimateReducedDm:
         assert np.max(np.abs(rho - np.eye(3) / 3.0)) < 0.01
 
     def test_basic_invariants(self):
-        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (8, 8, 8)), 1.5)
-        batch = sample_gaussian_ensemble(frame, 2000, RngSpec(seed=22))
+        batch = sample_gaussian_ensemble(Spectrum((1.0, 2.0, 3.0), (8, 8, 8)), 1.5, 2000,
+                                         RngSpec(seed=22))
         rhos = _reduced_states(batch.states, 3, 8)
         for rho in (rhos[0], rhos.mean(axis=0)):
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
@@ -137,8 +137,8 @@ class TestEstimateReducedDm:
         rng = RngSpec(seed=42)
         report, rho_hat = reduced_dm_report(bs, 1.5, 2.0, count, rng, workers=workers)
 
-        frame = harmonic_frame(Spectrum(bs.flat_levels().tolist()), 1.5)
-        states = sample_gaussian_ensemble(frame, count, rng).states
+        states = sample_gaussian_ensemble(Spectrum(bs.flat_levels().tolist()), 1.5, count,
+                                          rng).states
         psi = states / np.linalg.norm(states, axis=1, keepdims=True)
         psi = psi.reshape(count, dim_a, dim_b)
         rhos = np.einsum("mak,mbk->mab", psi, psi.conj())
@@ -159,8 +159,8 @@ class TestEstimateReducedDm:
         rng = RngSpec(seed=43)
         _, rho_hat = reduced_dm_report(bs, 1.3, 2.0, 25000, rng, workers=2)
 
-        frame = harmonic_frame(Spectrum(bs.flat_levels().tolist()), 1.3)
-        states = sample_gaussian_ensemble(frame, 25000, rng).states
+        states = sample_gaussian_ensemble(Spectrum(bs.flat_levels().tolist()), 1.3, 25000,
+                                          rng).states
         rho_sum = np.zeros((bs.dim_a, bs.dim_a), dtype=complex)
         edges = np.cumsum([0, *layout])
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -251,7 +251,7 @@ class TestTailReport:
         spec = Spectrum((1.0, 2.0, 3.0), (300, 300, 300))
         rng = RngSpec(seed=29)
         ts = [0.001, 0.01, 0.02, 0.05]
-        states = sample_gaussian_ensemble(harmonic_frame(spec, 1.5), 3001, rng).states
+        states = sample_gaussian_ensemble(spec, 1.5, 3001, rng).states
         states = states / np.linalg.norm(states, axis=1, keepdims=True)
         values = np.array([float(psi[0].real) for psi in states])
         median = float(np.median(values))
@@ -272,9 +272,9 @@ class TestMomentReport:
     def test_streamed_equals_materialized(self):
         frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (20, 20, 20)), 1.5)
         rng = RngSpec(seed=30)
-        p = np.abs(sample_gaussian_ensemble(frame, 4000, rng).states) ** 2
+        p = np.abs(sample_gaussian_ensemble(frame.base, 1.5, 4000, rng).states) ** 2
         norm2, hq = p.sum(axis=1), _dot(p, frame.expanded_levels)
-        report = moment_report_streamed(frame, 4000, rng)
+        report = moment_report_streamed(frame.base, 1.5, 4000, rng)
         by_name = {m.name: m for m in report.measured}
         for name, values in (("mean_norm_sq", norm2), ("mean_shifted_energy", hq)):
             assert (by_name[name].value, by_name[name].std_error) == subbatch_mean_error(values)
@@ -282,20 +282,19 @@ class TestMomentReport:
         assert by_name["var_shifted_energy"].value == float(hq.var(ddof=1))
 
     def test_empty_sample_rejected(self):
-        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0)), 1.5)
         with pytest.raises(DomainError, match="^cannot estimate from an empty sample$"):
-            moment_report_streamed(frame, 0, RngSpec(seed=30))
+            moment_report_streamed(Spectrum((1.0, 2.0, 3.0)), 1.5, 0, RngSpec(seed=30))
 
     def test_workers_do_not_change_results(self):
-        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (40, 40, 40)), 1.5)
+        spec = Spectrum((1.0, 2.0, 3.0), (40, 40, 40))
         rng = RngSpec(seed=31)
-        a = moment_report_streamed(frame, 6000, rng, workers=1)
-        b = moment_report_streamed(frame, 6000, rng, workers=4)
+        a = moment_report_streamed(spec, 1.5, 6000, rng, workers=1)
+        b = moment_report_streamed(spec, 1.5, 6000, rng, workers=4)
         assert a == b
 
     def test_identities_hold(self):
         frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (128, 128, 128)), 1.5)
-        report = moment_report_streamed(frame, 30000, RngSpec(seed=32))
+        report = moment_report_streamed(frame.base, 1.5, 30000, RngSpec(seed=32))
         assert report.passed
         by_name = {m.name: m for m in report.measured}
         assert by_name["mean_norm_sq"].reference == 1.0
@@ -303,8 +302,7 @@ class TestMomentReport:
 
     def test_all_equal_spectrum_norm_variance(self):
         n = 64
-        frame = harmonic_frame(Spectrum((2.0,), (n,)), 2.0)
-        report = moment_report_streamed(frame, 30000, RngSpec(seed=33))
+        report = moment_report_streamed(Spectrum((2.0,), (n,)), 2.0, 30000, RngSpec(seed=33))
         by_name = {m.name: m for m in report.measured}
         assert by_name["var_norm_sq"].reference == pytest.approx(1.0 / n)
         assert by_name["var_norm_sq"].passed
@@ -427,14 +425,27 @@ class TestSpinProbe:
         assert c.reference == pytest.approx(c_reference, rel=1e-12)
         assert c.passed
 
-    def test_tail_constant_and_shell_width_at_the_harmonic_shift(self):
-        spec = SpinEnsembleSpec(m=6, alpha=0.3, gamma=0.4)
-        report = spin_concentration_probe(spec, 200, RngSpec(seed=40))
-        c = {m.name: m for m in report.measured}["tail_constant_c"]
+    def test_tail_constant_and_shell_width_at_the_harmonic_shift(self, monkeypatch):
+        import mee.spectrum
+
         energy = 0.3 * 6  # the probe's alpha * m, 1.7999999999999998
         s = harmonic_shift_solve(spin_spectrum(6), energy)
+        # the tail constant's frame takes the shift the oracle's proposals
+        # were drawn at, so the probe solves the harmonic shift once
+        shift_roots = []
+        real = mee.spectrum._shift_root
+
+        def recorded(*args, **kwargs):
+            shift_roots.append(real(*args, **kwargs))
+            return shift_roots[-1]
+
+        monkeypatch.setattr(mee.spectrum, "_shift_root", recorded)
+        spec = SpinEnsembleSpec(m=6, alpha=0.3, gamma=0.4)
+        report = spin_concentration_probe(spec, 200, RngSpec(seed=40))
+        assert shift_roots == [s]
+        c = {m.name: m for m in report.measured}["tail_constant_c"]
         assert c.value == 3 * s / (32 * (energy + s))
-        assert report.inputs["harmonic_shift"] == s
+        assert report.inputs["harmonic_shift"] == s == 0.10404223380819441
         assert report.inputs["eta"] == default_shell_width(spin_spectrum(6))
 
     def test_occupation_floor_identity(self):

@@ -13,7 +13,6 @@ import mee.sampling as sampling_mod
 
 from mee import (
     DomainError,
-    EnergyFrame,
     LowAcceptanceWarning,
     RngSpec,
     Spectrum,
@@ -88,7 +87,7 @@ class TestChunking:
     def test_materialized_equals_streamed(self):
         frame = harmonic_frame(SPEC123, 1.5)
         rng = RngSpec(seed=5)
-        batch = sample_gaussian_ensemble(frame, 2000, rng)
+        batch = sample_gaussian_ensemble(SPEC123, 1.5, 2000, rng)
         (streamed,) = _gaussian_stream(frame, 2000, rng, lambda s: (s.copy(),), 1)
         assert np.array_equal(batch.states, streamed)
 
@@ -101,7 +100,7 @@ class TestChunking:
         count = 5000
         layout = chunk_layout(count, frame.dim)
         assert len(layout) == 3
-        states = sample_gaussian_ensemble(frame, count, rng).states
+        states = sample_gaussian_ensemble(frame.base, 1.3, count, rng).states
         firsts, norms = _gaussian_stream(
             frame, count, rng, lambda s: (s[:, 0].copy(), np.linalg.norm(s, axis=1)), workers
         )
@@ -129,9 +128,8 @@ class TestChunking:
             _gaussian_stream(frame, count, RngSpec(seed=7), lambda s: (s.copy(),), 1)
 
     def test_same_spec_same_batch(self):
-        frame = harmonic_frame(SPEC123, 1.5)
-        a = sample_gaussian_ensemble(frame, 500, RngSpec(seed=1, stream=2))
-        b = sample_gaussian_ensemble(frame, 500, RngSpec(seed=1, stream=2))
+        a = sample_gaussian_ensemble(SPEC123, 1.5, 500, RngSpec(seed=1, stream=2))
+        b = sample_gaussian_ensemble(SPEC123, 1.5, 500, RngSpec(seed=1, stream=2))
         assert np.array_equal(a.states, b.states)
 
     def test_batches_are_the_per_chunk_reference_draws(self):
@@ -150,7 +148,7 @@ class TestChunking:
             z = rng.generator(i).standard_normal((size, n, 2)).view(np.complex128)[..., 0]
             gauss.append(z * sig)
             sphere.append(z / np.linalg.norm(z, axis=1, keepdims=True))
-        got = sample_gaussian_ensemble(frame, count, rng).states
+        got = sample_gaussian_ensemble(spec, 1.5, count, rng).states
         assert got.tobytes() == np.concatenate(gauss).tobytes()
         got = sample_sphere(n, count, rng).states
         assert got.tobytes() == np.concatenate(sphere).tobytes()
@@ -232,8 +230,7 @@ class TestRowBlocks:
     def _run(experiment, workers):
         rng = RngSpec(seed=4)
         if experiment == "moments":
-            report = moment_report_streamed(harmonic_frame(SPEC1024, 1.5), 2565, rng,
-                                            workers=workers)
+            report = moment_report_streamed(SPEC1024, 1.5, 2565, rng, workers=workers)
             return json.dumps(report.to_json())
         if experiment == "tail":
             report, curve = tail_report(SPEC1024, 1.5, 2.0, 2565, rng, [0.02, 0.05, 0.1],
@@ -289,9 +286,10 @@ class TestStreamMemory:
         return peak
 
     def test_moments_chunk(self):
-        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0), (1366, 1365, 1365)), 1.5)
-        assert chunk_layout(512, frame.dim) == [512]
-        peak = self._peak(lambda: moment_report_streamed(frame, 512, RngSpec(seed=3), workers=1))
+        spec = Spectrum((1.0, 2.0, 3.0), (1366, 1365, 1365))
+        assert chunk_layout(512, spec.n) == [512]
+        rng = RngSpec(seed=3)
+        peak = self._peak(lambda: moment_report_streamed(spec, 1.5, 512, rng, workers=1))
         assert peak < self.CHUNK_BYTES / 8
 
     def test_oracle_chunk(self):
@@ -422,21 +420,9 @@ class TestSphere:
 
 
 class TestGaussianEnsemble:
-    def test_requires_harmonic_frame(self):
-        frame = EnergyFrame(SPEC123, 1.5, 0.0)  # unsolved shift
-        with pytest.raises(DomainError):
-            sample_gaussian_ensemble(frame, 10, RngSpec(seed=1))
-
-    def test_requires_full_dimension_frame(self):
-        frame = harmonic_frame(SPEC123, 1.5)
-        scaled = EnergyFrame(SPEC123, 1.5, frame.shift, dim=300)
-        with pytest.raises(DomainError):
-            sample_gaussian_ensemble(scaled, 10, RngSpec(seed=1))
-
     def test_norm_expectation_is_one(self):
         spec = Spectrum(tuple(np.linspace(0.5, 2.5, 256)))
-        frame = harmonic_frame(spec, 1.0)
-        batch = sample_gaussian_ensemble(frame, 20000, RngSpec(seed=6))
+        batch = sample_gaussian_ensemble(spec, 1.0, 20000, RngSpec(seed=6))
         norm2 = np.sum(np.abs(batch.states) ** 2, axis=1)
         mean, se = weighted_mean_and_error(norm2)
         assert abs(mean - 1.0) <= 5 * se
@@ -444,7 +430,7 @@ class TestGaussianEnsemble:
     def test_shifted_energy_moments(self):
         spec = Spectrum((1.0, 2.0, 3.0), (170, 171, 171))  # n = 512
         frame = harmonic_frame(spec, 1.5)
-        batch = sample_gaussian_ensemble(frame, 30000, RngSpec(seed=7))
+        batch = sample_gaussian_ensemble(spec, 1.5, 30000, RngSpec(seed=7))
         levels = np.repeat(frame.shifted_levels, frame.base.degeneracies)
         hq = (np.abs(batch.states) ** 2) @ levels
         mean, se = weighted_mean_and_error(hq)
@@ -456,7 +442,7 @@ class TestGaussianEnsemble:
         n = 64
         spec = Spectrum(tuple(np.linspace(1.0, 3.0, n)))
         frame = harmonic_frame(spec, 1.6)
-        batch = sample_gaussian_ensemble(frame, 20000, RngSpec(seed=8))
+        batch = sample_gaussian_ensemble(spec, 1.6, 20000, RngSpec(seed=8))
         p = np.abs(batch.states) ** 2
         expected = frame.e_prime / (n * frame.shifted_levels)
         for k in range(n):
@@ -465,8 +451,7 @@ class TestGaussianEnsemble:
 
     def test_all_equal_levels_reduce_to_sphere_statistics(self):
         spec = Spectrum((2.0,), (32,))
-        frame = harmonic_frame(spec, 2.0)  # zero shift, already harmonic
-        batch = sample_gaussian_ensemble(frame, 20000, RngSpec(seed=9))
+        batch = sample_gaussian_ensemble(spec, 2.0, 20000, RngSpec(seed=9))  # zero shift
         psi = batch.states / np.linalg.norm(batch.states, axis=1, keepdims=True)
         p = np.abs(psi) ** 2
         mean, se = weighted_mean_and_error(p[:, 0])
@@ -824,7 +809,7 @@ class TestBatchInvariants:
 
     def test_meta_records_the_sampler(self):
         frame = harmonic_frame(SPEC123, 1.5)
-        batch = sample_gaussian_ensemble(frame, 10, RngSpec(seed=18))
+        batch = sample_gaussian_ensemble(SPEC123, 1.5, 10, RngSpec(seed=18))
         assert batch.meta["kind"] == "gaussian"
         assert batch.meta["normalized"] is False
         assert batch.meta["shift"] == frame.shift

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from mee import (
     Spectrum,
     compute_means,
     constants_for,
-    harmonic_frame,
     harmonic_shift_solve,
     epsilon_shift_solve,
 )
@@ -239,6 +239,14 @@ class TestMeans:
         assert m.e_harm == pytest.approx(18.0 / 11.0, abs=1e-15)
         assert m.e_quad == pytest.approx(math.sqrt(108.0 / 49.0), abs=1e-14)
         assert m.n == 3
+        # below about 2^-512 the mean of 1/E_k^2 overflows: e_quad is still
+        # exact, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = compute_means(Spectrum(tuple(x * 2.0**-600 for x in (1.0, 2.0, 3.0))))
+            mixed = compute_means(Spectrum((1e-300, 1.0, 2.0)))
+        assert tiny.e_quad == m.e_quad * 2.0**-600 == 3.577803127309483e-181
+        assert mixed.e_quad == 1.7320508075688774e-300
 
     def test_constant_spectrum_all_means_equal(self):
         m = compute_means(Spectrum((2.5,), (4,)))
@@ -524,12 +532,6 @@ class TestEnergyFrame:
             EnergyFrame(spec, 1.5, -1.0)  # lowest shifted level would be 0
         with pytest.raises(DomainError):
             EnergyFrame(spec, -3.0, 1.5)  # E' < 0
-
-    def test_harmonic_frame_flag(self):
-        frame = harmonic_frame(Spectrum((1.0, 2.0, 3.0)), 1.5)
-        assert frame.is_harmonic()
-        off = EnergyFrame(frame.base, frame.energy, frame.shift + 0.05)
-        assert not off.is_harmonic()
 
     def test_shifted_spectrum(self):
         frame = EnergyFrame(Spectrum((1.0, 3.0), (2, 1)), 1.5, 0.5)

@@ -21,57 +21,13 @@ Warning lines on stderr start with the source location of the ``warn`` call
 before comparing, so moved lines do not count as a difference, while the
 warning class and message still do.
 
-The list covers the ``verify`` reports of every experiment at ``--workers``
-1, 2 and the default (plus the tail ``curve.csv``), a moments report at
-``--workers`` 1 and 2 whose last chunk is 517 states, a spins report at
-m = 10 (n = 1024, where the shell oracle tests blocks of 64 rows), the
-``spins`` alias, the ``sample`` CSV and record in every mode (Gaussian and
-sphere over three chunks with a short last one, both oracle proposals with
-an explicit and with the default ``--eta`` and ``--max-draws``, both oracle
-proposals on a spectrum with negative levels and on {1, 2, 3} + 1e6, where
-the Gaussian proposal's shift solve fails, a partial oracle batch, a
-weighted oracle dump of 2000 x 121 cells and a Gaussian dump of 546 x 120),
-``bounds`` (``constants.json``, ``tail.csv``; also a 50-point grid on {1, 2,
-3} whose best point comes after the first feasible one, and t-values up to 5
-on n = 900, whose ``tail.csv`` bounds run from 0.018 through 1.5e-108 to
-0.0), ``bounds`` at levels near 1e157, where the constant a overflows, a
-moments ``verify`` at levels near 1e155, where E'^2/n overflows,
-``canonical.json``, the error of an infeasible ``--epsilon`` in ``canonical`` and in the reduced-dm
-``verify`` and that of an all-infeasible ``bounds --epsilon-grid``, ``means``, ``shift`` (harmonic and ``--epsilon``), and ``verify
---count 0``.  ``means``, ``shift``,
-``bounds`` (the default grid, an unsorted grid with a repeated value, a
-descending grid, the default grid at ``--dim`` 10^15, where the floor skips no
-point, the default grid at ``--dim`` 2, where every point is passed over as
-infeasible and then solved for the all-infeasible report, and ``--epsilon``)
-and ``canonical`` also run on larger inputs drawn from a
-fixed seed: 20 000 random levels with degeneracies 1-19,
-a bipartite spectrum of integer levels whose combined spectrum collapses
-12 000 sums into a few dozen grouped levels, and a 3 x 30 000 bipartite
-spectrum of uniform levels whose 90 000 combined levels are all distinct.
-``means`` also runs on {-0.0, 0.0, 1} and {0.0, -0.0, 1}, whose lowest level
-keeps the sign of the first zero, and on a degeneracy of 10^30, beyond
-int64.  Nine malformed inputs (a 401-digit integer level in a spectrum and
-in ``levels_b``, a degeneracy of 1.5, an empty ``levels_a``, string levels,
-boolean levels, a boolean degeneracy, a 401-digit degeneracy and a NaN one)
-check the error path, as do a negative ``verify --t-values`` entry and a
-``verify --out-dir`` below a regular file.  Four runs pass a
-flag they do not read (``verify --experiment moments --eta``, ``shift
---dim`` without ``--epsilon``, ``bounds --epsilon`` with ``--epsilon-grid``
-and ``sample --mode sphere --energy``) and check its exit-2 record, and
-four leave out a flag the run needs (``verify --experiment moments`` without
-``--spectrum``, ``sample --mode gaussian`` without ``--energy``, ``shift``
-without ``--energy`` and ``spins`` without ``--m``).  Five runs check a
-domain error: ``verify --experiment moments --tolerance-sigmas nan``,
-``verify --experiment tail --epsilon nan``, ``shift --epsilon 2`` at a
-401-digit ``--dim``, and two ``bounds`` runs without ``--epsilon`` at
-``--dim`` 0 and 1.  Two ``shift`` runs (harmonic
-and ``--epsilon``) on {-1e308, 1.5e308}, whose level span overflows, check
-the shift solver's NumericalError.  Levels in joules ({1, 2, 3} x
-1.602176634e-19, n = 900) run ``shift`` (harmonic and ``--epsilon``),
-``bounds``, a moments ``verify`` and a Gaussian ``sample``, all below unit
-scale; {0.01, 0.02, 0.03} runs the harmonic ``shift`` on a level span below
-1, and {3, 3} an ``--epsilon`` shift 1e-12 above its one level at ``--dim``
-10^6.  91 commands and 325 files in all.  It takes about a minute.
+The commands cover every subcommand and mode: each experiment at
+``--workers`` 1, 2 and the default, chunk and row-block edges, larger inputs
+drawn from a fixed seed, spectra far from unit scale (levels in joules,
+near 1e155 and 1e-200, below 2^-512), and the error paths (malformed inputs,
+flags a run does not read or needs, domain, infeasibility, convergence and
+float-range errors).  The comments in :func:`commands` say what a command
+checks.  94 commands and 334 files in all.  It takes about a minute.
 """
 from __future__ import annotations
 
@@ -108,6 +64,12 @@ INPUTS = {
     "in/huge-157.json": {"levels": [1e157, 2e157, 3e157], "degeneracies": [2731, 2731, 2731]},
     # E'^2 overflows where the harmonic shift solve ends in a Newton step
     "in/huge-155.json": {"levels": [1e155, 2e155, 3e155]},
+    # E'^2/n underflows to 0
+    "in/tiny-200.json": {"levels": [1e-200, 2e-200, 3e-200]},
+    # the mean of 1/E_k^2 overflows below about 2^-512
+    "in/tiny-600.json": {"levels": [d * 2.0**-600 for d in (1, 2, 3)],
+                         "degeneracies": [30, 30, 30]},
+    "in/mixed-scale.json": {"levels": [1e-300, 1.0, 2.0]},
     # levels in joules: every shift solve runs below unit scale
     "in/joules.json": {"levels": [1.602176634e-19 * d for d in (1, 2, 3)],
                        "degeneracies": [300, 300, 300]},
@@ -191,6 +153,12 @@ def commands() -> dict[str, list[str]]:
         "verify", "--experiment", "moments", "--spectrum", "in/huge-155.json",
         "--energy", "1.5e155", "--count", "10", "--seed", "7",
         "--out-dir", "out/verify-moments-huge-155",
+    ]
+    # exits 1 before any draw: the reference variance E'^2/n underflows to 0
+    cmds["verify-moments-1e-200"] = [
+        "verify", "--experiment", "moments", "--spectrum", "in/tiny-200.json",
+        "--energy", "1.5e-200", "--count", "10", "--seed", "7",
+        "--out-dir", "out/verify-moments-1e-200",
     ]
     # exits 2 when the report directory cannot be made
     cmds["verify-out-dir-unusable"] = [
@@ -296,6 +264,10 @@ def commands() -> dict[str, list[str]]:
         "--seed", "7", "--out-dir", "out/verify-reduced-dm-infeasible",
     ]
     cmds["means"] = ["means", "--spectrum", "in/s900.json"]
+    # e_quad where the mean of 1/E_k^2 overflows: 2^-600 times its unit-scale
+    # value, and sqrt(3) 1e-300
+    cmds["means-2^-600"] = ["means", "--spectrum", "in/tiny-600.json"]
+    cmds["means-mixed-scale"] = ["means", "--spectrum", "in/mixed-scale.json"]
     cmds["shift-harmonic"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5"]
     cmds["shift-epsilon"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5",
                              "--epsilon", "2"]
