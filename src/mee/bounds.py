@@ -23,7 +23,6 @@ from .spectrum import (
     _checked_dim,
     _multiplier,
     _require_finite_energy,
-    compute_means,
     epsilon_shift_solve,
 )
 
@@ -117,10 +116,10 @@ def check_energy_window(spectrum: Spectrum, energy: float, dim: int | None = Non
 def flip_for_high_energy(spectrum: Spectrum, energy: float) -> tuple[Spectrum, float]:
     """Map a high-energy problem (E_A < E < E_max) onto the low-energy window
     via H -> -H, E -> -E; applying it twice is the identity."""
-    means = compute_means(spectrum)
-    if not (means.e_arith < energy < means.e_max):
+    e_arith = _arith_mean(spectrum)
+    if not (e_arith < energy < spectrum.e_max):
         raise DomainError(
-            f"energy {energy} outside the high-energy window ({means.e_arith}, {means.e_max})"
+            f"energy {energy} outside the high-energy window ({e_arith}, {spectrum.e_max})"
         )
     return spectrum.negated(), -energy
 

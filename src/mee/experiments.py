@@ -196,6 +196,7 @@ def _gaussian_stream(
     if count < 1:
         raise DomainError("cannot estimate from an empty sample")
     task, items = _chunk_stream(rng, draw, reduce, count, frame.dim, finish)
+    # Called here, not in sampling: bench/spans.py times chunks by wrapping this binding.
     results = list(_map_ordered(task, items, workers))
     return tuple(np.concatenate(parts) for parts in zip(*results))
 
@@ -518,7 +519,6 @@ def spin_concentration_probe(
     depend on it.
     """
     spectrum = spin_spectrum(spec.m)
-    n = 2 ** spec.m
     energy = spec.alpha * spec.m
     cut = spec.gamma * spec.m
     # gaussian-proposal acceptance sits near 0.5% at m = 10: 400 draws per state
@@ -535,7 +535,8 @@ def spin_concentration_probe(
     low_count = int(sum(d for lv, d in zip(spectrum.levels, spectrum.degeneracies) if lv < cut))
     count_bound = 2.0 ** (spec.m * binary_entropy(spec.gamma) + math.log2(spec.m))
     floor = 1.0 - spec.alpha / spec.gamma
-    kappa_ceiling = 2.0 / floor * n ** (binary_entropy(spec.gamma) + math.log2(spec.m) / spec.m)
+    exponent = binary_entropy(spec.gamma) + math.log2(spec.m) / spec.m
+    kappa_ceiling = 2.0 / floor * spectrum.n ** exponent
 
     frame = EnergyFrame(spectrum, energy, batch.meta["shift"])  # the proposal's harmonic shift
     c_reference = (3.0 / 32.0) * 2.0 ** -spec.m / (1.0 - 2.0 * spec.alpha)

@@ -69,8 +69,7 @@ class Spectrum:
     Levels are kept in the order given (no sorting, no grouping), so that
     ``expand()`` is order-preserving.  Degeneracies default to all ones; they
     may exceed int64, but must sum to at most the largest float.  ``levels``
-    and ``degeneracies`` hold Python floats and ints, and a Python float
-    given as a level is kept, not copied.
+    and ``degeneracies`` hold Python floats and ints.
 
     The constructor also works out, once, the dimension ``n`` (the sum of
     the degeneracies, an exact int), the level and weight arrays, and the
@@ -95,12 +94,7 @@ class Spectrum:
         if not np.isfinite(arr).all():
             raise DomainError("all energy levels must be finite")
         # Python floats, not NumPy scalars: repr and to_json depend on it.
-        # An array's floats come from tolist(), which is fast; float() returns
-        # a Python float as it is, so a sequence's are shared.
-        if isinstance(self.levels, np.ndarray):
-            levels = tuple(arr.tolist())
-        else:
-            levels = tuple(map(float, self.levels))
+        levels = tuple(arr.tolist())
         degs = self.degeneracies
         if degs is None or len(degs) == 0:
             degs = (1,) * len(levels)
@@ -220,22 +214,29 @@ def compute_means(spectrum: Spectrum) -> Means:
     The inverse-quadratic mean is (mean of E_k^-2)^(-1/2); together with the
     harmonic mean it satisfies e_min <= e_quad <= e_harm <= e_arith <= e_max.
     Where the mean of E_k^-2 overflows (levels below about 2^-512), e_quad is
-    e_min (mean of (e_min/E_k)^2)^(-1/2), whose terms are at most 1.
+    e_min (mean of (e_min/E_k)^2)^(-1/2), whose terms are at most 1; where the
+    mean of 1/E_k overflows (subnormal levels), e_harm is e_min / mean of
+    e_min/E_k alike.
     """
     lv = spectrum._levels_arr
     w = spectrum._weights_arr
+    e_min = spectrum.e_min
     e_harm = None
     e_quad = None
-    if spectrum.e_min > 0.0:
-        inv = w / lv
-        e_harm = float(1.0 / inv.sum())
+    if e_min > 0.0:
         with np.errstate(over="ignore"):
+            inv = w / lv
+            inv_sum = inv.sum()
             inv_sq = (inv / lv).sum()
+        if inv_sum == math.inf:
+            e_harm = float(e_min / (w * (e_min / lv)).sum())
+        else:
+            e_harm = float(1.0 / inv_sum)
         if inv_sq == math.inf:
-            e_quad = float(spectrum.e_min * (w * (spectrum.e_min / lv) ** 2).sum() ** -0.5)
+            e_quad = float(e_min * (w * (e_min / lv) ** 2).sum() ** -0.5)
         else:
             e_quad = float(inv_sq ** -0.5)
-    return Means(spectrum.e_min, spectrum.e_max, _arith_mean(spectrum), e_harm, e_quad, spectrum.n)
+    return Means(e_min, spectrum.e_max, _arith_mean(spectrum), e_harm, e_quad, spectrum.n)
 
 
 def _arith_mean(spectrum: Spectrum) -> float:
@@ -289,10 +290,6 @@ class EnergyFrame:
         return arr
 
     @property
-    def weights(self) -> np.ndarray:
-        return self.base._weights_arr
-
-    @property
     def e_prime_min(self) -> float:
         return self.base.e_min + self.shift
 
@@ -301,13 +298,9 @@ class EnergyFrame:
         return self.base.e_max + self.shift
 
     @cached_property
-    def e_prime_harm(self) -> float:
-        return float(1.0 / _dot(self.weights, 1.0 / self.shifted_levels))
-
-    @cached_property
     def e_prime_quad(self) -> float:
         with np.errstate(over="ignore"):
-            inv_sq = _dot(self.weights, self.shifted_levels ** -2.0)
+            inv_sq = _dot(self.base._weights_arr, self.shifted_levels ** -2.0)
         if not 0.0 < inv_sq < math.inf:
             raise NumericalError(
                 f"E'_Q is beyond the float range: the mean of 1/E'_k^2 is {inv_sq} at "

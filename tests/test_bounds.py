@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -124,6 +125,13 @@ class TestFlip:
             2 * (flipped.n - 1)
         ) - energy
         assert margin == pytest.approx(direct, abs=1e-15)
+
+    def test_subnormal_levels_flip_with_no_warning(self):
+        spec = Spectrum((1e-310, 2e-310, 3e-310))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flipped, energy = flip_for_high_energy(spec, 2.5e-310)
+        assert flipped == spec.negated() and energy == -2.5e-310
 
     def test_domain(self):
         with pytest.raises(DomainError):

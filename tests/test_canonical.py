@@ -14,6 +14,7 @@ from mee import (
     DomainError,
     NumericalError,
     Spectrum,
+    compute_means,
     constants_for,
     delta_deviation,
     detmax_state,
@@ -152,7 +153,8 @@ class TestRhoC:
         dm = rho_c_bipartite(bs, epsilon_shift_solve(bs.combined(), 2.0, 2.0))
         frame = epsilon_shift_solve(bs.combined(), 2.0, 2.0)
         n = frame.dim
-        expected = (1.0 + 0.5 / n) * (n / (n + 1.0)) * frame.e_prime / frame.e_prime_harm
+        shifted = Spectrum(frame.shifted_levels, frame.base.degeneracies)
+        expected = (1.0 + 0.5 / n) * (n / (n + 1.0)) * frame.e_prime / compute_means(shifted).e_harm
         assert dm.trace == pytest.approx(expected, abs=1e-12)
 
     def test_uniform_environment_diagonal_proportions(self):

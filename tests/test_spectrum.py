@@ -190,10 +190,13 @@ class TestSpectrum:
         assert all(type(x) is float for x in g.levels)
         assert all(type(d) is int for d in g.degeneracies)
 
-    def test_python_float_levels_are_shared(self):
-        lv = [0.1 * k for k in range(50)]
-        s = Spectrum(lv)
-        assert all(s.levels[i] is lv[i] for i in range(len(lv)))
+    @pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 2**53 + 1, 10**30])
+    def test_levels_are_pythons_float_of_each_input(self, value, make):
+        # one parse path for lists and arrays (of float64, int64 or object)
+        (got,) = Spectrum(make([value])).levels
+        assert type(got) is float and got == float(value)
+        assert math.copysign(1.0, got) == math.copysign(1.0, value)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -247,6 +250,13 @@ class TestMeans:
             mixed = compute_means(Spectrum((1e-300, 1.0, 2.0)))
         assert tiny.e_quad == m.e_quad * 2.0**-600 == 3.577803127309483e-181
         assert mixed.e_quad == 1.7320508075688774e-300
+        # subnormal levels: the mean of 1/E_k overflows too, and e_harm is
+        # 18/11 * 1e-310 on the subnormal grid, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sub = compute_means(Spectrum((1e-310, 2e-310, 3e-310)))
+        assert sub.e_harm == 1.6363636363636e-310 and sub.e_quad == 1.4846149779162e-310
+        assert sub.e_min <= sub.e_quad <= sub.e_harm <= sub.e_arith <= sub.e_max
 
     def test_constant_spectrum_all_means_equal(self):
         m = compute_means(Spectrum((2.5,), (4,)))
@@ -335,7 +345,8 @@ class TestHarmonicShift:
             shift = harmonic_shift_solve(spec, energy)
             assert shift >= -means.e_min
             frame = EnergyFrame(spec, energy, shift)
-            assert abs(frame.e_prime_harm - frame.e_prime) <= 1e-12 * abs(frame.e_prime)
+            e_prime_harm = compute_means(Spectrum(levels + shift)).e_harm
+            assert abs(e_prime_harm - frame.e_prime) <= 1e-12 * abs(frame.e_prime)
 
     def test_monotone_residual_by_finite_differences(self):
         # residual r(x) = E_H({E_k+x}) - (E+x) has strictly positive slope
@@ -402,7 +413,8 @@ class TestEpsilonShift:
         frame = epsilon_shift_solve(spec, 1.5, 2.0)
         n = frame.dim
         mult = (1 + 1 / n) * (1 + 2.0 / math.sqrt(n))
-        assert abs(frame.e_prime - mult * frame.e_prime_harm) <= 1e-12 * frame.e_prime
+        e_prime_harm = compute_means(Spectrum(frame.shifted_levels, spec.degeneracies)).e_harm
+        assert abs(frame.e_prime - mult * e_prime_harm) <= 1e-12 * frame.e_prime
 
     def test_dim_override_changes_only_the_multiplier(self):
         spec = Spectrum((1.0, 2.0, 3.0))

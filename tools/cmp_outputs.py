@@ -24,10 +24,11 @@ warning class and message still do.
 The commands cover every subcommand and mode: each experiment at
 ``--workers`` 1, 2 and the default, chunk and row-block edges, larger inputs
 drawn from a fixed seed, spectra far from unit scale (levels in joules,
-near 1e155 and 1e-200, below 2^-512), and the error paths (malformed inputs,
-flags a run does not read or needs, domain, infeasibility, convergence and
-float-range errors).  The comments in :func:`commands` say what a command
-checks.  94 commands and 334 files in all.  It takes about a minute.
+near 1e155 and 1e-200, below 2^-512 and subnormal), and the error paths
+(malformed inputs, flags a run does not read or needs, domain,
+infeasibility, convergence and float-range errors).  The comments in
+:func:`commands` say what a command checks.  95 commands and 337 files in
+all.  It takes about a minute.
 """
 from __future__ import annotations
 
@@ -70,6 +71,8 @@ INPUTS = {
     "in/tiny-600.json": {"levels": [d * 2.0**-600 for d in (1, 2, 3)],
                          "degeneracies": [30, 30, 30]},
     "in/mixed-scale.json": {"levels": [1e-300, 1.0, 2.0]},
+    # subnormal levels: the mean of 1/E_k overflows too
+    "in/subnormal.json": {"levels": [1e-310, 2e-310, 3e-310]},
     # levels in joules: every shift solve runs below unit scale
     "in/joules.json": {"levels": [1.602176634e-19 * d for d in (1, 2, 3)],
                        "degeneracies": [300, 300, 300]},
@@ -268,6 +271,8 @@ def commands() -> dict[str, list[str]]:
     # value, and sqrt(3) 1e-300
     cmds["means-2^-600"] = ["means", "--spectrum", "in/tiny-600.json"]
     cmds["means-mixed-scale"] = ["means", "--spectrum", "in/mixed-scale.json"]
+    # e_harm where the mean of 1/E_k overflows: 18/11 1e-310 on the subnormal grid
+    cmds["means-subnormal"] = ["means", "--spectrum", "in/subnormal.json"]
     cmds["shift-harmonic"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5"]
     cmds["shift-epsilon"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5",
                              "--epsilon", "2"]
