@@ -133,15 +133,6 @@ _READS = {
     "spins": {"count": 10_000, **_DRAW, **_SPINS, "out_dir": None},
 }
 _SELECTORS = {"sample": "mode", "verify": "experiment"}
-_COMMANDS = {
-    "means": "power means of a spectrum",
-    "shift": "solve the energy shift",
-    "bounds": "concentration constants and tail curve",
-    "canonical": "canonical reduced density matrix",
-    "sample": "draw a batch of states",
-    "verify": "Monte Carlo verification experiments",
-    "spins": "non-interacting-spins concentration probe (verify --experiment spins)",
-}
 
 
 def _option(dest: str) -> str:
@@ -162,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Concentration-of-measure toolkit for quantum mean-energy ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in _COMMANDS.items():
+    for command, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         runs = {run: reads for run, reads in _READS.items() if run.split()[0] == command}
         if command in _SELECTORS:
@@ -341,14 +332,16 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> None:
     _emit({"config": config, "report": report.to_json()}, args.out_dir, "report.json", tables)
 
 
-_HANDLERS = {
-    "means": _cmd_means,
-    "shift": _cmd_shift,
-    "bounds": _cmd_bounds,
-    "canonical": _cmd_canonical,
-    "sample": _cmd_sample,
-    "verify": _cmd_verify,
-    "spins": _cmd_verify,
+# Each subcommand's help text and handler.
+_COMMANDS = {
+    "means": ("power means of a spectrum", _cmd_means),
+    "shift": ("solve the energy shift", _cmd_shift),
+    "bounds": ("concentration constants and tail curve", _cmd_bounds),
+    "canonical": ("canonical reduced density matrix", _cmd_canonical),
+    "sample": ("draw a batch of states", _cmd_sample),
+    "verify": ("Monte Carlo verification experiments", _cmd_verify),
+    "spins": ("non-interacting-spins concentration probe (verify --experiment spins)",
+              _cmd_verify),
 }
 
 
@@ -363,7 +356,8 @@ def _error_record(exc: Exception) -> str:
 def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _HANDLERS[args.command](args, _read_flags(args))
+        _, handler = _COMMANDS[args.command]
+        handler(args, _read_flags(args))
         return 0
     except (ParseError, OSError) as exc:
         sys.stderr.write(_error_record(exc))

@@ -164,19 +164,17 @@ def subbatch_mean_error(
     if values.size == 0:
         raise DomainError("cannot estimate from an empty sample")
     if weights is None:
-        mean = float(values.mean())
+        def mean_of(lo, hi):
+            return values[lo:hi].mean()
     else:
         weights = np.asarray(weights, dtype=float)
-        mean = float(_dot(weights, values) / weights.sum())
+
+        def mean_of(lo, hi):
+            return _dot(weights[lo:hi], values[lo:hi]) / weights[lo:hi].sum()
+    mean = float(mean_of(0, values.size))
     parts = min(_SUB_BATCHES, values.size)
     bounds = np.linspace(0, values.size, parts + 1, dtype=int)
-    sub = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if weights is None:
-            sub.append(values[lo:hi].mean())
-        else:
-            sub.append(_dot(weights[lo:hi], values[lo:hi]) / weights[lo:hi].sum())
-    sub = np.asarray(sub)
+    sub = np.asarray([mean_of(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
     if sub.size < 2:
         return mean, float("inf")
     return mean, float(sub.std(ddof=1) / math.sqrt(sub.size))
@@ -248,7 +246,7 @@ def reduced_dm_report(
 
     rho_sums, devs = _gaussian_stream(frame, count, rng, one_block, workers, one_chunk)
     rho_sum = sum(rho_sums, np.zeros((dim_a, dim_a), dtype=complex))
-    rho_hat = DensityMatrix(0.5 * (rho_sum + rho_sum.conj().T) / count)
+    rho_hat = DensityMatrix(rho_sum / count)
 
     mean_dev, se_dev = subbatch_mean_error(devs)
     measured = [

@@ -320,42 +320,33 @@ def gradient_norm(spectrum: Spectrum, state: np.ndarray) -> float:
     return float(_gradient_norm(e1, e2))
 
 
-class _ShellScreen:
-    """The shell oracle's exact test of one row block of proposals (a complex
-    ``(rows, n)`` view, as the oracle's draw returns it): the proposals whose
-    energy lies in the shell, as unit states, and their log-weights, plus
-    n log(e1 + shift) for the Gaussian proposal (``shift`` None: uniform).
+def _shell_screen(levels: np.ndarray, energy: float, eta: float) -> Callable:
+    """``screen(raw)``: the shell oracle's exact test of one row block of
+    proposals (a complex ``(rows, n)`` view, as the oracle's draw returns it).
+    It returns the proposals whose energy lies in the shell, as unit states,
+    with their energies e1 and their gradient norms; the oracle weights them.
 
     Every row of the block gets |psi|^2, its row sum and its energy; every
     reduction sums each row on its own in a fixed order, so a row gets the
     same bits in a block of any size: the result is that of the exact test
     of every whole chunk.
     """
+    levels_sq = levels ** 2
 
-    def __init__(self, levels: np.ndarray, energy: float, eta: float, shift: float | None):
-        self.levels = levels
-        self.levels_sq = levels ** 2
-        self.energy = energy
-        self.eta = eta
-        self.shift = shift
-
-    def __call__(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def screen(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = np.abs(raw)
         p *= p
         nrm2 = p.sum(axis=1)
-        e1 = _dot(p, self.levels)
+        e1 = _dot(p, levels)
         e1 /= nrm2
-        # normalize and weight only the rows in the shell
-        mask = np.abs(e1 - self.energy) < self.eta
+        # normalize and take the gradient norm of the rows in the shell only
+        mask = np.abs(e1 - energy) < eta
         raw, p, e1, nrm2 = raw[mask], p[mask], e1[mask], nrm2[mask]
-        e2 = _dot(p / nrm2[:, None], self.levels_sq)
-        grad = _gradient_norm(e1, e2)
+        grad = _gradient_norm(e1, _dot(p / nrm2[:, None], levels_sq))
         keep = grad > 0.0
-        psi_acc = raw[keep] / np.sqrt(nrm2[keep, None])
-        lw = np.log(grad[keep])
-        if self.shift is not None:
-            lw = lw + self.levels.size * np.log(e1[keep] + self.shift)
-        return psi_acc, lw
+        return raw[keep] / np.sqrt(nrm2[keep, None]), e1[keep], grad[keep]
+
+    return screen
 
 
 def oracle_manifold_sample(
@@ -394,10 +385,11 @@ def oracle_manifold_sample(
     (:func:`_gaussian_draw`, or raw :func:`_complex_normals` for the sphere),
     in row blocks of about 1 MB of normals, and every block gets the exact
     test: the proposals' |psi|^2, row sums and energies are formed, and the
-    rows in the shell are normalized and weighted.  No array the size of a
-    chunk is made, and as each row is reduced on its own in a fixed order,
-    the states and weights are those of the exact test of every whole chunk,
-    bit for bit.
+    rows in the shell are normalized and get their gradient norms.  No array
+    the size of a chunk is made, and as each row is reduced on its own in a
+    fixed order, the states are those of the exact test of every whole chunk,
+    bit for bit.  The weights are formed once, from the accepted states'
+    energies and gradient norms.
     """
     if eta is None:
         eta = default_shell_width(spectrum)
@@ -419,21 +411,18 @@ def oracle_manifold_sample(
         raise DomainError(f"unknown proposal {proposal!r}")
 
     frame = harmonic_frame(spectrum, energy) if proposal == "gaussian" else None
-    shift = None if frame is None else frame.shift
     draw = _complex_normals if frame is None else _gaussian_draw(frame)
-    screen = _ShellScreen(spectrum.expand(), energy, eta, shift)
+    screen = _shell_screen(spectrum.expand(), energy, eta)
     task, items = _chunk_stream(rng, draw, screen, max_draws, spectrum.n)
 
-    accepted: list[np.ndarray] = []
-    logw: list[np.ndarray] = []
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     n_accepted = 0
     n_drawn = 0
     with closing(_map_ordered(task, items, workers)) as stream:
-        for (_, size), (psi_acc, lw) in zip(items, stream):
+        for (_, size), part in zip(items, stream):
             n_drawn += size
-            accepted.append(psi_acc)
-            logw.append(lw)
-            n_accepted += psi_acc.shape[0]
+            parts.append(part)
+            n_accepted += part[0].shape[0]
             if n_accepted >= count:
                 break
 
@@ -441,12 +430,13 @@ def oracle_manifold_sample(
         raise DomainError(
             f"no acceptances in {n_drawn} draws (eta = {eta}); widen the shell"
         )
-    states = np.concatenate(accepted)[:count]
-    lw = np.concatenate(logw)[:count]
-    if proposal == "gaussian":
-        weights = np.exp(lw - lw.max())
-    else:
+    states, e1, grad = (np.concatenate(arrays)[:count] for arrays in zip(*parts))
+    lw = np.log(grad)
+    if frame is None:
         weights = np.exp(lw)
+    else:
+        lw = lw + spectrum.n * np.log(e1 + frame.shift)
+        weights = np.exp(lw - lw.max())
     rate = n_accepted / n_drawn
     if states.shape[0] < count:
         warnings.warn(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -198,14 +198,7 @@ class Means:
     n: int
 
     def to_json(self) -> dict:
-        return {
-            "e_min": self.e_min,
-            "e_max": self.e_max,
-            "e_arith": self.e_arith,
-            "e_harm": self.e_harm,
-            "e_quad": self.e_quad,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def compute_means(spectrum: Spectrum) -> Means:
@@ -346,21 +339,27 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
     r is strictly increasing for non-degenerate spectra (the harmonic-mean
     derivative identity gives r'(x) = multiplier * E_H^2/E_Q^2 - 1), so a
     sign-change bracket plus safeguarded Newton converges globally.  The
-    bracket and the stopping test have no absolute floor: scaling the levels
-    and E scales them.  r is finite at the bracket's start unless the span or
-    E + x overflows or the first level sum underflows to 0; no nearby start
-    then gives a finite r either, so such a solve raises.  The root is a
-    Python float, whichever step ends the solve.
+    solve runs in the power-of-two unit 2^k that puts the largest level
+    magnitude in [1, 2): the levels, E and every step are divided by it
+    exactly, and the root and the error details are multiplied back, so a
+    spectrum in any unit, subnormal levels included, takes the steps of its
+    scaled copy.  The bracket and the stopping test have no absolute floor.
+    A root whose shift or E + s is beyond the float range raises.  The root
+    is a Python float, whichever step ends the solve.
     """
-    levels = spectrum._levels_arr
+    exponent = math.frexp(max(-spectrum.e_min, spectrum.e_max))[1] - 1
+    unit = math.ldexp(1.0, exponent)
+    levels = spectrum._levels_arr / unit
     weights = spectrum._weights_arr
-    span = spectrum.e_max - spectrum.e_min
+    target = energy / unit
+    e_min = spectrum.e_min / unit
+    span = spectrum.e_max / unit - e_min
 
     def residual(x: float) -> tuple[float, float]:
         shifted = levels + x
         inv = weights / shifted
         s1, s2 = inv.sum(), (inv / shifted).sum()
-        r = multiplier / s1 - (energy + x)
+        r = multiplier / s1 - (target + x)
         dr = multiplier * (s2 / (s1 * s1)) - 1.0
         return r, dr
 
@@ -368,7 +367,7 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
     # residual's limit) and the slope can be inf/inf (Newton needs a finite one).
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # Start just above the harmonic-mean pole at the lowest level.
-        lo = -spectrum.e_min + 1e-14 * span
+        lo = -e_min + 1e-14 * span
         r_lo, _ = residual(lo)
         hi = lo + span
         r_hi, _ = residual(hi)
@@ -378,23 +377,29 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
             if n_expand > 200:
                 raise InfeasibleError(
                     "no sign change in shift bracket",
-                    bracket=(lo, hi),
-                    residuals=(r_lo, r_hi),
+                    bracket=(lo * unit, hi * unit),
+                    residuals=(r_lo * unit, r_hi * unit),
                 )
             hi = lo + (hi - lo) * 2.0
             r_hi, _ = residual(hi)
         if r_lo >= 0.0:
             raise InfeasibleError(
                 "shift residual does not change sign in bracket",
-                bracket=(lo, hi),
-                residuals=(r_lo, r_hi),
+                bracket=(lo * unit, hi * unit),
+                residuals=(r_lo * unit, r_hi * unit),
             )
 
         x = 0.5 * (lo + hi)
         for _ in range(_MAX_ITER):
             r, dr = residual(x)
-            if abs(r) <= tol * abs(energy + x):
-                return float(x)
+            if abs(r) <= tol * abs(target + x):
+                shift = float(x * unit)
+                if not (math.isfinite(shift) and math.isfinite(energy + shift)):
+                    raise NumericalError(
+                        "the shift or E + s is beyond the float range: "
+                        f"s = {float(x)} * 2**{exponent}"
+                    )
+                return shift
             if r > 0.0:
                 hi = x
             else:
@@ -405,7 +410,7 @@ def _shift_root(spectrum: Spectrum, energy: float, multiplier: float, tol: float
             x = x_new
         r, _ = residual(x)
         raise NumericalError(
-            f"shift solver did not converge within {_MAX_ITER} iterations", residual=r
+            f"shift solver did not converge within {_MAX_ITER} iterations", residual=r * unit
         )
 
 

@@ -7,17 +7,22 @@ the occupations at any degeneracy), and closed forms where two-level
 algebra permits.  The ``grouped_calls`` fixture counts how often
 the library groups a level list, ``epsilon_solves`` how often it solves
 the epsilon shift, and ``shift_roots`` how often it runs the shift
-solver's root finder.  ``ReferenceShellScreen`` is the shell oracle's exact
+solver's root finder.  ``package_env`` is the environment of a ``python -m
+mee`` subprocess.  ``ReferenceShellScreen`` is the shell oracle's exact
 test of a whole chunk, which the oracle's test of each row block must match
 bit for bit.
 """
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy import integrate, optimize
 
+import mee
 import mee.bounds
 import mee.canonical
 import mee.spectrum
@@ -38,6 +43,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def package_env() -> dict:
+    """The environment of a ``python -m mee`` subprocess: this one's, with
+    ``PYTHONPATH`` the directory of the imported ``mee``, so the subprocess
+    runs the package under test."""
+    return {**os.environ, "PYTHONPATH": str(Path(mee.__file__).resolve().parents[1])}
 
 
 @pytest.fixture
@@ -159,37 +171,33 @@ def three_level_occupations(levels, degeneracies, energy):
 
 
 class ReferenceShellScreen:
-    """Drop-in for ``mee.sampling._ShellScreen``: the exact test on every row
+    """Drop-in for ``mee.sampling._shell_screen``: the exact test on every row
     of a block of proposals, written independently.  It takes |psi|^2, row
     sums and energies of all rows, keeps those within ``eta`` of ``energy``,
-    and normalizes and weights them, adding n log(e1 + shift) to the
-    log-weights of the Gaussian proposal (``shift`` not None).  Like the
-    production screen it only tests: the oracle's draw makes the proposals.
-    With the block budget ``mee.sampling._NORM_BLOCK_SCALARS`` at least a
-    chunk, each block is a whole chunk and this is the exact test of every
-    chunk.  Its sums over levels are those of production,
-    ``mee.spectrum._dot``, so that the two can be compared bit for bit."""
+    and returns them normalized, with their energies and gradient norms.
+    Like the production screen it only tests: the oracle's draw makes the
+    proposals and the oracle weights them.  With the block budget
+    ``mee.sampling._NORM_BLOCK_SCALARS`` at least a chunk, each block is a
+    whole chunk and this is the exact test of every chunk.  Its sums over
+    levels are those of production, ``mee.spectrum._dot``, so that the two
+    can be compared bit for bit."""
 
-    def __init__(self, levels, energy, eta, shift):
-        self.levels, self.energy, self.eta, self.shift = levels, energy, eta, shift
+    def __init__(self, levels, energy, eta):
+        self.levels, self.energy, self.eta = levels, energy, eta
 
     def __call__(self, raw):
-        levels, energy, shift = self.levels, self.energy, self.shift
+        levels = self.levels
         p = np.abs(raw) ** 2
         nrm2 = p.sum(axis=1)
         e1 = _dot(p, levels) / nrm2
-        mask = np.abs(e1 - energy) < self.eta
+        mask = np.abs(e1 - self.energy) < self.eta
         e1 = e1[mask]
         nrm2 = nrm2[mask]
         p_acc = p[mask] / nrm2[:, None]
         e2 = _dot(p_acc, levels ** 2)
         grad = 2.0 * np.sqrt(np.maximum(e2 - e1 * e1, 0.0))
         keep = grad > 0.0
-        psi_acc = raw[mask][keep] / np.sqrt(nrm2[keep, None])
-        lw = np.log(grad[keep])
-        if shift is not None:
-            lw = lw + levels.size * np.log(e1[keep] + shift)
-        return psi_acc, lw
+        return raw[mask][keep] / np.sqrt(nrm2[keep, None]), e1[keep], grad[keep]
 
 
 def three_level_manifold_moments(levels, energy):

@@ -1,22 +1,21 @@
 import builtins
 import json
 import math
-import os
 import platform
 import random
 import re
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mee
 from mee.cli import build_parser, run
 from mee.io import load_spectrum
 from mee.sampling import RngSpec, default_shell_width, oracle_manifold_sample
+from mee.spectrum import Spectrum, epsilon_shift_solve, harmonic_shift_solve
+from conftest import package_env
 
 
 @pytest.fixture
@@ -939,9 +938,8 @@ class TestDeterminism:
                 "threads-2": {"OPENBLAS_NUM_THREADS": "2"}}
         if platform.machine().lower() in ("x86_64", "amd64"):
             envs["prescott"] = {"OPENBLAS_CORETYPE": "Prescott"}
-        base = {k: v for k, v in os.environ.items()
+        base = {k: v for k, v in package_env().items()
                 if not k.startswith(("OPENBLAS_", "GOTO_", "OMP_")) and k != "MEE_SEED"}
-        base["PYTHONPATH"] = str(Path(mee.__file__).resolve().parents[1])
         outputs = {}
         for name, extra in envs.items():
             work = tmp_path / name
@@ -1071,6 +1069,7 @@ def test_one_state_report_is_strict_json(small_spectrum_file):
          "--spectrum", small_spectrum_file, "--energy", "1.5", "--count", "1", "--seed", "1"],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -1107,6 +1106,7 @@ def test_stderr_holds_one_record_or_nothing(tmp_path, small_spectrum_file, argv,
         [sys.executable, "-m", "mee", *(files.get(arg, arg) for arg in argv)],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert proc.returncode == code
     if code == 0:
@@ -1134,6 +1134,8 @@ _BEYOND_SQUARES = {
         pytest.param(_BEYOND_SQUARES["bounds"], 1e-200, id="bounds-1e-200"),
         pytest.param(_BEYOND_SQUARES["verify-tail"], 1e-200, id="verify-tail-1e-200"),
         pytest.param(_BEYOND_SQUARES["verify-moments"], 1e-200, id="verify-moments-1e-200"),
+        # the shift solves on subnormal levels, and E'_Q leaves the float range
+        pytest.param(_BEYOND_SQUARES["bounds"], 1e-310, id="bounds-subnormal"),
     ],
 )
 def test_levels_beyond_the_squares_range_leave_one_record(capsys, recwarn, tmp_path, argv,
@@ -1200,6 +1202,50 @@ def test_overflowing_constant_a_leaves_one_record(capsys, recwarn, tmp_path, arg
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, key, unit_shift",
+    [
+        (["shift"], "shift", harmonic_shift_solve(Spectrum((1.0, 2.0, 3.0)), 1.5)),
+        (["shift", "--epsilon", "3"], "shift",
+         epsilon_shift_solve(Spectrum((1.0, 2.0, 3.0)), 1.5, 3.0).shift),
+        (["sample", "--mode", "gaussian", "--count", "5", "--seed", "1"], "meta",
+         harmonic_shift_solve(Spectrum((1.0, 2.0, 3.0)), 1.5)),
+    ],
+    ids=["shift-harmonic", "shift-epsilon", "sample-gaussian"],
+)
+def test_subnormal_levels_solve(capsys, recwarn, tmp_path, argv, key, unit_shift):
+    # the solve runs in a power-of-two unit, so {1, 2, 3} 1e-310 takes the
+    # shift of {1, 2, 3} times 1e-310, to the subnormal grid's precision
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps({"levels": [1e-310, 2e-310, 3e-310]}))
+    code = run([*argv, "--spectrum", str(path), "--energy", "1.5e-310"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    record = json.loads(captured.out, parse_constant=_reject_constant)
+    shift = record["shift"] if key == "shift" else record["meta"]["shift"]
+    assert shift / 1e-310 == pytest.approx(unit_shift, rel=1e-10)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("argv", [["--energy", "1e307"], ["--energy", "1e308", "--epsilon", "2"]],
+                         ids=["harmonic", "epsilon"])
+def test_shift_beyond_the_float_range_leaves_one_record(capsys, recwarn, tmp_path, argv):
+    # the span of {-1e308, 1.5e308} overflows, but the solve in units of
+    # 2^1023 does not: its shift, or E + s, is beyond the float range
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps({"levels": [-1e308, 1.5e308]}))
+    code = run(["shift", "--spectrum", str(path), *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    record = json.loads(captured.err, parse_constant=_reject_constant)
+    assert record["error"] == "NumericalError"
+    assert record["message"].startswith("the shift or E + s is beyond the float range")
+    assert record["message"].endswith("* 2**1023")
+    assert not recwarn.list
+
+
 def _scale_sweep_argv(name: str, tmp_path, unit: float) -> list[str]:
     """One run of the scale sweep, on {1, 2, 3}*unit with degeneracies 30 or on
     the bipartite {1, 2}*unit x ({0} * 20 + {unit})."""
@@ -1255,6 +1301,7 @@ def test_module_entry_point(spectrum_file):
         [sys.executable, "-m", "mee", "means", "--spectrum", spectrum_file],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["means"]["n"] == 8193
@@ -1278,7 +1325,8 @@ def test_runs_in_one_process_match_runs_alone(capsys, small_spectrum_file):
     assert build_parser() is build_parser()
     alone = []
     for argv in runs:
-        proc = subprocess.run([sys.executable, "-m", "mee", *argv], capture_output=True)
+        proc = subprocess.run([sys.executable, "-m", "mee", *argv], capture_output=True,
+                              env=package_env())
         alone.append((proc.returncode, proc.stdout, proc.stderr))
     assert [code for code, _, _ in together] == [2, 0, 2, 0, 0]
     assert together == alone

@@ -18,6 +18,7 @@ from mee.cli import run
 from mee.errors import ParseError
 from mee.io import load_bipartite, load_spectrum, write_csv
 from mee.sampling import RngSpec, oracle_manifold_sample
+from conftest import package_env
 
 # the cells whose repr orjson writes in another notation (or as null), and
 # the nearest ones it writes alike
@@ -227,6 +228,7 @@ def test_piped_stdout_holds_one_record(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert proc.stderr == ""

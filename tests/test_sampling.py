@@ -769,7 +769,7 @@ class TestShellScreen:
     )
     def test_bit_equal_to_the_full_chunk_screen(self, monkeypatch, case, proposal, workers):
         batch, warned = self._sample(case, proposal, workers)
-        monkeypatch.setattr(sampling_mod, "_ShellScreen", ReferenceShellScreen)
+        monkeypatch.setattr(sampling_mod, "_shell_screen", ReferenceShellScreen)
         monkeypatch.setattr(sampling_mod, "_NORM_BLOCK_SCALARS", WHOLE_CHUNK_BLOCKS)
         want, want_warned = self._sample(case, proposal, workers)
         assert batch.states.tobytes() == want.states.tobytes()
@@ -792,7 +792,7 @@ class TestShellScreen:
         monkeypatch.setattr(sampling_mod, "_NORM_BLOCK_SCALARS", 7 * 2 * SCREEN_CASES[case][0].n)
         batch, warned = self._sample(case, proposal, 2)
         assert max(rows) == 7
-        monkeypatch.setattr(sampling_mod, "_ShellScreen", ReferenceShellScreen)
+        monkeypatch.setattr(sampling_mod, "_shell_screen", ReferenceShellScreen)
         monkeypatch.setattr(sampling_mod, "_NORM_BLOCK_SCALARS", WHOLE_CHUNK_BLOCKS)
         want, want_warned = self._sample(case, proposal, 2)
         assert batch.states.tobytes() == want.states.tobytes()

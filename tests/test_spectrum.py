@@ -536,6 +536,39 @@ class TestScaleCovariance:
             # E'_Q's ** -0.5 may round the other way, so a only to a few ulp
             assert abs(consts.a - big_consts.a) <= 4 * math.ulp(consts.a)
 
+    @settings(deadline=None, max_examples=1000)
+    @given(
+        levels=st.lists(st.one_of(st.integers(0, 40).map(lambda v: v / 4.0),
+                                  st.floats(-20.0, 20.0)), min_size=2, max_size=6),
+        degs=st.lists(st.integers(1, 10**6), min_size=6, max_size=6),
+        offset=st.sampled_from([0.0, -5.0, 3.0]),
+        fraction=st.floats(0.0, 1.0, exclude_max=True),
+        epsilon=st.sampled_from([1.5, 2.0, 3.0, 8.0]),
+        k=st.integers(-1000, 1000),
+    )
+    def test_shift_solvers_scale_exactly_at_any_power_of_two(self, levels, degs, offset,
+                                                             fraction, epsilon, k):
+        levels = [v + offset for v in levels]
+        scale = 2.0 ** k
+        low = min(scale, 1.0)
+        spec = Spectrum(tuple(levels), tuple(degs[: len(levels)]))
+        big = Spectrum(tuple(v * scale for v in levels), spec.degeneracies)
+        e_arith = float(np.average(levels, weights=spec.degeneracies))
+        energy = spec.e_min + fraction * (e_arith - spec.e_min)
+        # on both sides every input is a normal float, and so is each level
+        # times its weight (at least 2^-23) in the arithmetic mean
+        assume(all(abs(v) * low >= 2.0 ** -999 for v in (*levels, energy) if v != 0.0))
+
+        def solves(sp, e):
+            return (self.outcome(lambda: harmonic_shift_solve(sp, e)),
+                    self.outcome(lambda: epsilon_shift_solve(sp, e, epsilon).shift))
+
+        for small, large in zip(solves(spec, energy), solves(big, energy * scale)):
+            if not isinstance(small, float):
+                assert small is large
+            elif small == 0.0 or abs(small) * low >= 2.0 ** -1022:
+                assert (small * scale).hex() == large.hex()
+
 
 class TestEnergyFrame:
     def test_validation(self):

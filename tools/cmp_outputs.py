@@ -27,8 +27,7 @@ drawn from a fixed seed, spectra far from unit scale (levels in joules,
 near 1e155 and 1e-200, below 2^-512 and subnormal), and the error paths
 (malformed inputs, flags a run does not read or needs, domain,
 infeasibility, convergence and float-range errors).  The comments in
-:func:`commands` say what a command checks.  95 commands and 337 files in
-all.  It takes about a minute.
+:func:`commands` say what a command checks.  It takes about a minute.
 """
 from __future__ import annotations
 
@@ -246,7 +245,7 @@ def commands() -> dict[str, list[str]]:
     cmds["verify-moments-sigmas-nan"] = ["verify", "--experiment", "moments",
                                          *VERIFY["moments"], "--seed", "7",
                                          "--tolerance-sigmas", "nan"]
-    # each exits 1 with a NumericalError: no residual is finite at the bracket
+    # each exits 1 with a NumericalError: the shift or E + s is beyond the float range
     cmds["shift-overflowing-span"] = ["shift", "--spectrum", "in/overflowing-span.json",
                                       "--energy", "1e308", "--epsilon", "2"]
     cmds["shift-overflowing-span-harmonic"] = ["shift", "--spectrum",
@@ -273,6 +272,15 @@ def commands() -> dict[str, list[str]]:
     cmds["means-mixed-scale"] = ["means", "--spectrum", "in/mixed-scale.json"]
     # e_harm where the mean of 1/E_k overflows: 18/11 1e-310 on the subnormal grid
     cmds["means-subnormal"] = ["means", "--spectrum", "in/subnormal.json"]
+    # the shift solves on subnormal levels, in the power-of-two unit of the largest
+    subnormal = ["--spectrum", "in/subnormal.json", "--energy", "1.5e-310"]
+    cmds["shift-subnormal-harmonic"] = ["shift", *subnormal]
+    cmds["shift-subnormal-epsilon"] = ["shift", *subnormal, "--epsilon", "3"]
+    # exits 1: E'_Q is beyond the float range
+    cmds["bounds-subnormal"] = ["bounds", *subnormal, "--out-dir", "out/bounds-subnormal"]
+    cmds["sample-gaussian-subnormal"] = ["sample", "--mode", "gaussian", *subnormal,
+                                         "--count", "20", "--seed", "5",
+                                         "--out", "out/sample-gaussian-subnormal/states.csv"]
     cmds["shift-harmonic"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5"]
     cmds["shift-epsilon"] = ["shift", "--spectrum", "in/s900.json", "--energy", "1.5",
                              "--epsilon", "2"]
